@@ -5,11 +5,9 @@ estimation."""
 from .gf2 import (
     BitMatrix,
     BitVector,
-    in_row_space,
     nullspace_basis,
     rank,
     row_reduce,
-    solution_count_log2,
 )
 from .netgen import (
     GeneratorSet,
@@ -17,9 +15,7 @@ from .netgen import (
     ParseError,
     SubsetIndex,
     assemble_cuk,
-    assemble_nabla,
     generate_points,
-    generate_points_gray,
     load_generators,
 )
 from .quality import (
@@ -64,8 +60,6 @@ __all__ = [
     "BitVector",
     "rank",
     "row_reduce",
-    "in_row_space",
-    "solution_count_log2",
     "nullspace_basis",
     "GeneratorSet",
     "NetPoints",
@@ -73,9 +67,7 @@ __all__ = [
     "SubsetIndex",
     "load_generators",
     "generate_points",
-    "generate_points_gray",
     "assemble_cuk",
-    "assemble_nabla",
     "QualityReport",
     "quality_report",
     "t_value",

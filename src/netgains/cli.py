@@ -19,7 +19,14 @@ import numpy as np
 from . import netgen, quality, suites
 from .gains import enumerate_gains, max_gain
 from .netgen import ParseError, load_generators
-from .scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, estimate, scramble
+from .scramble import (
+    HaarIntegrand,
+    ScrambleKind,
+    ScrambleSpec,
+    estimate,
+    replicate_seed,
+    scramble,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -45,10 +52,7 @@ def _add_global_args(p: argparse.ArgumentParser, top_level: bool) -> None:
     kw = {} if top_level else {"default": argparse.SUPPRESS}
     p.add_argument("--json", action="store_true", help="machine-readable JSON output", **kw)
     p.add_argument("--seed", type=int, help="seed for randomized commands", **kw)
-    p.add_argument("--threads", type=int, help="worker threads (0 = auto)", **kw)
     p.add_argument("--out", metavar="FILE", help="output path (default stdout)", **kw)
-    if top_level:
-        p.set_defaults(threads=0)
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -121,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("gen", "generate the net points")
     _add_input_args(p)
     p.add_argument("--format", choices=["csv", "bin"], default="csv")
-    p.add_argument("--gray", action="store_true", help="use the Gray-code generator")
 
     p = add_command("analyze", "quality parameters and the maximal gain")
     _add_input_args(p)
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     gens = _load(args)
-    points = netgen.generate_points_gray(gens) if args.gray else netgen.generate_points(gens)
+    points = netgen.generate_points(gens)
     if args.json:
         _emit(
             args,
@@ -213,9 +216,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_gains(args) -> int:
     gens = _load(args)
-    report = enumerate_gains(
-        gens, args.depth, max_visits=args.max_visits, threads=args.threads
-    )
+    report = enumerate_gains(gens, args.depth, max_visits=args.max_visits)
     if args.format == "csv":
         with _out_stream(args.out) as fh:
             report.write_csv(fh)
@@ -230,10 +231,13 @@ def cmd_scramble(args) -> int:
     points = netgen.generate_points(gens)
     kind = _KINDS[args.kind]
     bits = args.output_bits if args.output_bits is not None else gens.m
+    specs = [
+        ScrambleSpec(kind=kind, output_bits=bits, seed=replicate_seed(seed, rep))
+        for rep in range(args.reps)
+    ]
     if args.json:
         reps = []
-        for rep in range(args.reps):
-            spec = ScrambleSpec(kind=kind, output_bits=bits, seed=seed ^ rep)
+        for spec in specs:
             scrambled = scramble(points, spec)
             reps.append([[int(v) for v in row] for row in scrambled.numerators])
         _emit(
@@ -242,14 +246,12 @@ def cmd_scramble(args) -> int:
         )
     elif args.format == "csv":
         with _out_stream(args.out) as fh:
-            for rep in range(args.reps):
-                spec = ScrambleSpec(kind=kind, output_bits=bits, seed=seed ^ rep)
+            for spec in specs:
                 for row in scramble(points, spec).reals:
                     fh.write(",".join(repr(float(v)) for v in row) + "\n")
     else:
         with _out_stream(args.out, binary=True) as fh:
-            for rep in range(args.reps):
-                spec = ScrambleSpec(kind=kind, output_bits=bits, seed=seed ^ rep)
+            for spec in specs:
                 netgen.write_points_binary(scramble(points, spec).numerators, bits, fh)
     return EXIT_OK
 

@@ -23,7 +23,6 @@ others; all three use exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
@@ -32,9 +31,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import gf2
-from .gf2 import BitMatrix
-from .netgen import GeneratorSet, NetPoints, SubsetIndex, assemble_cuk
-from .quality import bounded_vectors, first_rank_deficient_k, t_u, t_value, t_star_u
+from .netgen import GeneratorSet, NetPoints, StackWalk, SubsetIndex, assemble_cuk, stack_at
+from .quality import first_rank_deficient_k, t_value, t_star_u
 
 NULLSPACE_LOG2_LIMIT = 24
 _BRUTE_CHUNK = 512
@@ -81,17 +79,8 @@ def gain_fast(gens: GeneratorSet, idx: SubsetIndex) -> GainValue:
     otherwise.
     """
     gens.validate_index(idx)
-    basis: dict[int, int] = {}
-    r = 0
-    target = 0
-    for j, kj in zip(idx.u, idx.k):
-        for ell in range(1, kj + 1):
-            if gf2._insert(basis, gens.row(j, ell)):
-                r += 1
-        target ^= gens.row(j, kj + 1)
-    if gf2._residual(basis, target):
-        return GainValue.zero()
-    return GainValue(gens.m - r)
+    rank, in_span = stack_at(gens, idx.u, idx.k)
+    return GainValue(gens.m - rank) if in_span else GainValue.zero()
 
 
 def gain_bruteforce(points: NetPoints, idx: SubsetIndex) -> Fraction:
@@ -182,45 +171,50 @@ def max_gain(gens: GeneratorSet) -> tuple[GainValue, SubsetIndex]:
     step every surviving depth down by one.
     """
     s, m = gens.s, gens.m
-    first_rows = [gens.row(j, 1) for j in range(1, s + 1)]
-    if gf2.rank_of_rows(first_rows) < s:
+    full = tuple(range(1, s + 1))
+    if stack_at(gens, full, (1,) * s)[0] < s:
         u = _minimal_dependent_first_rows(gens)
         return GainValue(m), SubsetIndex(u, (0,) * len(u))
 
-    full = tuple(range(1, s + 1))
     kstar = first_rank_deficient_k(gens, full)
-    rows = []
-    for j, kj in zip(full, kstar):
-        rows.extend(gens.row(j, ell) for ell in range(1, kj + 1))
-    dep = gf2.row_dependency(BitMatrix(m, tuple(rows)))
-    assert dep is not None, "kstar stack must be rank deficient"
-    nrows = sum(kstar)
-    v = []
-    offset = 0
-    for j, kj in zip(full, kstar):
-        last = offset + kj - 1
-        if (dep.bits >> (nrows - 1 - last)) & 1:
-            v.append(j)
-        offset += kj
+    v = _circuit(gens, full, kstar)
     assert v, "a minimal deficient stack always uses some deepest row"
-    witness = SubsetIndex(tuple(v), tuple(kstar[j - 1] - 1 for j in v))
+    witness = SubsetIndex(v, tuple(kstar[j - 1] - 1 for j in v))
     return GainValue(m + s - sum(kstar)), witness
+
+
+def _circuit(gens: GeneratorSet, u: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
+    """Members of ``u`` whose deepest row lies on the one dependency of C_{u,k}.
+
+    Needs ``k >= 1`` and exactly one vanishing combination of the rows of
+    C_{u,k}.  Dropping a row on it leaves full rank and dropping any other
+    row keeps the combination, so ``j`` is on it iff C_{u, k - e_j} has full
+    rank.  Both callers' stacks qualify.  In the first dependent prefix of
+    first rows, the earlier rows are independent.  In the shallowest
+    deficient full stack with independent first rows, some coordinate is
+    deeper than 1 and every combination uses its deepest row, or a smaller
+    total would be deficient; so the sum of two combinations cannot vanish.
+    """
+    depth = sum(k)
+    return tuple(
+        j
+        for pos, j in enumerate(u)
+        if stack_at(gens, u, k[:pos] + (k[pos] - 1,) + k[pos + 1 :])[0] == depth - 1
+    )
 
 
 def _minimal_dependent_first_rows(gens: GeneratorSet) -> tuple[int, ...]:
     """Smallest (by size, then lex) subset whose first rows are dependent."""
     s = gens.s
-    first_rows = {j: gens.row(j, 1) for j in range(1, s + 1)}
     if s <= 20:
         for r in range(1, s + 1):
             for u in itertools.combinations(range(1, s + 1), r):
-                if gf2.rank_of_rows([first_rows[j] for j in u]) < r:
+                if stack_at(gens, u, (1,) * r)[0] < r:
                     return u
         raise AssertionError("unreachable: caller checked dependence")
-    # too many subsets: take the circuit found by elimination instead
-    dep = gf2.row_dependency(BitMatrix(gens.m, tuple(first_rows[j] for j in range(1, s + 1))))
-    assert dep is not None
-    return tuple(j for j in range(1, s + 1) if (dep.bits >> (s - j)) & 1)
+    # too many subsets: take the circuit that closes the first dependent prefix
+    f = next(j for j in range(1, s + 1) if stack_at(gens, range(1, j + 1), (1,) * j)[0] < j)
+    return _circuit(gens, tuple(range(1, f + 1)), (1,) * f)
 
 
 def gain_bounds(gens: GeneratorSet, idx: SubsetIndex) -> dict[str, int]:
@@ -232,17 +226,21 @@ def gain_bounds(gens: GeneratorSet, idx: SubsetIndex) -> dict[str, int]:
     is omitted otherwise.
     """
     gens.validate_index(idx)
-    m = gens.m
-    order = idx.order
-    r = gf2.rank(assemble_cuk(gens, idx))
-    out = {
-        "rank": 1 << (m - r),
-        "t": 1 << (t_value(gens) + order - 1),
-        "t_u": 1 << (t_u(gens, idx.u) + order - 1),
+    return _bounds(gens, idx, t_value(gens))
+
+
+def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int) -> dict[str, int]:
+    u, order = idx.u, idx.order
+    star = {
+        v: t_star_u(gens, v) for r in range(1, order + 1) for v in itertools.combinations(u, r)
     }
-    ones = [gens.row(j, 1) for j in idx.u]
-    if gf2.rank_of_rows(ones) == order:
-        out["t_star_u"] = 1 << (t_star_u(gens, idx.u) + order - 1)
+    out = {
+        "rank": 1 << (gens.m - stack_at(gens, u, idx.k)[0]),
+        "t": 1 << (t + order - 1),
+        "t_u": 1 << (max(star.values()) + order - 1),
+    }
+    if stack_at(gens, u, (1,) * order)[0] == order:
+        out["t_star_u"] = 1 << (star[u] + order - 1)
     return out
 
 
@@ -290,49 +288,20 @@ def _entry_key(idx: SubsetIndex) -> tuple:
     return (idx.order, idx.u, idx.depth, idx.k)
 
 
-def _enumerate_subset(
-    gens: GeneratorSet,
-    u: tuple[int, ...],
-    max_depth: int,
-    cap: int,
-    t: int,
-    budget: int | None,
-) -> tuple[list, int, list, bool]:
-    entries = []
-    violations = []
-    visited = 0
-    truncated = False
-    clamp = min(t + len(u) - 1, gens.m)
-    for k in bounded_vectors(len(u), cap, max_depth):
-        if budget is not None and visited >= budget:
-            truncated = True
-            break
-        visited += 1
-        idx = SubsetIndex(u, k)
-        gv = gain_fast(gens, idx)
-        if not gv.is_zero:
-            entries.append((idx, gv))
-            if gv.log2 > clamp:
-                violations.append({"u": list(u), "k": list(k), "log2_gain": gv.log2})
-    return entries, visited, violations, truncated
-
-
 def enumerate_gains(
     gens: GeneratorSet,
     max_depth: int,
     u_filter: Sequence[Sequence[int]] | None = None,
     *,
     max_visits: int | None = None,
-    threads: int = 0,
 ) -> GainReport:
     """Visit every (u, k) with ``|k| <= max_depth`` and record nonzero gains.
 
     Depths are capped at ``m + 1`` per coordinate since the zero-row
-    padding makes gains stationary from depth ``m`` on.  Each nonzero gain
-    is checked against the clamped t bound on the fly.  ``max_visits``
-    truncates the sweep (the report then carries ``truncated=True``);
-    ``threads > 1`` splits the subsets over a thread pool with a
-    deterministic merge, and is ignored when a budget is set.
+    padding makes gains stationary from depth ``m`` on.  For each ``u`` one
+    :class:`StackWalk` eliminates the stacks of all its ``k``.  Each nonzero
+    gain is checked against the clamped t bound on the fly.  ``max_visits``
+    truncates the sweep (the report then carries ``truncated=True``).
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -353,33 +322,28 @@ def enumerate_gains(
         subsets.sort(key=lambda u: (len(u), u))
     t = t_value(gens)
 
-    results = []
-    if threads > 1 and max_visits is None:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda u: _enumerate_subset(gens, u, max_depth, cap, t, None), subsets
-                )
-            )
-    else:
-        budget = max_visits
-        for u in subsets:
-            out = _enumerate_subset(gens, u, max_depth, cap, t, budget)
-            results.append(out)
-            if budget is not None:
-                budget -= out[1]
-                if out[3]:
-                    break
-
     entries: list[tuple[SubsetIndex, GainValue]] = []
     violations: list[dict] = []
     visited = 0
     truncated = False
-    for ent, vis, vio, trunc in results:
-        entries.extend(ent)
-        violations.extend(vio)
-        visited += vis
-        truncated = truncated or trunc
+    for u in subsets:
+        clamp = min(t + len(u) - 1, m)
+        walk = StackWalk(gens, u, (0,) * len(u), cap, max_depth)
+        residual = walk.table.residual
+        for _, rank, nxt in walk:
+            if max_visits is not None and visited >= max_visits:
+                truncated = True
+                break
+            visited += 1
+            if residual(nxt):
+                continue
+            log2 = m - rank
+            k = tuple(walk.k)
+            entries.append((SubsetIndex(u, k), GainValue(log2)))
+            if log2 > clamp:
+                violations.append({"u": list(u), "k": list(k), "log2_gain": log2})
+        if truncated:
+            break
 
     gamma = GainValue.zero()
     attaining = None
@@ -388,7 +352,7 @@ def enumerate_gains(
             gamma, attaining = gv, idx
 
     theoretical, _ = max_gain(gens)
-    bounds = gain_bounds(gens, attaining) if attaining is not None else {}
+    bounds = _bounds(gens, attaining, t) if attaining is not None else {}
     return GainReport(
         entries=entries,
         gamma_max=gamma,

@@ -6,8 +6,9 @@ packs to ``0b0110`` when ``ncols = 4``.  All arithmetic is XOR/AND on
 machine words, which is what makes the enumeration loops elsewhere in the
 package affordable.
 
-Everything here is pure: matrices are immutable after construction and all
-functions return fresh values, so they are safe to call from any thread.
+Matrices are immutable after construction and the functions return fresh
+values.  :class:`PivotTable` is the one mutable piece: the elimination
+state that every rank and membership question in the package goes through.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MAX_COLS = 64
-
-
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -59,9 +56,6 @@ class BitVector:
             raise IndexError(f"column {col} out of range 1..{self.length}")
         return (self.bits >> (self.length - col)) & 1
 
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> (self.length - c)) & 1 for c in range(1, self.length + 1))
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b")
 
@@ -94,18 +88,6 @@ class BitMatrix:
         return cls(ncols, tuple(rows))
 
     @classmethod
-    def from_bit_rows(cls, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "BitMatrix":
-        if not rows:
-            if ncols is None:
-                raise ValueError("ncols required for an empty matrix")
-            return cls(ncols, ())
-        vecs = [BitVector.from_bits(r) for r in rows]
-        width = vecs[0].length
-        if any(v.length != width for v in vecs):
-            raise ValueError("ragged rows")
-        return cls(width, tuple(v.bits for v in vecs))
-
-    @classmethod
     def empty(cls, ncols: int) -> "BitMatrix":
         return cls(ncols, ())
 
@@ -117,65 +99,72 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row_vector(self, i: int) -> BitVector:
-        return BitVector(self.rows[i], self.ncols)
-
     def entry(self, i: int, col: int) -> int:
         """Entry at 0-indexed row ``i``, 1-indexed column ``col``."""
         return (self.rows[i] >> (self.ncols - col)) & 1
-
-    def with_row(self, row: BitVector) -> "BitMatrix":
-        if row.length != self.ncols:
-            raise ValueError(f"row length {row.length} != ncols {self.ncols}")
-        return BitMatrix(self.ncols, self.rows + (row.bits,))
-
-    def transpose(self) -> "BitMatrix":
-        if self.nrows == 0:
-            raise ValueError("cannot transpose a matrix with zero rows into >=1 columns")
-        cols = []
-        for c in range(1, self.ncols + 1):
-            packed = 0
-            for row in self.rows:
-                packed = (packed << 1) | ((row >> (self.ncols - c)) & 1)
-            cols.append(packed)
-        return BitMatrix(self.nrows, tuple(cols))
 
     def __str__(self) -> str:
         return "\n".join(format(r, f"0{self.ncols}b") for r in self.rows)
 
 
-# --- internal elimination helpers -----------------------------------------
-#
-# A "basis" is a dict mapping the bit_length of a reduced row to that row.
-# Over GF(2) leading bits are unique, so insertion/reduction never ties.
+# --- elimination ---------------------------------------------------------------
 
-def _residual(basis: dict[int, int], vec: int) -> int:
-    while vec:
-        lead = vec.bit_length()
-        pivot = basis.get(lead)
-        if pivot is None:
-            return vec
-        vec ^= pivot
-    return 0
+class PivotTable:
+    """Reduced rows indexed by leading bit (``bit_length``), with an undo log.
 
+    Over GF(2) leading bits of reduced rows are unique, so one slot per bit
+    position holds the whole basis.  ``push`` records the slot it fills, and
+    ``undo(mark)`` empties every slot filled since ``rank`` was ``mark``;
+    that is what lets a depth-first walk share the elimination of a common
+    prefix of rows.  Rows up to ``ncols`` bits wide fit.
+    """
 
-def _insert(basis: dict[int, int], vec: int) -> bool:
-    """Reduce ``vec`` against ``basis``; add the residual. True if rank grew."""
-    res = _residual(basis, vec)
-    if res:
-        basis[res.bit_length()] = res
-        return True
-    return False
+    __slots__ = ("pivots", "log")
+
+    def __init__(self, ncols: int = MAX_COLS):
+        self.pivots = [0] * (ncols + 1)
+        self.log: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.log)
+
+    def residual(self, vec: int) -> int:
+        """``vec`` reduced against the table; 0 iff it lies in the row space."""
+        pivots = self.pivots
+        while vec:
+            pivot = pivots[vec.bit_length()]
+            if not pivot:
+                return vec
+            vec ^= pivot
+        return 0
+
+    def push(self, vec: int) -> bool:
+        """Add the residual of ``vec`` as a new pivot. True if rank grew."""
+        pivots = self.pivots
+        while vec:
+            lead = vec.bit_length()
+            pivot = pivots[lead]
+            if not pivot:
+                pivots[lead] = vec
+                self.log.append(lead)
+                return True
+            vec ^= pivot
+        return False
+
+    def undo(self, mark: int) -> None:
+        """Drop the pivots pushed since the rank was ``mark``."""
+        pivots, log = self.pivots, self.log
+        while len(log) > mark:
+            pivots[log.pop()] = 0
 
 
 def rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank of packed rows; low-level twin of :func:`rank` for hot loops."""
-    basis: dict[int, int] = {}
-    r = 0
+    """Rank of packed rows of at most :data:`MAX_COLS` bits."""
+    table = PivotTable()
     for row in rows:
-        if _insert(basis, row):
-            r += 1
-    return r
+        table.push(row)
+    return table.rank
 
 
 def rank(matrix: BitMatrix) -> int:
@@ -197,11 +186,11 @@ def row_reduce(matrix: BitMatrix) -> RowReduction:
     pivot-column order, zero rows pad the bottom.  The row space is
     preserved and ``rank`` agrees with :func:`rank`.
     """
-    basis: dict[int, int] = {}
+    table = PivotTable(matrix.ncols)
     for row in matrix.rows:
-        _insert(basis, row)
-    # sort by pivot column (descending bit_length), then clear above pivots
-    pivot_rows = [basis[lead] for lead in sorted(basis, reverse=True)]
+        table.push(row)
+    # pivot-column order is descending bit_length; then clear above pivots
+    pivot_rows = [row for row in reversed(table.pivots) if row]
     for i in range(len(pivot_rows)):
         for j in range(i + 1, len(pivot_rows)):
             lead = pivot_rows[j].bit_length()
@@ -211,56 +200,6 @@ def row_reduce(matrix: BitMatrix) -> RowReduction:
     pivot_cols = tuple(matrix.ncols - row.bit_length() + 1 for row in pivot_rows)
     padded = tuple(pivot_rows) + (0,) * (matrix.nrows - r)
     return RowReduction(BitMatrix(matrix.ncols, padded), r, pivot_cols)
-
-
-def in_row_space(matrix: BitMatrix, vec: BitVector) -> bool:
-    """True iff ``vec`` is an XOR combination of the rows of ``matrix``.
-
-    The zero vector is always in the span (the empty combination); nothing
-    else is in the span of an empty matrix.
-    """
-    if vec.length != matrix.ncols:
-        raise ValueError(f"vector length {vec.length} != ncols {matrix.ncols}")
-    basis: dict[int, int] = {}
-    for row in matrix.rows:
-        _insert(basis, row)
-    return _residual(basis, vec.bits) == 0
-
-
-def matvec(matrix: BitMatrix, vec: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2); result has one bit per row."""
-    if vec.length != matrix.ncols:
-        raise ValueError(f"vector length {vec.length} != ncols {matrix.ncols}")
-    out = 0
-    for row in matrix.rows:
-        out = (out << 1) | _parity(row & vec.bits)
-    return BitVector(out, matrix.nrows) if matrix.nrows else BitVector(0, 1)
-
-
-def solution_count_log2(matrix: BitMatrix, rhs: BitVector) -> int | None:
-    """log2 of the number of solutions x to ``matrix @ x = rhs`` over GF(2).
-
-    Returns ``ncols - rank`` when the system is consistent and None when it
-    is not; a linear system over GF(2) admits no other solution counts.
-    """
-    if rhs.length != max(matrix.nrows, 1):
-        raise ValueError(f"rhs length {rhs.length} != nrows {matrix.nrows}")
-    if matrix.nrows == 0:
-        # no constraints: every vector solves the system
-        return matrix.ncols if rhs.bits == 0 else None
-    basis: dict[int, int] = {}
-    r = 0
-    inconsistent = False
-    for i, row in enumerate(matrix.rows):
-        y = (rhs.bits >> (matrix.nrows - 1 - i)) & 1
-        aug = (row << 1) | y
-        res = _residual(basis, aug)
-        if res == 1:
-            inconsistent = True  # 0 = 1 after elimination
-        elif res:
-            basis[res.bit_length()] = res
-            r += 1
-    return None if inconsistent else matrix.ncols - r
 
 
 def nullspace_basis(matrix: BitMatrix) -> tuple[BitVector, ...]:
@@ -281,41 +220,14 @@ def nullspace_basis(matrix: BitMatrix) -> tuple[BitVector, ...]:
     return tuple(out)
 
 
-def row_dependency(matrix: BitMatrix) -> BitVector | None:
-    """Coefficients of a vanishing nonzero row combination, or None.
-
-    The returned vector has one bit per row (MSB = row 0); XOR of the
-    selected rows is zero.  None means the rows are linearly independent.
-    """
-    if matrix.nrows == 0:
-        return None
-    basis: dict[int, tuple[int, int]] = {}
-    for i, row in enumerate(matrix.rows):
-        combo = 1 << (matrix.nrows - 1 - i)
-        while row:
-            lead = row.bit_length()
-            hit = basis.get(lead)
-            if hit is None:
-                basis[lead] = (row, combo)
-                break
-            row ^= hit[0]
-            combo ^= hit[1]
-        else:
-            return BitVector(combo, matrix.nrows)
-    return None
-
-
 __all__ = [
     "MAX_COLS",
     "BitVector",
     "BitMatrix",
+    "PivotTable",
     "RowReduction",
     "rank",
     "rank_of_rows",
     "row_reduce",
-    "in_row_space",
-    "matvec",
-    "solution_count_log2",
     "nullspace_basis",
-    "row_dependency",
 ]

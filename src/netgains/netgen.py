@@ -21,7 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, PivotTable
 
 MAX_M = 32
 
@@ -107,6 +107,11 @@ class GeneratorSet:
         if ell > self.m:
             return 0
         return self.matrices[j - 1].rows[ell - 1]
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per matrix: rows ``1..m``, then zero rows ``m + 1`` and ``m + 2``."""
+        return tuple(mat.rows + (0, 0) for mat in self.matrices)
 
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
@@ -396,25 +401,6 @@ def generate_points(gens: GeneratorSet) -> NetPoints:
     return NetPoints(coords, m)
 
 
-def generate_points_gray(gens: GeneratorSet) -> NetPoints:
-    """Gray-code incremental generation; bit-identical to the direct form.
-
-    Successive Gray codes differ in one bit, so each step XORs a single
-    generator column into the running point.
-    """
-    m, n, s = gens.m, gens.n, gens.s
-    coords = np.zeros((n, s), dtype=np.uint64)
-    current = [0] * s
-    gray = 0
-    for i in range(1, n):
-        flip = (i & -i).bit_length()  # 1-based index of the changing bit
-        gray ^= 1 << (flip - 1)
-        for j in range(s):
-            current[j] ^= gens._columns[j][flip - 1]
-        coords[gray, :] = current
-    return NetPoints(coords, m)
-
-
 # --- stacked matrices -------------------------------------------------------
 
 def assemble_cuk(gens: GeneratorSet, idx: SubsetIndex) -> BitMatrix:
@@ -426,21 +412,98 @@ def assemble_cuk(gens: GeneratorSet, idx: SubsetIndex) -> BitMatrix:
     return BitMatrix(gens.m, tuple(rows))
 
 
-def assemble_nabla(
-    gens: GeneratorSet, idx: SubsetIndex, w: tuple[int, ...] | None = None
-) -> BitMatrix:
-    """Rows k_j + 1 of the selected matrices, for j in ``w`` (default all of u)."""
-    gens.validate_index(idx)
-    members = idx.u if w is None else tuple(w)
-    if not members:
-        raise ValueError("w must be nonempty")
-    depth = dict(zip(idx.u, idx.k))
-    rows = []
-    for j in members:
-        if j not in depth:
-            raise ValueError(f"w contains {j} which is not in u={idx.u}")
-        rows.append(gens.row(j, depth[j] + 1))
-    return BitMatrix(gens.m, tuple(rows))
+class StackWalk:
+    """Depth-first walk over the depth vectors ``k`` of one coordinate subset ``u``.
+
+    Visits every ``k`` with ``floor[i] <= k[i] <= cap`` and ``sum(k) <=
+    budget`` in lexicographic order.  The stack C_{u,k} (the first ``k_j``
+    rows of matrix ``j``, for ``j`` in ``u`` in order) is eliminated in one
+    :class:`PivotTable`: stepping ``k[i]`` up pushes one row, and stepping
+    back undoes the pushes, so every ``k`` shares the elimination of its
+    common prefix with the ``k`` visited before it.  ``cap`` is at most
+    ``m + 1``; deeper rows are zero and change nothing.
+
+    Iterating yields ``(depth, rank, nxt)`` per visited ``k``: ``sum(k)``,
+    the rank of C_{u,k}, and the XOR of the next rows (row ``k_j + 1`` of
+    each ``j``).  ``table.residual(nxt) == 0`` says whether that XOR lies in
+    the row space.  ``k`` is the current vector, a list updated in place.
+    Lowering ``budget`` while iterating skips the deeper ``k`` from then on.
+    """
+
+    def __init__(self, gens: GeneratorSet, u, floor, cap: int, budget: int):
+        if not u or any(not 1 <= j <= gens.s for j in u):
+            raise ValueError(f"u must be nonempty coordinates in 1..{gens.s}, got {tuple(u)}")
+        if len(floor) != len(u):
+            raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
+        if not 0 <= cap <= gens.m + 1:
+            raise ValueError(f"cap must be in [0, {gens.m + 1}], got {cap}")
+        self._rows = [gens._rows[j - 1] for j in u]
+        self._floor = tuple(floor)
+        self._cap = cap
+        self.budget = budget
+        self.table = PivotTable(gens.m)
+        self.k = [0] * len(u)
+
+    def __iter__(self):
+        rows, floor, cap, k = self._rows, self._floor, self._cap, self.k
+        push, undo, log = self.table.push, self.table.undo, self.table.log
+        undo(0)  # a walk left early may have rows pushed
+        last = len(rows) - 1
+        tail = [0] * (last + 2)  # least depth the coordinates from i on need
+        for i in range(last, -1, -1):
+            tail[i] = tail[i + 1] + floor[i]
+        spent = [0] * (last + 1)  # depth of the coordinates before i
+        pre = [0] * (last + 1)  # XOR of their next rows
+        marks = [0] * (last + 1)
+        level, entering = 0, True
+        while level >= 0:
+            row = rows[level]
+            hi = min(cap, self.budget - spent[level] - tail[level + 1])
+            if entering:
+                kl = floor[level]
+                if kl > hi:
+                    level, entering = level - 1, False
+                    continue
+                marks[level] = len(log)
+                for ell in range(kl):
+                    push(row[ell])
+            else:
+                kl = k[level]
+                if kl >= hi:
+                    undo(marks[level])
+                    level -= 1
+                    continue
+                push(row[kl])
+                kl += 1
+            k[level] = kl
+            if level < last:
+                spent[level + 1] = spent[level] + kl
+                pre[level + 1] = pre[level] ^ row[kl]
+                level, entering = level + 1, True
+                continue
+            depth, nxt = spent[level], pre[level]
+            while True:
+                yield depth + kl, len(log), nxt ^ row[kl]
+                if kl >= min(hi, self.budget - depth):
+                    break
+                push(row[kl])
+                kl += 1
+                k[level] = kl
+            undo(marks[level])
+            level, entering = level - 1, False
+
+
+def stack_at(gens: GeneratorSet, u, k) -> tuple[int, bool]:
+    """Rank of C_{u,k}, and whether the XOR of its next rows lies in its row space.
+
+    A walk over the single vector ``k``; depths past ``m + 1`` are clamped
+    there, which changes neither answer.
+    """
+    cap = gens.m + 1
+    k = [min(kj, cap) for kj in k]
+    walk = StackWalk(gens, u, k, cap, sum(k))
+    _, rank, nxt = next(iter(walk))
+    return rank, not walk.table.residual(nxt)
 
 
 # --- export -----------------------------------------------------------------
@@ -473,9 +536,9 @@ __all__ = [
     "direction_columns",
     "sobol_generator_set",
     "generate_points",
-    "generate_points_gray",
     "assemble_cuk",
-    "assemble_nabla",
+    "StackWalk",
+    "stack_at",
     "write_points_csv",
     "write_points_binary",
 ]

@@ -17,8 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import rank_of_rows
-from .netgen import GeneratorSet, NetPoints, generate_points
+from .netgen import GeneratorSet, NetPoints, StackWalk, generate_points
 
 _PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
 
@@ -54,26 +53,25 @@ def _ceil_log2(count: int) -> int:
     return (count - 1).bit_length()
 
 
-def _stack_rank_deficient(gens: GeneratorSet, u: Sequence[int], k: Sequence[int]) -> bool:
-    rows = []
-    for j, kj in zip(u, k):
-        rows.extend(gens.row(j, ell) for ell in range(1, kj + 1))
-    return rank_of_rows(rows) < len(rows)
-
-
 def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
     """Minimal-total ``k >= 1`` (lex-first among minima) whose stack is deficient.
 
     The search terminates: any stack with more than ``m`` rows is deficient,
-    and so is any stack containing the all-zero row ``m + 1``.
+    and so is any stack containing the all-zero row ``m + 1``.  Each
+    deficient ``k`` the walk meets lowers its budget below its own total,
+    so the last one met is the lex-first of the least total.
     """
     m = gens.m
     order = len(u)
-    for total in range(order, max(order, m + 1) + 1):
-        for k in compositions(total, order, lo=1, hi=m + 1):
-            if _stack_rank_deficient(gens, u, k):
-                return k
-    raise AssertionError("unreachable: depth m+1 stacks are always deficient")
+    walk = StackWalk(gens, u, (1,) * order, m + 1, max(order, m + 1))
+    best = None
+    for depth, rank, _ in walk:
+        if rank < depth:
+            best = tuple(walk.k)
+            walk.budget = depth - 1
+    if best is None:
+        raise AssertionError("unreachable: depth m+1 stacks are always deficient")
+    return best
 
 
 def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
@@ -127,20 +125,21 @@ def t_value(gens: GeneratorSet) -> int:
     s, m = gens.s, gens.m
     coords = range(1, s + 1)
     for level in range(m, 0, -1):
-        deficient = False
-        for r in range(1, min(s, level) + 1):
-            for u in itertools.combinations(coords, r):
-                for k in compositions(level, r, lo=1, hi=m):
-                    if _stack_rank_deficient(gens, u, k):
-                        deficient = True
-                        break
-                if deficient:
-                    break
-            if deficient:
-                break
-        if not deficient:
-            return min(m - level, m)
+        if not any(
+            _deficient_within(gens, u, level)
+            for r in range(1, min(s, level) + 1)
+            for u in itertools.combinations(coords, r)
+        ):
+            return m - level
     return m
+
+
+def _deficient_within(gens: GeneratorSet, u: tuple[int, ...], total: int) -> bool:
+    """Whether some ``1 <= k <= m`` with ``sum(k) <= total`` has a deficient stack."""
+    for depth, rank, _ in StackWalk(gens, u, (1,) * len(u), gens.m, total):
+        if rank < depth:
+            return True
+    return False
 
 
 # --- counting route ----------------------------------------------------------

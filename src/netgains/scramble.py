@@ -37,6 +37,7 @@ _TAG_LINEAR = 0x11
 _TAG_NESTED = 0x22
 _TAG_SHIFT = 0x33
 _TAG_OFFSET = 0x44
+_TAG_REPLICATE = 0x55
 
 
 def splitmix64(x: int) -> int:
@@ -60,6 +61,15 @@ def _derive(seed: int, *parts: int) -> int:
     for part in parts:
         key = splitmix64(key ^ (part & _MASK64))
     return key
+
+
+def replicate_seed(seed: int, r: int) -> int:
+    """Seed of replicate ``r`` of a run with base seed ``seed``.
+
+    Hashed, so distinct base seeds give unrelated replicate sets; an XOR
+    of ``seed`` and ``r`` would make seeds 1 and 2 share replicates 0..3.
+    """
+    return _derive(seed, _TAG_REPLICATE, r)
 
 
 class _Stream:
@@ -268,7 +278,8 @@ def estimate(
 ) -> RqmcEstimate:
     """Mean of ``replicates`` independently scrambled estimates.
 
-    Replicate r reuses ``spec`` with seed ``spec.seed ^ r``; the reported
+    Replicate r reuses ``spec`` with seed ``replicate_seed(spec.seed, r)``,
+    so replicates of different base seeds are independent; the reported
     ``variance_of_mean`` is the unbiased sample variance of the replicate
     means divided by the replicate count.
     """
@@ -276,7 +287,7 @@ def estimate(
         raise ValueError(f"need at least 2 replicates, got {replicates}")
     means = []
     for r in range(replicates):
-        scrambled = scramble(points, replace(spec, seed=spec.seed ^ r))
+        scrambled = scramble(points, replace(spec, seed=replicate_seed(spec.seed, r)))
         values = _replicate_values(integrand, scrambled)
         if not np.isfinite(values).all():
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -377,6 +388,7 @@ def verify_gain_identity(
 
 __all__ = [
     "splitmix64",
+    "replicate_seed",
     "ScrambleKind",
     "ScrambleSpec",
     "ScrambledPoints",

@@ -2,7 +2,8 @@
 
 A sweep draws random generator sets, walks the whole (u, k) box with
 per-coordinate depths up to ``m + 1``, and evaluates each gain coefficient
-three ways (pairwise sum, nullspace count, rank test).  The per-net record
+three ways (pairwise sum, nullspace count, and the rank test read off one
+:class:`~netgains.netgen.StackWalk` per subset).  The per-net record
 carries everything the individual property suites assert about: exact
 agreement of the three routes, power-of-two values, bound domination, the
 forced-zero region, rank-derived t versus counting t, and attainment of
@@ -15,10 +16,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .gains import gain_bruteforce, gain_fast, gain_representation, max_gain
-from .gf2 import BitMatrix, rank_of_rows
-from .netgen import GeneratorSet, SubsetIndex, generate_points
-from .quality import bounded_vectors, minimal_counting_t, t_value
+from .gains import GainValue, gain_bruteforce, gain_fast, gain_representation, max_gain
+from .gf2 import BitMatrix
+from .netgen import GeneratorSet, StackWalk, SubsetIndex, generate_points
+from .quality import minimal_counting_t, t_value
 from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
 
@@ -79,11 +80,15 @@ def evaluate_net(gens: GeneratorSet, *, with_counting: bool = True) -> NetRecord
             failures.append({"kind": kind, "u": list(u), "k": list(k), **extra})
 
     for r in range(1, s + 1):
+        clamp = min(t + r - 1, m)
         for u in itertools.combinations(range(1, s + 1), r):
-            for k in bounded_vectors(r, cap, r * cap):
+            walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
+            residual = walk.table.residual
+            for _, rank, nxt in walk:
+                k = tuple(walk.k)
                 idx = SubsetIndex(u, k)
                 triples += 1
-                fast = gain_fast(gens, idx)
+                fast = GainValue.zero() if residual(nxt) else GainValue(m - rank)
                 brute = gain_bruteforce(points, idx)
                 middle = gain_representation(gens, idx)
                 if not (brute == fast.as_int == middle):
@@ -98,11 +103,6 @@ def evaluate_net(gens: GeneratorSet, *, with_counting: bool = True) -> NetRecord
                     if enum_max is None or fast.log2 > enum_max:
                         enum_max = fast.log2
                     # nonzero gains obey 2^(m-rank) <= 2^(t+|u|-1) clamped at 2^m
-                    rows = []
-                    for j, kj in zip(u, k):
-                        rows.extend(gens.row(j, ell) for ell in range(1, kj + 1))
-                    rank = rank_of_rows(rows)
-                    clamp = min(t + r - 1, m)
                     if not (fast.log2 == m - rank <= clamp):
                         chain_bad += 1
                         note("chain", u, k, log2=fast.log2, rank=rank, clamp=clamp)

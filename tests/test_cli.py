@@ -42,13 +42,6 @@ def test_gen_dirnum_van_der_corput(joekuo_file, capsys):
     assert values == [v / 8 for v in (0, 4, 2, 6, 1, 5, 3, 7)]
 
 
-def test_gen_gray_flag_matches(shiftnet_file, capsys):
-    assert main(["gen", "--raw", shiftnet_file]) == EXIT_OK
-    direct = capsys.readouterr().out
-    assert main(["gen", "--raw", shiftnet_file, "--gray"]) == EXIT_OK
-    assert capsys.readouterr().out == direct
-
-
 def test_gen_binary_output(shiftnet_file, tmp_path):
     out = tmp_path / "points.bin"
     assert main(["--out", str(out), "gen", "--raw", shiftnet_file, "--format", "bin"]) == EXIT_OK
@@ -216,6 +209,15 @@ def test_gen_supports_json(shiftnet_file, capsys):
     assert payload["s"] == 4 and payload["m"] == 4
     assert len(payload["numerators"]) == 16
     assert payload["numerators"][0] == [0, 0, 0, 0]
+
+
+def test_scramble_replicates_of_nearby_seeds_differ(shiftnet_file, capsys):
+    reps = []
+    for seed in ("0", "1"):
+        code = main(["--json", "--seed", seed, "scramble", "--raw", shiftnet_file, "--reps", "2"])
+        assert code == EXIT_OK
+        reps.append(json.loads(capsys.readouterr().out)["numerators"])
+    assert all(a != b for a in reps[0] for b in reps[1])
 
 
 def test_scramble_supports_json(shiftnet_file, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,9 +16,9 @@ from netgains.gains import (
     gain_representation,
     max_gain,
 )
-from netgains.gf2 import BitMatrix, rank
+from netgains.gf2 import BitMatrix, rank, rank_of_rows
 from netgains.netgen import GeneratorSet, SubsetIndex, assemble_cuk, generate_points
-from netgains.quality import t_value
+from netgains.quality import bounded_vectors, t_value
 from netgains.suites import random_generator_set
 
 
@@ -255,12 +256,73 @@ def test_enumerate_truncation_flag(shift):
     assert report.visited <= 10
 
 
-def test_enumerate_thread_determinism(shift):
-    serial = enumerate_gains(shift, 6)
-    threaded = enumerate_gains(shift, 6, threads=4)
-    assert serial.entries == threaded.entries
-    assert serial.attaining == threaded.attaining
-    assert serial.gamma_max == threaded.gamma_max
+def scratch_gain(gens: GeneratorSet, idx: SubsetIndex) -> GainValue:
+    """The rank test on an explicitly stacked matrix, eliminated from scratch."""
+    rows = list(assemble_cuk(gens, idx).rows)
+    nxt = 0
+    for j, kj in zip(idx.u, idx.k):
+        nxt ^= gens.row(j, kj + 1)
+    r = rank_of_rows(rows)
+    return GainValue(gens.m - r) if rank_of_rows(rows + [nxt]) == r else GainValue.zero()
+
+
+def scratch_report(gens: GeneratorSet, max_depth: int, max_visits: int | None) -> dict:
+    """enumerate_gains rebuilt as a per-(u, k) loop over bounded_vectors."""
+    m = gens.m
+    t = t_value(gens)
+    entries, violations = [], []
+    visited, truncated = 0, False
+    subsets = [u for r in range(1, gens.s + 1) for u in combinations(range(1, gens.s + 1), r)]
+    for u in subsets:
+        for k in bounded_vectors(len(u), m + 1, max_depth):
+            if max_visits is not None and visited >= max_visits:
+                truncated = True
+                break
+            visited += 1
+            idx = SubsetIndex(u, k)
+            value = scratch_gain(gens, idx)
+            assert gain_fast(gens, idx) == value
+            if not value.is_zero:
+                entries.append((idx, value))
+                if value.log2 > min(t + len(u) - 1, m):
+                    violations.append({"u": list(u), "k": list(k), "log2_gain": value.log2})
+        if truncated:
+            break
+    best = None
+    for idx, value in entries:
+        key = (-value.log2, idx.order, idx.u, idx.depth, idx.k)
+        best = key if best is None or key < best else best
+    attaining = None if best is None else SubsetIndex(best[2], best[4])
+    bounds = {}
+    if attaining is not None:
+        # gain_bounds works out t itself; the rank bound is checked from scratch
+        bounds = gain_bounds(gens, attaining)
+        rows = assemble_cuk(gens, attaining).rows
+        assert bounds["rank"] == 1 << (m - rank_of_rows(rows))
+    return {
+        "entries": entries,
+        "visited": visited,
+        "truncated": truncated,
+        "attaining": attaining,
+        "bounds": bounds,
+        "bound_violations": violations,
+    }
+
+
+def test_enumerate_matches_scratch_loop_for_every_budget():
+    rng = random.Random(53)
+    for _ in range(12):
+        gens = random_generator_set(rng, rng.randint(1, 3), rng.randint(2, 4))
+        depth = rng.randint(2, 7)
+        full = enumerate_gains(gens, depth)
+        for max_visits in [None, *range(full.visited + 2)]:
+            report = enumerate_gains(gens, depth, max_visits=max_visits)
+            want = scratch_report(gens, depth, max_visits)
+            got = {key: getattr(report, key) for key in want}
+            assert got == want
+            assert report.gamma_max == (
+                GainValue.zero() if want["attaining"] is None else scratch_gain(gens, want["attaining"])
+            )
 
 
 def test_enumerate_rejects_negative_depth(shift):

@@ -6,24 +6,24 @@ import random
 import numpy as np
 import pytest
 
-from netgains.gf2 import BitMatrix, rank
+from netgains.gf2 import BitMatrix, rank, rank_of_rows
 from netgains.netgen import (
     DIRECTION_NUMBERS,
     RAW,
     DirectionEntry,
     ParseError,
+    StackWalk,
     SubsetIndex,
     assemble_cuk,
-    assemble_nabla,
     direction_columns,
     generate_points,
-    generate_points_gray,
     load_generators,
     parse_direction_numbers,
     write_points_binary,
     write_points_csv,
 )
-from netgains.quality import compositions
+from netgains.quality import bounded_vectors, compositions
+from netgains.suites import random_generator_set
 from netgains.samples import JOE_KUO_HEAD, SHIFT_NET_RAW
 
 # Pascal matrix mod 2: entry (r, c) = C(c-1, r-1) mod 2; derived by running
@@ -158,11 +158,22 @@ def test_columns_recoverable_from_points(shift, sobol2d):
                 assert column == want
 
 
-def test_gray_code_matches_direct(shift, sobol2d, identity_net):
+def test_points_match_column_xor_at_every_index(shift, sobol2d, identity_net):
+    # point i is the XOR of the generator columns picked by the bits of i
     for gens in (shift, sobol2d, identity_net(5, 2)):
-        direct = generate_points(gens)
-        gray = generate_points_gray(gens)
-        assert np.array_equal(direct.coords, gray.coords)
+        pts = generate_points(gens)
+        m = gens.m
+        for j in range(1, gens.s + 1):
+            mat = gens.matrices[j - 1]
+            cols = []
+            for c in range(1, m + 1):
+                cols.append(sum(mat.entry(r - 1, c) << (m - r) for r in range(1, m + 1)))
+            for i in range(gens.n):
+                want = 0
+                for c in range(1, m + 1):
+                    if (i >> (c - 1)) & 1:
+                        want ^= cols[c - 1]
+                assert int(pts.coords[i, j - 1]) == want
 
 
 def test_shift_net_balanced_to_depth_three(shift_points):
@@ -198,28 +209,26 @@ def test_cuk_pads_zero_rows(identity_net):
     assert rank(got) == m
 
 
+def next_rows_xor(gens, u, k):
+    walk = StackWalk(gens, u, k, gens.m + 1, sum(k))
+    visits = [nxt for _, _, nxt in walk]
+    assert len(visits) == 1
+    return visits[0]
+
+
 def test_nabla_depth_zero_gives_first_rows(shift):
-    idx = SubsetIndex((1, 2, 3, 4), (0, 0, 0, 0))
-    got = assemble_nabla(shift, idx)
-    assert got == BitMatrix.from_strings(["0001", "0010", "0100", "1000"])
+    got = next_rows_xor(shift, (1, 2, 3, 4), (0, 0, 0, 0))
+    assert got == 0b0001 ^ 0b0010 ^ 0b0100 ^ 0b1000
 
 
 def test_nabla_pads_zero_row(identity_net):
-    got = assemble_nabla(identity_net(4), SubsetIndex((1,), (4,)), (1,))
-    assert got.rows == (0,)
+    assert next_rows_xor(identity_net(4), (1,), (4,)) == 0
+    assert next_rows_xor(identity_net(4), (1,), (5,)) == 0
 
 
 def test_nabla_second_rows(sobol2d):
-    got = assemble_nabla(sobol2d, SubsetIndex((1, 2), (1, 1)))
-    assert got.rows == (sobol2d.row(1, 2), sobol2d.row(2, 2))
-
-
-def test_nabla_validates_w(shift):
-    idx = SubsetIndex((1, 2), (1, 1))
-    with pytest.raises(ValueError):
-        assemble_nabla(shift, idx, ())
-    with pytest.raises(ValueError):
-        assemble_nabla(shift, idx, (3,))
+    got = next_rows_xor(sobol2d, (1, 2), (1, 1))
+    assert got == sobol2d.row(1, 2) ^ sobol2d.row(2, 2)
 
 
 def test_stacking_cuk_nabla_gives_next_depth(shift, sobol2d):
@@ -230,9 +239,64 @@ def test_stacking_cuk_nabla_gives_next_depth(shift, sobol2d):
             u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
             k = tuple(rng.randint(0, gens.m + 1) for _ in u)
             stacked = list(assemble_cuk(gens, SubsetIndex(u, k)).rows)
-            stacked += list(assemble_nabla(gens, SubsetIndex(u, k)).rows)
+            stacked += [gens.row(j, kj + 1) for j, kj in zip(u, k)]
             bumped = assemble_cuk(gens, SubsetIndex(u, tuple(kj + 1 for kj in k)))
             assert sorted(stacked) == sorted(bumped.rows)
+
+
+# --- the stack walk -----------------------------------------------------------------
+
+def test_walk_matches_from_scratch_stacks():
+    rng = random.Random(6)
+    for _ in range(200):
+        gens = random_generator_set(rng, rng.randint(1, 4), rng.randint(1, 6))
+        size = rng.randint(1, gens.s)
+        u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
+        floor = tuple(rng.randint(0, 2) for _ in u)
+        cap = rng.randint(0, gens.m + 1)
+        budget = rng.randint(0, size * (gens.m + 1))
+        walk = StackWalk(gens, u, floor, cap, budget)
+        seen = []
+        for depth, rank_k, nxt in walk:
+            k = tuple(walk.k)
+            rows = list(assemble_cuk(gens, SubsetIndex(u, k)).rows)
+            target = 0
+            for j, kj in zip(u, k):
+                target ^= gens.row(j, kj + 1)
+            assert depth == sum(k)
+            assert rank_k == rank_of_rows(rows)
+            assert nxt == target
+            assert (walk.table.residual(nxt) == 0) == (rank_of_rows(rows + [target]) == rank_k)
+            seen.append(k)
+        want = [
+            k for k in bounded_vectors(size, cap, budget) if all(a >= b for a, b in zip(k, floor))
+        ]
+        assert seen == want
+        assert walk.table.rank == 0  # every push undone
+
+
+def test_walk_budget_lowered_mid_walk(sobol2d):
+    walk = StackWalk(sobol2d, (1, 2), (0, 0), 5, 6)
+    seen = []
+    for depth, _, _ in walk:
+        seen.append(tuple(walk.k))
+        if walk.k == [1, 2]:
+            walk.budget = 2
+    assert seen[: seen.index((1, 2)) + 1] == [
+        k for k in bounded_vectors(2, 5, 6) if k <= (1, 2)
+    ]
+    assert seen[seen.index((1, 2)) + 1 :] == [(2, 0)]
+
+
+def test_walk_validates_arguments(shift):
+    with pytest.raises(ValueError):
+        StackWalk(shift, (0, 2), (0, 0), 4, 4)
+    with pytest.raises(ValueError):
+        StackWalk(shift, (1, 5), (0, 0), 4, 4)
+    with pytest.raises(ValueError):
+        StackWalk(shift, (1, 2), (0,), 4, 4)
+    with pytest.raises(ValueError):
+        StackWalk(shift, (1,), (0,), shift.m + 2, 4)
 
 
 # --- SubsetIndex validation -------------------------------------------------------

@@ -127,6 +127,41 @@ def test_subset_identities(shift, sobol2d):
         assert t_value(gens) == max(star.values())
 
 
+def stack_deficient(gens: GeneratorSet, u, k) -> bool:
+    rows = [gens.row(j, ell) for j, kj in zip(u, k) for ell in range(1, kj + 1)]
+    return rank_of_rows(rows) < len(rows)
+
+
+def test_first_rank_deficient_k_is_lex_first_of_least_total():
+    rng = random.Random(29)
+    for _ in range(40):
+        gens = random_generator_set(rng, rng.randint(1, 3), rng.randint(1, 5))
+        m = gens.m
+        for size in range(1, gens.s + 1):
+            for u in itertools.combinations(range(1, gens.s + 1), size):
+                deficient = [
+                    k
+                    for k in bounded_vectors(size, m + 1, size * (m + 1))
+                    if min(k) >= 1 and stack_deficient(gens, u, k)
+                ]
+                least = min(sum(k) for k in deficient)
+                want = min(k for k in deficient if sum(k) == least)
+                assert first_rank_deficient_k(gens, u) == want
+
+
+def test_t_is_worst_t_star_on_random_nets():
+    rng = random.Random(31)
+    for _ in range(80):
+        gens = random_generator_set(rng, rng.randint(1, 4), rng.randint(1, 7))
+        coords = range(1, gens.s + 1)
+        worst = max(
+            t_star_u(gens, u)
+            for r in range(1, gens.s + 1)
+            for u in itertools.combinations(coords, r)
+        )
+        assert t_value(gens) == worst
+
+
 def test_subset_validation(shift):
     with pytest.raises(ValueError):
         t_star_u(shift, ())

@@ -153,6 +153,19 @@ def test_haar_needs_enough_digits():
 
 # --- estimate ------------------------------------------------------------------------
 
+def test_distinct_base_seeds_give_disjoint_replicate_means(shift_points):
+    # seeds 1 and 2 with 8 replicates once scrambled the same 8 replicates
+    means = {}
+    for seed in (0, 1, 2, 3):
+        est = estimate(shift_points, ScrambleSpec(seed=seed), lambda x: np.prod(x, axis=1), 8)
+        means[seed] = set(est.per_replicate_means)
+        assert len(means[seed]) == 8
+    for a in means:
+        for b in means:
+            if a < b:
+                assert means[a].isdisjoint(means[b])
+
+
 def test_constant_integrand_has_zero_variance(shift_points):
     est = estimate(shift_points, ScrambleSpec(seed=11), lambda x: np.full(len(x), 2.5), 8)
     assert est.mean == 2.5
