@@ -38,6 +38,7 @@ from .gains import (
     gain_bounds,
     gain_bruteforce,
     gain_fast,
+    gain_pair_table,
     gain_representation,
     max_gain,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "ResourceLimitError",
     "gain_fast",
     "gain_bruteforce",
+    "gain_pair_table",
     "gain_representation",
     "max_gain",
     "gain_bounds",

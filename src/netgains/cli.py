@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, analyze, gains, scramble, integrate, verify.  Exit codes
-are scriptable: 0 success, 1 I/O failure, 2 invalid input, 3 property
+are scriptable: 0 success, 1 I/O failure, 2 invalid input (including a
+request over a resource ceiling, or running out of memory), 3 property
 suite failure.  Randomized commands take --seed; without one a fresh seed
 is drawn and printed so any run can be reproduced.
 """
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import netgen, quality, suites
-from .gains import enumerate_gains, max_gain
+from .gains import ResourceLimitError, enumerate_gains, max_gain
 from .netgen import ParseError, load_generators
 from .scramble import (
     HaarIntegrand,
@@ -320,8 +321,11 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,9 @@ read off one GF(2) elimination (:func:`gain_fast`).
 Three routes of increasing speed compute the same number:
 
 * :func:`gain_bruteforce` - the O(n^2) pairwise sum over the points, the
-  definition itself; knows nothing about matrices.
+  definition itself; knows nothing about matrices.  :func:`gain_pair_table`
+  gives the same sums for every ``k`` of one subset from one histogram of
+  the pairs.
 * :func:`gain_representation` - a signed count over the nullspace of the
   stacked matrix; middle ground.
 * :func:`gain_fast` - rank plus one membership test.
@@ -31,7 +33,14 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import gf2
-from .netgen import GeneratorSet, NetPoints, StackWalk, SubsetIndex, assemble_cuk, stack_at
+from .netgen import (
+    GeneratorSet,
+    NetPoints,
+    StackWalk,
+    SubsetIndex,
+    _match_depth,
+    stack_at,
+)
 from .quality import first_rank_deficient_k, t_value, t_star_u
 
 NULLSPACE_LOG2_LIMIT = 24
@@ -107,8 +116,6 @@ def gain_bruteforce(points: NetPoints, idx: SubsetIndex) -> Fraction:
 
 
 def _bruteforce_chunked(points: NetPoints, idx: SubsetIndex) -> int:
-    from .netgen import _match_depth
-
     n, m = points.n, points.m
     cols = [points.coords[:, j - 1] for j in idx.u]
     total = 0
@@ -124,6 +131,44 @@ def _bruteforce_chunked(points: NetPoints, idx: SubsetIndex) -> int:
     return total
 
 
+def gain_pair_table(points: NetPoints, u: Sequence[int]) -> np.ndarray:
+    """The pairwise sum of :func:`gain_bruteforce` for every ``k`` at once.
+
+    Entry ``k`` of the returned int64 array, for ``k`` in ``[0, m + 1]^|u|``,
+    is the exact numerator ``n * gain_bruteforce(points, (u, k))``.  Every
+    pair of points is counted once in the joint histogram H_u of its match
+    depths over ``u``; a depth is clamped to ``0..m + 1`` and ``m + 2``
+    stands for "identical coordinate", which beats every ``k_j``.  A pair
+    adds ``W[k_j, d_j] = [d_j > k_j] - [d_j == k_j]`` per coordinate, so
+    the table is H_u contracted with W along each axis.  H_u is built in
+    blocks of rows, so memory is O(block * n + (m + 3)^|u|).
+    """
+    u = SubsetIndex(tuple(u), (0,) * len(u)).u  # nonempty, increasing, 1-based
+    if u[-1] > points.s:
+        raise ValueError(f"subset {u} exceeds dimension s={points.s}")
+    n, m = points.n, points.m
+    side = m + 3
+    cells = side ** len(u)
+    cols = [points.coords[:, j - 1] for j in u]
+    hist = np.zeros(cells, dtype=np.int64)
+    for start in range(0, n, _BRUTE_CHUNK):
+        stop = min(start + _BRUTE_CHUNK, n)
+        code = np.zeros((stop - start, n), dtype=np.intp)
+        for col in cols:
+            depth = _match_depth(col[start:stop, None] ^ col[None, :], m)
+            code *= side
+            code += np.minimum(depth, m + 2)
+        hist += np.bincount(code.ravel(), minlength=cells)
+    d = np.arange(side)
+    k = np.arange(m + 2)[:, None]
+    weight = (d > k).astype(np.int64) - (d == k)
+    table = hist.reshape((side,) * len(u))
+    for _ in u:
+        # contracts the leading depth axis and appends its k axis at the end
+        table = np.tensordot(table, weight, axes=([0], [1]))
+    return table
+
+
 def gain_representation(
     gens: GeneratorSet, idx: SubsetIndex, *, nullspace_log2_limit: int = NULLSPACE_LOG2_LIMIT
 ) -> int:
@@ -137,20 +182,26 @@ def gain_representation(
     ``2**nullspace_log2_limit`` elements; use :func:`gain_fast` there.
     """
     gens.validate_index(idx)
-    cuk = assemble_cuk(gens, idx)
-    null = gf2.nullspace_basis(cuk)
+    m = gens.m
+    rows: list[int] = []  # C_{u,k} without its zero rows past m
+    nabla = []  # row k_j + 1 of each matrix
+    for j, kj in zip(idx.u, idx.k):
+        table = gens._rows[j - 1]  # zero from row m + 1 on
+        kj = min(kj, m)
+        rows += table[:kj]
+        nabla.append(table[kj])
+    null = gf2.nullspace_of_rows(rows, m)
     dim = len(null)
     if dim > nullspace_log2_limit:
         raise ResourceLimitError(
             f"nullspace has 2^{dim} elements (limit 2^{nullspace_log2_limit})"
         )
-    nabla = [gens.row(j, kj + 1) for j, kj in zip(idx.u, idx.k)]
     # pattern of one basis vector: which selected next-rows it trips
     patkeys = []
     for vec in null:
         pat = 0
         for g in nabla:
-            pat = (pat << 1) | ((g & vec.bits).bit_count() & 1)
+            pat = (pat << 1) | ((g & vec).bit_count() & 1)
         patkeys.append(pat)
     total = 1  # the zero index: all-match, sign +1
     pat = 0
@@ -339,7 +390,7 @@ def enumerate_gains(
                 continue
             log2 = m - rank
             k = tuple(walk.k)
-            entries.append((SubsetIndex(u, k), GainValue(log2)))
+            entries.append((SubsetIndex._trusted(u, k), GainValue(log2)))
             if log2 > clamp:
                 violations.append({"u": list(u), "k": list(k), "log2_gain": log2})
         if truncated:
@@ -374,6 +425,7 @@ __all__ = [
     "GainReport",
     "gain_fast",
     "gain_bruteforce",
+    "gain_pair_table",
     "gain_representation",
     "max_gain",
     "gain_bounds",

@@ -202,22 +202,43 @@ def row_reduce(matrix: BitMatrix) -> RowReduction:
     return RowReduction(BitMatrix(matrix.ncols, padded), r, pivot_cols)
 
 
+def nullspace_of_rows(rows: Iterable[int], ncols: int) -> list[int]:
+    """Packed basis of {x : row . x = 0 for every row}; ``ncols - rank`` vectors.
+
+    Rows and basis vectors are ``ncols`` bits wide, column 1 most
+    significant.  The rows are brought to echelon form indexed by leading
+    bit; each free column then gives one vector, in column order, whose
+    pivot bits are solved from the lowest pivot up.  The elimination is its
+    own, not :class:`PivotTable`'s, so the nullspace gain oracle shares no
+    code with the rank route it checks.
+    """
+    pivots = [0] * (ncols + 1)
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            pivot = pivots[lead]
+            if not pivot:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    out = []
+    for free in range(ncols, 0, -1):
+        if pivots[free]:
+            continue
+        vec = 1 << (free - 1)
+        # the bits of vec below ``lead`` are final; pivot row ``lead`` sets its own
+        for lead in range(1, ncols + 1):
+            pivot = pivots[lead]
+            if pivot and (pivot & vec).bit_count() & 1:
+                vec |= 1 << (lead - 1)
+        out.append(vec)
+    return out
+
+
 def nullspace_basis(matrix: BitMatrix) -> tuple[BitVector, ...]:
     """Basis of {x : matrix @ x = 0}; has ``ncols - rank`` elements."""
-    red = row_reduce(matrix)
     n = matrix.ncols
-    pivot_set = set(red.pivot_cols)
-    pivot_rows = red.reduced.rows[: red.rank]
-    out = []
-    for free in range(1, n + 1):
-        if free in pivot_set:
-            continue
-        vec = 1 << (n - free)
-        for row, pcol in zip(pivot_rows, red.pivot_cols):
-            if (row >> (n - free)) & 1:
-                vec |= 1 << (n - pcol)
-        out.append(BitVector(vec, n))
-    return tuple(out)
+    return tuple(BitVector(vec, n) for vec in nullspace_of_rows(matrix.rows, n))
 
 
 __all__ = [
@@ -229,5 +250,6 @@ __all__ = [
     "rank",
     "rank_of_rows",
     "row_reduce",
+    "nullspace_of_rows",
     "nullspace_basis",
 ]

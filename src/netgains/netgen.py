@@ -58,6 +58,14 @@ class SubsetIndex:
         if any(kj < 0 for kj in self.k):
             raise ValueError(f"negative depth in {self.k}")
 
+    @classmethod
+    def _trusted(cls, u: tuple[int, ...], k: tuple[int, ...]) -> "SubsetIndex":
+        """An index from a walk that only makes valid ones; skips the checks."""
+        idx = object.__new__(cls)
+        object.__setattr__(idx, "u", u)
+        object.__setattr__(idx, "k", k)
+        return idx
+
     @property
     def depth(self) -> int:
         return sum(self.k)
@@ -408,7 +416,10 @@ def assemble_cuk(gens: GeneratorSet, idx: SubsetIndex) -> BitMatrix:
     gens.validate_index(idx)
     rows = []
     for j, kj in zip(idx.u, idx.k):
-        rows.extend(gens.row(j, ell) for ell in range(1, kj + 1))
+        table = gens._rows[j - 1]  # rows 1..m, then zero rows
+        rows += table[:kj]
+        if kj > len(table):
+            rows += (0,) * (kj - len(table))
     return BitMatrix(gens.m, tuple(rows))
 
 

@@ -2,8 +2,10 @@
 
 A sweep draws random generator sets, walks the whole (u, k) box with
 per-coordinate depths up to ``m + 1``, and evaluates each gain coefficient
-three ways (pairwise sum, nullspace count, and the rank test read off one
-:class:`~netgains.netgen.StackWalk` per subset).  The per-net record
+three ways: the pairwise sum (read from one
+:func:`~netgains.gains.gain_pair_table` per subset, built from the points
+alone), the nullspace count, and the rank test read off one
+:class:`~netgains.netgen.StackWalk` per subset.  The per-net record
 carries everything the individual property suites assert about: exact
 agreement of the three routes, power-of-two values, bound domination, the
 forced-zero region, rank-derived t versus counting t, and attainment of
@@ -15,8 +17,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .gains import GainValue, gain_bruteforce, gain_fast, gain_representation, max_gain
+from .gains import (
+    GainValue,
+    ResourceLimitError,
+    gain_fast,
+    gain_pair_table,
+    gain_representation,
+    max_gain,
+)
 from .gf2 import BitMatrix
 from .netgen import GeneratorSet, StackWalk, SubsetIndex, generate_points
 from .quality import minimal_counting_t, t_value
@@ -24,6 +34,9 @@ from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
 
 _MAX_FAILURES = 20
+# Largest pairwise table, (m + 3)^s int64 cells (32 MiB); the (m + 2)^s box
+# of such a net is far beyond what the oracles can walk anyway.
+PAIR_TABLE_CELL_LIMIT = 1 << 22
 
 
 def random_generator_set(rng: random.Random, s: int, m: int) -> GeneratorSet:
@@ -63,8 +76,19 @@ class NetRecord:
 
 
 def evaluate_net(gens: GeneratorSet, *, with_counting: bool = True) -> NetRecord:
-    """Run all three gain routes over the full depth box and tally failures."""
+    """Run all three gain routes over the full depth box and tally failures.
+
+    Raises :class:`ResourceLimitError` before any work when the pairwise
+    table of the full coordinate set would exceed
+    :data:`PAIR_TABLE_CELL_LIMIT` cells.
+    """
     s, m = gens.s, gens.m
+    if (m + 3) ** s > PAIR_TABLE_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"pairwise table of s={s}, m={m} has {m + 3}^{s} cells "
+            f"(limit {PAIR_TABLE_CELL_LIMIT})"
+        )
+    n = gens.n
     points = generate_points(gens)
     t = t_value(gens)
     counting = minimal_counting_t(points) if with_counting else t
@@ -82,20 +106,20 @@ def evaluate_net(gens: GeneratorSet, *, with_counting: bool = True) -> NetRecord
     for r in range(1, s + 1):
         clamp = min(t + r - 1, m)
         for u in itertools.combinations(range(1, s + 1), r):
+            pairs = gain_pair_table(points, u)
             walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
             residual = walk.table.residual
             for _, rank, nxt in walk:
                 k = tuple(walk.k)
-                idx = SubsetIndex(u, k)
                 triples += 1
                 fast = GainValue.zero() if residual(nxt) else GainValue(m - rank)
-                brute = gain_bruteforce(points, idx)
-                middle = gain_representation(gens, idx)
-                if not (brute == fast.as_int == middle):
-                    mismatches += 1
-                    note("oracle", u, k, fast=fast.as_int, brute=str(brute), middle=middle)
-                    continue
                 value = fast.as_int
+                total = int(pairs[k])  # n times the pairwise gain
+                middle = gain_representation(gens, SubsetIndex._trusted(u, k))
+                if not (total == value * n and value == middle):
+                    mismatches += 1
+                    note("oracle", u, k, fast=value, brute=str(Fraction(total, n)), middle=middle)
+                    continue
                 if value and (value & (value - 1) or value > (1 << m)):
                     non_power += 1
                     note("non_power", u, k, value=value)
@@ -291,6 +315,7 @@ def _identity_entries(gens: GeneratorSet, count: int) -> list[SubsetIndex]:
 
 __all__ = [
     "SWEEP_SUITES",
+    "PAIR_TABLE_CELL_LIMIT",
     "random_generator_set",
     "NetRecord",
     "evaluate_net",

@@ -191,6 +191,29 @@ def test_verify_gain_identity_suite(capsys):
     assert code == EXIT_OK
 
 
+def test_verify_oversized_sweep_net_exits_invalid(capsys):
+    # seed 0 draws s = 50 first; with m = 2 its table would have 5^50 cells
+    code = main(
+        ["--seed", "0", "verify", "--suite", "power-of-two", "--trials", "1",
+         "--max-s", "64", "--max-m", "2"]
+    )
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "pairwise table" in err
+
+
+def test_out_of_memory_exits_invalid(monkeypatch, capsys):
+    from netgains import suites
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(suites, "sweep_records", exhausted)
+    code = main(["--seed", "0", "verify", "--suite", "power-of-two", "--trials", "1"])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_IO, EXIT_INVALID, EXIT_SUITE}) == 4
 

@@ -2,8 +2,9 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from netgains.gains import (
@@ -13,12 +14,14 @@ from netgains.gains import (
     gain_bounds,
     gain_bruteforce,
     gain_fast,
+    gain_pair_table,
     gain_representation,
     max_gain,
 )
 from netgains.gf2 import BitMatrix, rank, rank_of_rows
 from netgains.netgen import GeneratorSet, SubsetIndex, assemble_cuk, generate_points
 from netgains.quality import bounded_vectors, t_value
+from netgains.samples import shift_net
 from netgains.suites import random_generator_set
 
 
@@ -105,7 +108,37 @@ def test_bruteforce_chunked_path_agrees():
     gens = GeneratorSet(mats)
     pts = generate_points(gens)
     for idx in (SubsetIndex((1, 2), (6, 5)), SubsetIndex((2,), (3,))):
-        assert gain_bruteforce(pts, idx) == gain_fast(gens, idx).as_int
+        brute = gain_bruteforce(pts, idx)
+        assert brute == gain_fast(gens, idx).as_int
+        # the pair table's histogram is built in the same row blocks
+        table = gain_pair_table(pts, idx.u)
+        assert Fraction(int(table[idx.k]), pts.n) == brute
+        for k in product(range(m + 2), repeat=idx.order):
+            assert int(table[k]) == pts.n * gain_fast(gens, SubsetIndex(idx.u, k)).as_int
+
+
+def pair_table_nets():
+    rng = random.Random(29)
+    yield shift_net()
+    for _ in range(30):
+        yield random_generator_set(rng, rng.randint(1, 3), rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("gens", list(pair_table_nets()), ids=lambda g: f"s{g.s}m{g.m}")
+def test_pair_table_matches_bruteforce_everywhere(gens):
+    pts = generate_points(gens)
+    for r in range(1, gens.s + 1):
+        for u in combinations(range(1, gens.s + 1), r):
+            table = gain_pair_table(pts, u)
+            assert table.shape == (gens.m + 2,) * r and table.dtype == np.int64
+            for k in product(range(gens.m + 2), repeat=r):
+                assert Fraction(int(table[k]), pts.n) == gain_bruteforce(pts, SubsetIndex(u, k))
+
+
+def test_pair_table_validates_subset(shift_points):
+    for bad in [(), (2, 1), (0, 1), (5,)]:
+        with pytest.raises(ValueError):
+            gain_pair_table(shift_points, bad)
 
 
 # --- gain_representation -------------------------------------------------------------
@@ -344,7 +377,9 @@ def test_gain_stationary_past_m():
                 (gens.m + extra) if pos == pinned else kj
                 for pos, kj in enumerate(base)
             )
-            values.append(gain_fast(gens, SubsetIndex(u, k)))
+            idx = SubsetIndex(u, k)
+            values.append(gain_fast(gens, idx))
+            assert gain_representation(gens, idx) == values[-1].as_int
         assert len(set(values)) == 1
 
 

@@ -18,6 +18,7 @@ from netgains.gf2 import (
     BitVector,
     PivotTable,
     nullspace_basis,
+    nullspace_of_rows,
     rank,
     row_reduce,
 )
@@ -214,6 +215,22 @@ def test_solution_count_matches_enumeration(data):
 
 # --- nullspace and dependencies ----------------------------------------------
 
+def rref_nullspace(mat: BitMatrix) -> list[int]:
+    """Nullspace basis read off :func:`row_reduce`: one vector per free column."""
+    red = row_reduce(mat)
+    n = mat.ncols
+    out = []
+    for free in range(1, n + 1):
+        if free in red.pivot_cols:
+            continue
+        vec = 1 << (n - free)
+        for row, pcol in zip(red.reduced.rows, red.pivot_cols):
+            if (row >> (n - free)) & 1:
+                vec |= 1 << (n - pcol)
+        out.append(vec)
+    return out
+
+
 def test_nullspace_basis_kills_matrix():
     rng = random.Random(11)
     for _ in range(300):
@@ -224,6 +241,8 @@ def test_nullspace_basis_kills_matrix():
             assert all((row & vec.bits).bit_count() % 2 == 0 for row in mat.rows)
         # basis vectors are independent
         assert rank(BitMatrix(mat.ncols, tuple(v.bits for v in basis))) == len(basis)
+        assert [v.bits for v in basis] == nullspace_of_rows(mat.rows, mat.ncols)
+        assert nullspace_of_rows(mat.rows, mat.ncols) == rref_nullspace(mat)
 
 
 # --- pivot table -------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Sweep machinery: determinism and failure surfacing."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from netgains.gains import gain_fast
+from netgains import suites
+from netgains.gains import ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix
 from netgains.netgen import GeneratorSet, SubsetIndex
 from netgains.suites import (
+    PAIR_TABLE_CELL_LIMIT,
     evaluate_net,
     random_generator_set,
     suites_from_records,
@@ -32,6 +35,38 @@ def test_evaluate_net_counts_full_box():
     rec = evaluate_net(gens)
     assert rec.triples == 3 + 2  # k in 0..m+1 for the single coordinate
     assert rec.oracles_agree and rec.attained and rec.witness_ok
+
+
+def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
+    real = suites.gain_pair_table
+
+    def broken(points, u):
+        table = real(points, u)
+        if u == (2,):
+            table[3] += 1  # one pair too many at k = 3
+        return table
+
+    monkeypatch.setattr(suites, "gain_pair_table", broken)
+    gens = random_generator_set(random.Random(2), 2, 4)
+    rec = evaluate_net(gens)
+    assert rec.oracle_mismatches == 1 and not rec.oracles_agree
+    (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
+    assert failure["u"] == [2] and failure["k"] == [3]
+    assert failure["brute"] == str(Fraction(16 * failure["fast"] + 1, 16))
+    assert failure["middle"] == failure["fast"]
+    (suite,) = suites_from_records([rec], ["power-of-two"])
+    assert not suite.passed
+
+
+def test_evaluate_net_refuses_an_oversized_table_up_front(monkeypatch):
+    def no_points(gens):
+        raise AssertionError("points generated before the ceiling check")
+
+    monkeypatch.setattr(suites, "generate_points", no_points)
+    gens = GeneratorSet((BitMatrix.identity(8),) * 8)
+    assert (8 + 3) ** 8 > PAIR_TABLE_CELL_LIMIT
+    with pytest.raises(ResourceLimitError, match="pairwise table"):
+        evaluate_net(gens)
 
 
 def test_suites_surface_failures():
