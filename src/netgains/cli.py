@@ -227,6 +227,8 @@ def cmd_gains(args) -> int:
 
 
 def cmd_scramble(args) -> int:
+    if args.reps < 1:
+        raise CliError(f"--reps must be >= 1, got {args.reps}", EXIT_INVALID)
     gens = _load(args)
     seed = _seed_of(args)
     points = netgen.generate_points(gens)
@@ -284,6 +286,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise CliError(f"--trials must be >= 1, got {args.trials}", EXIT_INVALID)
     chosen = args.suite or ["all"]
     if "all" in chosen:
         chosen = list(suites.SWEEP_SUITES) + ["net-preservation", "gain-identity"]

@@ -12,8 +12,8 @@ Three routes of increasing speed compute the same number:
 
 * :func:`gain_bruteforce` - the O(n^2) pairwise sum over the points, the
   definition itself; knows nothing about matrices.  :func:`gain_pair_table`
-  gives the same sums for every ``k`` of one subset from one histogram of
-  the pairs.
+  gives the same sums for every ``(u, k)`` at once from one histogram of
+  the pairs over all coordinates.
 * :func:`gain_representation` - a signed count over the nullspace of the
   stacked matrix; middle ground.
 * :func:`gain_fast` - rank plus one membership test.
@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .netgen import (
     _match_depth,
     stack_at,
 )
-from .quality import first_rank_deficient_k, t_value, t_star_u
+from .quality import first_rank_deficient_k, t_star_u, t_u, t_value
 
 NULLSPACE_LOG2_LIMIT = 24
 _BRUTE_CHUNK = 512
@@ -98,80 +98,64 @@ def gain_bruteforce(points: NetPoints, idx: SubsetIndex) -> Fraction:
     Each pair of points contributes the product over ``j in u`` of
     +1 / -1 / 0 according to whether coordinates i and i' agree to more
     than, exactly, or fewer than ``k_j`` leading bits; the total is divided
-    by n.  Exact integer arithmetic; O(n^2) time, so meant for modest nets.
+    by n.  Exact integer arithmetic; O(n^2) time in blocks of rows, so
+    meant for modest nets.
     """
     if idx.u[-1] > points.s:
         raise ValueError(f"subset {idx.u} exceeds dimension s={points.s}")
-    n = points.n
-    if n <= 2048:
-        prod = None
-        for j, kj in zip(idx.u, idx.k):
-            depth = points.match_depth_matrix(j)
-            factor = (depth > kj).astype(np.int8) - (depth == kj).astype(np.int8)
-            prod = factor if prod is None else prod * factor
-        total = int(prod.astype(np.int64).sum())
-    else:
-        total = _bruteforce_chunked(points, idx)
-    return Fraction(total, n)
-
-
-def _bruteforce_chunked(points: NetPoints, idx: SubsetIndex) -> int:
     n, m = points.n, points.m
     cols = [points.coords[:, j - 1] for j in idx.u]
     total = 0
     for start in range(0, n, _BRUTE_CHUNK):
-        stop = min(start + _BRUTE_CHUNK, n)
         prod = None
         for col, kj in zip(cols, idx.k):
-            xor = col[start:stop, None] ^ col[None, :]
-            depth = _match_depth(xor, m)
+            depth = _match_depth(col[start : start + _BRUTE_CHUNK, None] ^ col[None, :], m)
             factor = (depth > kj).astype(np.int8) - (depth == kj).astype(np.int8)
             prod = factor if prod is None else prod * factor
         total += int(prod.astype(np.int64).sum())
-    return total
+    return Fraction(total, n)
 
 
-def gain_pair_table(points: NetPoints, u: Sequence[int]) -> np.ndarray:
-    """The pairwise sum of :func:`gain_bruteforce` for every ``k`` at once.
+def gain_pair_table(points: NetPoints) -> np.ndarray:
+    """The pairwise sum of :func:`gain_bruteforce` for every ``(u, k)`` at once.
 
-    Entry ``k`` of the returned int64 array, for ``k`` in ``[0, m + 1]^|u|``,
-    is the exact numerator ``n * gain_bruteforce(points, (u, k))``.  Every
-    pair of points is counted once in the joint histogram H_u of its match
-    depths over ``u``; a depth is clamped to ``0..m + 1`` and ``m + 2``
-    stands for "identical coordinate", which beats every ``k_j``.  A pair
-    adds ``W[k_j, d_j] = [d_j > k_j] - [d_j == k_j]`` per coordinate, so
-    the table is H_u contracted with W along each axis.  H_u is built in
-    blocks of rows, so memory is O(block * n + (m + 3)^|u|).
+    Returns an int64 array with ``m + 3`` entries on each of its ``s`` axes.
+    Entry 0 on axis ``j`` leaves coordinate ``j`` out of ``u``, and entry
+    ``1 + k_j`` puts it in at depth ``k_j`` in ``[0, m + 1]``.  The entry so
+    indexed is the exact numerator ``n * gain_bruteforce(points, (u, k))``;
+    the all-zero entry, with ``u`` empty, counts all ``n^2`` pairs.
+
+    Every pair of points is counted once in the joint histogram H of its
+    match depths over all coordinates; a depth is clamped to ``0..m + 1``
+    and ``m + 2`` stands for "identical coordinate", which beats every
+    ``k_j``.  A pair adds ``W[k_j, d_j] = [d_j > k_j] - [d_j == k_j]`` per
+    coordinate in ``u`` and 1 per coordinate outside it, so the table is H
+    contracted along each axis with W below a leading all-ones row.  H is
+    built in blocks of rows, so memory is O(block * n + (m + 3)^s).
     """
-    u = SubsetIndex(tuple(u), (0,) * len(u)).u  # nonempty, increasing, 1-based
-    if u[-1] > points.s:
-        raise ValueError(f"subset {u} exceeds dimension s={points.s}")
-    n, m = points.n, points.m
+    n, m, s = points.n, points.m, points.s
     side = m + 3
-    cells = side ** len(u)
-    cols = [points.coords[:, j - 1] for j in u]
+    cells = side**s
     hist = np.zeros(cells, dtype=np.int64)
     for start in range(0, n, _BRUTE_CHUNK):
-        stop = min(start + _BRUTE_CHUNK, n)
-        code = np.zeros((stop - start, n), dtype=np.intp)
-        for col in cols:
-            depth = _match_depth(col[start:stop, None] ^ col[None, :], m)
+        block = points.coords[start : start + _BRUTE_CHUNK]
+        code = np.zeros((len(block), n), dtype=np.intp)
+        for j in range(s):
+            depth = _match_depth(block[:, j, None] ^ points.coords[None, :, j], m)
             code *= side
             code += np.minimum(depth, m + 2)
         hist += np.bincount(code.ravel(), minlength=cells)
     d = np.arange(side)
     k = np.arange(m + 2)[:, None]
-    weight = (d > k).astype(np.int64) - (d == k)
-    table = hist.reshape((side,) * len(u))
-    for _ in u:
-        # contracts the leading depth axis and appends its k axis at the end
+    weight = np.vstack([np.ones(side, dtype=np.int64), (d > k).astype(np.int64) - (d == k)])
+    table = hist.reshape((side,) * s)
+    for _ in range(s):
+        # contracts the leading depth axis and appends its (u, k) axis at the end
         table = np.tensordot(table, weight, axes=([0], [1]))
     return table
 
 
-def gain_representation(
-    gens: GeneratorSet, idx: SubsetIndex, *, nullspace_log2_limit: int = NULLSPACE_LOG2_LIMIT
-) -> int:
+def gain_representation(gens: GeneratorSet, idx: SubsetIndex) -> int:
     """Gain coefficient as a signed count over the stacked matrix nullspace.
 
     Walks all indices whose stacked image is zero and adds the sign given
@@ -179,7 +163,7 @@ def gain_representation(
     the index, so a Gray-code walk updates them in O(1) per state.
 
     Raises :class:`ResourceLimitError` when the nullspace has more than
-    ``2**nullspace_log2_limit`` elements; use :func:`gain_fast` there.
+    ``2**NULLSPACE_LOG2_LIMIT`` elements; use :func:`gain_fast` there.
     """
     gens.validate_index(idx)
     m = gens.m
@@ -192,9 +176,9 @@ def gain_representation(
         nabla.append(table[kj])
     null = gf2.nullspace_of_rows(rows, m)
     dim = len(null)
-    if dim > nullspace_log2_limit:
+    if dim > NULLSPACE_LOG2_LIMIT:
         raise ResourceLimitError(
-            f"nullspace has 2^{dim} elements (limit 2^{nullspace_log2_limit})"
+            f"nullspace has 2^{dim} elements (limit 2^{NULLSPACE_LOG2_LIMIT})"
         )
     # pattern of one basis vector: which selected next-rows it trips
     patkeys = []
@@ -282,16 +266,13 @@ def gain_bounds(gens: GeneratorSet, idx: SubsetIndex) -> dict[str, int]:
 
 def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int) -> dict[str, int]:
     u, order = idx.u, idx.order
-    star = {
-        v: t_star_u(gens, v) for r in range(1, order + 1) for v in itertools.combinations(u, r)
-    }
     out = {
         "rank": 1 << (gens.m - stack_at(gens, u, idx.k)[0]),
         "t": 1 << (t + order - 1),
-        "t_u": 1 << (max(star.values()) + order - 1),
+        "t_u": 1 << (t_u(gens, u) + order - 1),
     }
     if stack_at(gens, u, (1,) * order)[0] == order:
-        out["t_star_u"] = 1 << (star[u] + order - 1)
+        out["t_star_u"] = 1 << (t_star_u(gens, u) + order - 1)
     return out
 
 
@@ -340,11 +321,7 @@ def _entry_key(idx: SubsetIndex) -> tuple:
 
 
 def enumerate_gains(
-    gens: GeneratorSet,
-    max_depth: int,
-    u_filter: Sequence[Sequence[int]] | None = None,
-    *,
-    max_visits: int | None = None,
+    gens: GeneratorSet, max_depth: int, *, max_visits: int | None = None
 ) -> GainReport:
     """Visit every (u, k) with ``|k| <= max_depth`` and record nonzero gains.
 
@@ -356,21 +333,11 @@ def enumerate_gains(
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if max_visits is not None and max_visits < 0:
+        raise ValueError(f"max_visits must be >= 0, got {max_visits}")
     s, m = gens.s, gens.m
     cap = m + 1
-    if u_filter is None:
-        subsets = [
-            u
-            for r in range(1, s + 1)
-            for u in itertools.combinations(range(1, s + 1), r)
-        ]
-    else:
-        subsets = []
-        for u in u_filter:
-            idx = SubsetIndex(tuple(u), (0,) * len(u))
-            gens.validate_index(idx)
-            subsets.append(idx.u)
-        subsets.sort(key=lambda u: (len(u), u))
+    subsets = (u for r in range(1, s + 1) for u in itertools.combinations(range(1, s + 1), r))
     t = t_value(gens)
 
     entries: list[tuple[SubsetIndex, GainValue]] = []

@@ -157,7 +157,6 @@ class NetPoints:
         coords.flags.writeable = False
         self._coords = coords
         self._m = m
-        self._depth_cache: dict[int, np.ndarray] = {}
 
     @property
     def coords(self) -> np.ndarray:
@@ -178,24 +177,6 @@ class NetPoints:
     def fractions(self) -> np.ndarray:
         """Points as floats in [0, 1)."""
         return self._coords.astype(np.float64) / float(1 << self._m)
-
-    def match_depth_matrix(self, j: int) -> np.ndarray:
-        """n x n table of common-prefix bit counts in coordinate ``j``.
-
-        Entry (i, i2) is the number of leading fraction bits shared by
-        points i and i2; equal numerators give :data:`DEPTH_INF`, which
-        compares greater than any queryable depth.  Cached per coordinate;
-        only sensible for small n.
-        """
-        cached = self._depth_cache.get(j)
-        if cached is not None:
-            return cached
-        col = self._coords[:, j - 1]
-        x = col[:, None] ^ col[None, :]
-        depth = _match_depth(x, self._m)
-        if self.n <= 2048:
-            self._depth_cache[j] = depth
-        return depth
 
 
 DEPTH_INF = np.int16(2**14)  # "all digits match"; above every real depth

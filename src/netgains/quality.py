@@ -57,21 +57,47 @@ def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, .
     """Minimal-total ``k >= 1`` (lex-first among minima) whose stack is deficient.
 
     The search terminates: any stack with more than ``m`` rows is deficient,
-    and so is any stack containing the all-zero row ``m + 1``.  Each
-    deficient ``k`` the walk meets lowers its budget below its own total,
-    so the last one met is the lex-first of the least total.
+    and so is any stack containing the all-zero row ``m + 1``.
     """
-    m = gens.m
-    order = len(u)
-    walk = StackWalk(gens, u, (1,) * order, m + 1, max(order, m + 1))
+    k = _least_deficient(gens, u, max(len(u), gens.m + 1))
+    if k is None:
+        raise AssertionError("unreachable: depth m+1 stacks are always deficient")
+    return k
+
+
+def _least_deficient(gens: GeneratorSet, u: Sequence[int], budget: int) -> tuple[int, ...] | None:
+    """Lex-first ``k >= 1`` of least total ``<= budget`` with a deficient stack, if any.
+
+    Each deficient ``k`` the walk meets lowers its budget below its own
+    total, so the last one met is the lex-first of the least total.
+    """
+    walk = StackWalk(gens, u, (1,) * len(u), gens.m + 1, budget)
     best = None
     for depth, rank, _ in walk:
         if rank < depth:
             best = tuple(walk.k)
             walk.budget = depth - 1
-    if best is None:
-        raise AssertionError("unreachable: depth m+1 stacks are always deficient")
     return best
+
+
+def _worst_t_star(gens: GeneratorSet, coords: Sequence[int], max_size: int) -> int:
+    """Largest ``t*_u`` over the subsets of ``coords`` of size at most ``max_size``.
+
+    That is ``m + 1`` minus the least deficient total over all of them.  Each
+    walk only looks below the least total found so far, and a subset of
+    size ``r`` has no total below ``r``, so the search, smallest subsets
+    first, stops at the size that reaches that total.  Some singleton is
+    always deficient by total ``m + 1``.
+    """
+    least = gens.m + 2
+    for r in range(1, max_size + 1):
+        if r >= least:
+            break
+        for u in itertools.combinations(coords, r):
+            k = _least_deficient(gens, u, least - 1)
+            if k is not None:
+                least = sum(k)
+    return gens.m + 1 - least
 
 
 def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
@@ -85,24 +111,16 @@ def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
 
 
 def t_u(gens: GeneratorSet, u: Sequence[int]) -> int:
-    """Quality parameter of the projection onto ``u``; max of t* over subsets."""
+    """Quality parameter of the projection onto ``u``: the largest t*_v over ``v`` in ``u``."""
     u = _checked_subset(gens, u)
-    return max(
-        t_star_u(gens, v)
-        for r in range(1, len(u) + 1)
-        for v in itertools.combinations(u, r)
-    )
+    return _worst_t_star(gens, u, len(u))
 
 
 def t_d(gens: GeneratorSet, d: int) -> int:
-    """Worst t_u over all subsets of at most ``d`` coordinates."""
+    """Worst t*_u over all subsets of at most ``d`` coordinates."""
     if not 1 <= d <= gens.s:
         raise ValueError(f"d must be in [1, {gens.s}], got {d}")
-    return max(
-        t_star_u(gens, v)
-        for r in range(1, d + 1)
-        for v in itertools.combinations(range(1, gens.s + 1), r)
-    )
+    return _worst_t_star(gens, range(1, gens.s + 1), d)
 
 
 def _checked_subset(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
@@ -117,29 +135,10 @@ def _checked_subset(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
 def t_value(gens: GeneratorSet) -> int:
     """The net's t parameter, from ranks of stacked generator rows.
 
-    Scans total depth from ``m`` downward; deficient depths form an upward
-    closed set, so the first clean level pins the minimum deficient total.
-    Larger totals fail earliest for typical matrices, which is what makes
-    the downward order cheap.
+    The worst t*_u over every subset: ``m + 1`` minus the least total depth
+    at which some stack of at least one row per coordinate is deficient.
     """
-    s, m = gens.s, gens.m
-    coords = range(1, s + 1)
-    for level in range(m, 0, -1):
-        if not any(
-            _deficient_within(gens, u, level)
-            for r in range(1, min(s, level) + 1)
-            for u in itertools.combinations(coords, r)
-        ):
-            return m - level
-    return m
-
-
-def _deficient_within(gens: GeneratorSet, u: tuple[int, ...], total: int) -> bool:
-    """Whether some ``1 <= k <= m`` with ``sum(k) <= total`` has a deficient stack."""
-    for depth, rank, _ in StackWalk(gens, u, (1,) * len(u), gens.m, total):
-        if rank < depth:
-            return True
-    return False
+    return t_d(gens, gens.s)
 
 
 # --- counting route ----------------------------------------------------------
@@ -258,24 +257,16 @@ class QualityReport:
         }
 
 
-def quality_report(
-    gens: GeneratorSet,
-    *,
-    points: NetPoints | None = None,
-    a_k_max: int | None = None,
-    all_subsets: bool | None = None,
-) -> QualityReport:
+def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> QualityReport:
     """Full quality summary of a net.
 
-    Subset tables need 2**s searches, so for ``s > 16`` they are skipped
-    unless ``all_subsets=True`` is passed explicitly; the full-set and
-    singleton entries are always present.  ``a_k_max`` bounds the A_K table
-    (default ``m``).
+    Subset tables need 2**s searches, so for ``s > 16`` they are skipped;
+    the full-set and singleton entries are always present.  ``a_k_max``
+    bounds the A_K table (default ``m``).
     """
     s, m = gens.s, gens.m
     full = tuple(range(1, s + 1))
-    if all_subsets is None:
-        all_subsets = s <= SUBSET_ENUMERATION_LIMIT
+    all_subsets = s <= SUBSET_ENUMERATION_LIMIT
 
     star: dict[tuple[int, ...], int] = {}
     if all_subsets:
@@ -309,7 +300,7 @@ def quality_report(
             tu[(j,)] = star[(j,)]
         td[s] = t
 
-    pts = points if points is not None else generate_points(gens)
+    pts = generate_points(gens)
     bound = m if a_k_max is None else a_k_max
     a_k = {kk: microstructure_AK(pts, kk) for kk in range(0, bound + 1)}
 

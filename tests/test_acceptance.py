@@ -143,7 +143,7 @@ def test_criterion_7_variance_identity(capsys):
 
 
 def test_criterion_8_net_preservation(capsys):
-    result = net_preservation_suite(seeds=100, seed0=SWEEP_SEED)
+    result = net_preservation_suite(seed0=SWEEP_SEED)
     ok = result.passed and result.checked == 600
     report(
         capsys,

@@ -1,0 +1,33 @@
+"""The public names, and the few names the benchmark reaches outside them."""
+
+import importlib
+import inspect
+
+import pytest
+
+import netgains
+
+MODULES = ("gf2", "netgen", "quality", "gains", "scramble", "suites", "samples")
+
+
+def test_package_exports_resolve():
+    missing = [name for name in netgains.__all__ if not hasattr(netgains, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    # import_module, since the package attribute ``scramble`` is the function
+    mod = importlib.import_module(f"netgains.{name}")
+    missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_names_the_benchmark_reaches_outside_all():
+    from netgains import cli, suites
+    from netgains.netgen import GeneratorSet
+
+    assert callable(GeneratorSet.row)  # wrapped to count row reads
+    assert "min_m" in inspect.signature(suites.sweep_records).parameters
+    assert set(cli._COMMANDS) == {"gen", "analyze", "gains", "scramble", "integrate", "verify"}
+    assert callable(cli.main)

@@ -202,6 +202,44 @@ def test_verify_oversized_sweep_net_exits_invalid(capsys):
     assert err.startswith("error: ") and "pairwise table" in err
 
 
+def test_verify_sweep_net_with_too_many_points_exits_invalid(monkeypatch, capsys):
+    # seed 0 draws m = 26 for the one coordinate: a small table over 2^52 pairs
+    from netgains import suites
+
+    def no_points(gens):
+        raise AssertionError("points generated before the ceiling check")
+
+    monkeypatch.setattr(suites, "generate_points", no_points)
+    code = main(
+        ["--seed", "0", "verify", "--suite", "power-of-two", "--trials", "1",
+         "--max-s", "1", "--max-m", "32"]
+    )
+    assert code == EXIT_INVALID
+    assert f"m <= {suites.PAIR_TABLE_MAX_M}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(trials, capsys):
+    code = main(["--json", "--seed", "1", "verify", "--suite", "power-of-two", "--trials", trials])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials must be >= 1" in captured.err
+
+
+def test_scramble_rejects_reps_below_one(shiftnet_file, capsys):
+    code = main(["--seed", "1", "scramble", "--raw", shiftnet_file, "--reps", "0"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--reps must be >= 1" in captured.err
+
+
+def test_gains_rejects_negative_max_visits(shiftnet_file, capsys):
+    code = main(["gains", "--raw", shiftnet_file, "--depth", "3", "--max-visits", "-2"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_visits must be >= 0" in captured.err
+
+
 def test_out_of_memory_exits_invalid(monkeypatch, capsys):
     from netgains import suites
 

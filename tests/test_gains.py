@@ -99,7 +99,7 @@ def test_bruteforce_validates_subset(shift_points):
 
 
 def test_bruteforce_chunked_path_agrees():
-    # n = 4096 exceeds the cached-matrix size and exercises row blocks
+    # n = 4096 spans eight row blocks of the pairwise sum and of the histogram
     rng = random.Random(8)
     m = 12
     mats = tuple(
@@ -107,14 +107,19 @@ def test_bruteforce_chunked_path_agrees():
     )
     gens = GeneratorSet(mats)
     pts = generate_points(gens)
+    table = gain_pair_table(pts)
     for idx in (SubsetIndex((1, 2), (6, 5)), SubsetIndex((2,), (3,))):
         brute = gain_bruteforce(pts, idx)
         assert brute == gain_fast(gens, idx).as_int
-        # the pair table's histogram is built in the same row blocks
-        table = gain_pair_table(pts, idx.u)
-        assert Fraction(int(table[idx.k]), pts.n) == brute
+        pairs = table[subset_view(idx.u, gens.s)]
+        assert Fraction(int(pairs[idx.k]), pts.n) == brute
         for k in product(range(m + 2), repeat=idx.order):
-            assert int(table[k]) == pts.n * gain_fast(gens, SubsetIndex(idx.u, k)).as_int
+            assert int(pairs[k]) == pts.n * gain_fast(gens, SubsetIndex(idx.u, k)).as_int
+
+
+def subset_view(u, s):
+    """Index of the pair table's cells for subset ``u``: axis 0 of the others."""
+    return tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
 
 
 def pair_table_nets():
@@ -127,18 +132,15 @@ def pair_table_nets():
 @pytest.mark.parametrize("gens", list(pair_table_nets()), ids=lambda g: f"s{g.s}m{g.m}")
 def test_pair_table_matches_bruteforce_everywhere(gens):
     pts = generate_points(gens)
+    table = gain_pair_table(pts)
+    assert table.shape == (gens.m + 3,) * gens.s and table.dtype == np.int64
+    assert table[(0,) * gens.s] == pts.n**2  # empty u: every pair adds 1
     for r in range(1, gens.s + 1):
         for u in combinations(range(1, gens.s + 1), r):
-            table = gain_pair_table(pts, u)
-            assert table.shape == (gens.m + 2,) * r and table.dtype == np.int64
+            pairs = table[subset_view(u, gens.s)]
+            assert pairs.shape == (gens.m + 2,) * r
             for k in product(range(gens.m + 2), repeat=r):
-                assert Fraction(int(table[k]), pts.n) == gain_bruteforce(pts, SubsetIndex(u, k))
-
-
-def test_pair_table_validates_subset(shift_points):
-    for bad in [(), (2, 1), (0, 1), (5,)]:
-        with pytest.raises(ValueError):
-            gain_pair_table(shift_points, bad)
+                assert Fraction(int(pairs[k]), pts.n) == gain_bruteforce(pts, SubsetIndex(u, k))
 
 
 # --- gain_representation -------------------------------------------------------------
@@ -256,10 +258,9 @@ def test_enumerate_shift_depth_eight(shift):
 
 def test_enumerate_below_zero_region_depth(shift):
     # with |u| = 1 and t = 1, any |k| <= m - t - |u| stays exactly zero
-    report = enumerate_gains(shift, 2, u_filter=[(1,)])
-    assert report.entries == []
-    assert report.gamma_max.is_zero
-    assert report.attaining is None
+    report = enumerate_gains(shift, 2)
+    assert report.entries
+    assert [idx for idx, _ in report.entries if idx.u == (1,)] == []
 
 
 def test_enumerate_sobol_matches_bruteforce(sobol2d, sobol2d_points):

@@ -149,6 +149,27 @@ def test_first_rank_deficient_k_is_lex_first_of_least_total():
                 assert first_rank_deficient_k(gens, u) == want
 
 
+def brute_nets():
+    rng = random.Random(43)
+    for m, top in ((1, 5), (2, 6), (3, 5)):  # s > m + 1 runs the subset-size cut-off
+        for s in range(1, top + 1):
+            yield random_generator_set(rng, s, m)
+    for _ in range(10):
+        yield random_generator_set(rng, rng.randint(1, 3), rng.randint(2, 5))
+
+
+def test_t_search_matches_brute_definitions():
+    for gens in brute_nets():
+        coords = range(1, gens.s + 1)
+        subsets = [u for r in range(1, gens.s + 1) for u in itertools.combinations(coords, r)]
+        brute = {u: brute_t_u(gens, u) for u in subsets}
+        for u in subsets:
+            assert t_u(gens, u) == brute[u]
+        for d in range(1, gens.s + 1):
+            assert t_d(gens, d) == max(brute[u] for u in subsets if len(u) <= d)
+        assert t_value(gens) == brute[tuple(coords)]
+
+
 def test_t_is_worst_t_star_on_random_nets():
     rng = random.Random(31)
     for _ in range(80):
@@ -279,9 +300,14 @@ def test_quality_report_shift(shift):
     assert payload["A_K"]["4"] == 1
 
 
-def test_quality_report_gating(shift):
-    report = quality_report(shift, all_subsets=False)
+def test_quality_report_gating():
+    gens = random_generator_set(random.Random(17), 17, 3)
+    report = quality_report(gens)
+    full = tuple(range(1, 18))
+    singletons = {(j,) for j in full}
     assert not report.subsets_complete
-    assert report.t == 1
-    assert report.t_star_u[(1, 2, 3, 4)] == 0
-    assert set(report.t_u) == {(1,), (2,), (3,), (4,), (1, 2, 3, 4)}
+    assert report.t == t_value(gens) == report.t_d[17] and set(report.t_d) == {17}
+    assert set(report.t_u) == set(report.t_star_u) == singletons | {full}
+    assert report.t_star_u[full] == t_star_u(gens, full)
+    assert all(report.t_u[u] == report.t_star_u[u] == t_star_u(gens, u) for u in singletons)
+    assert report.a_k[3] == microstructure_AK(generate_points(gens), 3)

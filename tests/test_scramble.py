@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from netgains.gains import gain_fast, max_gain
-from netgains.netgen import GeneratorSet, SubsetIndex, generate_points
+from netgains.netgen import GeneratorSet, SubsetIndex, _match_depth, generate_points
 from netgains.quality import verify_net_by_counting
 from netgains.scramble import (
     HaarIntegrand,
@@ -109,13 +109,17 @@ def test_scrambles_preserve_pairwise_match_depth(shift_points):
     # common-prefix lengths between points are invariant under all three
     # randomizations; this is the structure that keeps a net a net
     m = shift_points.m
-    before = [shift_points.match_depth_matrix(j) for j in range(1, 5)]
+
+    def depths(points):
+        return [_match_depth(col[:, None] ^ col[None, :], m) for col in points.coords.T]
+
+    before = depths(shift_points)
     for kind in ALL_KINDS:
         net = scramble(
             shift_points, ScrambleSpec(kind=kind, output_bits=m, seed=31)
         ).to_net_points()
-        for j in range(1, 5):
-            assert np.array_equal(net.match_depth_matrix(j), before[j - 1])
+        for got, want in zip(depths(net), before):
+            assert np.array_equal(got, want)
 
 
 def test_extra_output_bits_refine_cells(shift_points):

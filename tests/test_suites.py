@@ -11,6 +11,7 @@ from netgains.gf2 import BitMatrix
 from netgains.netgen import GeneratorSet, SubsetIndex
 from netgains.suites import (
     PAIR_TABLE_CELL_LIMIT,
+    PAIR_TABLE_MAX_M,
     evaluate_net,
     random_generator_set,
     suites_from_records,
@@ -40,10 +41,9 @@ def test_evaluate_net_counts_full_box():
 def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
     real = suites.gain_pair_table
 
-    def broken(points, u):
-        table = real(points, u)
-        if u == (2,):
-            table[3] += 1  # one pair too many at k = 3
+    def broken(points):
+        table = real(points)
+        table[0, 1 + 3] += 1  # one pair too many at u = (2,), k = 3
         return table
 
     monkeypatch.setattr(suites, "gain_pair_table", broken)
@@ -67,6 +67,11 @@ def test_evaluate_net_refuses_an_oversized_table_up_front(monkeypatch):
     assert (8 + 3) ** 8 > PAIR_TABLE_CELL_LIMIT
     with pytest.raises(ResourceLimitError, match="pairwise table"):
         evaluate_net(gens)
+    # one coordinate keeps the table small, but 2^20 points make 2^40 pairs
+    wide = GeneratorSet((BitMatrix.identity(20),))
+    assert 20 + 3 <= PAIR_TABLE_CELL_LIMIT and 20 > PAIR_TABLE_MAX_M
+    with pytest.raises(ResourceLimitError, match=f"m <= {PAIR_TABLE_MAX_M}"):
+        evaluate_net(wide)
 
 
 def test_suites_surface_failures():
