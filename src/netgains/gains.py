@@ -12,8 +12,8 @@ Three routes of increasing speed compute the same number:
 
 * :func:`gain_bruteforce` - the O(n^2) pairwise sum over the points, the
   definition itself; knows nothing about matrices.  :func:`gain_pair_table`
-  gives the same sums for every ``(u, k)`` at once from one histogram of
-  the pairs over all coordinates.
+  gives the same sums for every ``(u, k)`` at once, in O(n * s), from the
+  match depths of the points' XOR differences from point 0.
 * :func:`gain_representation` - a signed count over the nullspace of the
   stacked matrix; middle ground.
 * :func:`gain_fast` - rank plus one membership test.
@@ -39,6 +39,7 @@ from .netgen import (
     StackWalk,
     SubsetIndex,
     _match_depth,
+    _xor_span,
     stack_at,
 )
 from .quality import first_rank_deficient_k, t_star_u, t_u, t_value
@@ -125,26 +126,26 @@ def gain_pair_table(points: NetPoints) -> np.ndarray:
     indexed is the exact numerator ``n * gain_bruteforce(points, (u, k))``;
     the all-zero entry, with ``u`` empty, counts all ``n^2`` pairs.
 
-    Every pair of points is counted once in the joint histogram H of its
-    match depths over all coordinates; a depth is clamped to ``0..m + 1``
-    and ``m + 2`` stands for "identical coordinate", which beats every
-    ``k_j``.  A pair adds ``W[k_j, d_j] = [d_j > k_j] - [d_j == k_j]`` per
-    coordinate in ``u`` and 1 per coordinate outside it, so the table is H
-    contracted along each axis with W below a leading all-ones row.  H is
-    built in blocks of rows, so memory is O(block * n + (m + 3)^s).
+    For a net, digitally shifted or not, ``y(i) = x(i) ^ x(0)`` is linear in
+    ``i``; this is checked on the points (else :class:`ValueError`), so the
+    pair XORs ``x(i) ^ x(i') = y(i ^ i')`` are ``n`` copies of ``y``.  The joint
+    histogram H of the pairs' match depths over all coordinates is thus
+    ``n`` times that of ``y``; a depth is clamped to ``0..m + 1`` and
+    ``m + 2`` stands for "identical", which beats every ``k_j``.  A pair
+    adds ``W[k_j, d_j] = [d_j > k_j] - [d_j == k_j]`` per coordinate in
+    ``u`` and 1 per coordinate outside it, so the table is H contracted
+    along each axis with W below a leading all-ones row.
     """
     n, m, s = points.n, points.m, points.s
+    diff = points.coords ^ points.coords[0]
+    if not np.array_equal(diff, _xor_span(diff[1 << np.arange(m)])):
+        raise ValueError("points are not a digital net: x(i) ^ x(0) is not linear in i")
     side = m + 3
-    cells = side**s
-    hist = np.zeros(cells, dtype=np.int64)
-    for start in range(0, n, _BRUTE_CHUNK):
-        block = points.coords[start : start + _BRUTE_CHUNK]
-        code = np.zeros((len(block), n), dtype=np.intp)
-        for j in range(s):
-            depth = _match_depth(block[:, j, None] ^ points.coords[None, :, j], m)
-            code *= side
-            code += np.minimum(depth, m + 2)
-        hist += np.bincount(code.ravel(), minlength=cells)
+    code = np.zeros(n, dtype=np.intp)
+    for j in range(s):
+        code *= side
+        code += np.minimum(_match_depth(diff[:, j], m), m + 2)
+    hist = n * np.bincount(code, minlength=side**s)
     d = np.arange(side)
     k = np.arange(m + 2)[:, None]
     weight = np.vstack([np.ones(side, dtype=np.int64), (d > k).astype(np.int64) - (d == k)])

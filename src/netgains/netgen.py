@@ -122,19 +122,11 @@ class GeneratorSet:
         return tuple(mat.rows + (0, 0) for mat in self.matrices)
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per matrix: column ``ell`` packed as a point numerator."""
-        m = self.m
-        out = []
-        for mat in self.matrices:
-            cols = []
-            for c in range(1, m + 1):
-                packed = 0
-                for r in range(1, m + 1):
-                    packed |= ((mat.rows[r - 1] >> (m - c)) & 1) << (m - r)
-                cols.append(packed)
-            out.append(tuple(cols))
-        return tuple(out)
+    def _columns(self) -> np.ndarray:
+        """(m, s): at ``[c - 1, j - 1]``, column ``c`` of matrix ``j`` as a point numerator."""
+        cols = np.array([_transpose(mat.rows, self.m) for mat in self.matrices], dtype=np.uint64).T
+        cols.flags.writeable = False
+        return cols
 
     def validate_index(self, idx: SubsetIndex) -> None:
         if idx.u[-1] > self.s:
@@ -183,14 +175,22 @@ DEPTH_INF = np.int16(2**14)  # "all digits match"; above every real depth
 
 
 def _match_depth(xor: np.ndarray, m: int) -> np.ndarray:
-    """Common-prefix length of m-bit values from their XOR (DEPTH_INF if equal)."""
-    bl = np.zeros(xor.shape, dtype=np.int16)
-    tmp = xor.copy()
-    while tmp.any():
-        bl += (tmp != 0).astype(np.int16)
-        tmp >>= np.uint64(1)
-    out = (m - bl).astype(np.int16)
+    """Common-prefix length of m-bit values from their XOR (DEPTH_INF if equal).
+
+    ``m`` minus the bit length, which is the ``frexp`` exponent: exact below 2**53.
+    """
+    out = (m - np.frexp(xor.astype(np.float64))[1]).astype(np.int16)
     out[xor == 0] = DEPTH_INF
+    return out
+
+
+def _xor_span(basis: np.ndarray) -> np.ndarray:
+    """Row ``i`` is the XOR of ``basis[b]`` over the set bits ``b`` of ``i``, for all
+    ``i < 2**len(basis)``: rows ``[2**b, 2**(b + 1))`` are rows ``[0, 2**b)`` ^ ``basis[b]``."""
+    out = np.empty((1 << len(basis),) + basis.shape[1:], dtype=np.uint64)
+    out[0] = 0
+    for b, row in enumerate(basis):
+        np.bitwise_xor(out[: 1 << b], row, out=out[1 << b : 2 << b])
     return out
 
 
@@ -348,14 +348,12 @@ def direction_columns(entry: DirectionEntry, m: int) -> tuple[int, ...]:
     return tuple(mv << (m - c) for c, mv in enumerate(mvals, start=1))
 
 
-def _matrix_from_columns(cols: tuple[int, ...], m: int) -> BitMatrix:
-    rows = []
-    for r in range(1, m + 1):
-        row = 0
-        for c, col in enumerate(cols, start=1):
-            row |= ((col >> (m - r)) & 1) << (m - c)
-        rows.append(row)
-    return BitMatrix(m, tuple(rows))
+def _transpose(vectors: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """An m x m bit matrix packed one m-bit int per row (or column), the other way round."""
+    return tuple(
+        sum(((v >> (m - a)) & 1) << (m - b) for b, v in enumerate(vectors, start=1))
+        for a in range(1, m + 1)
+    )
 
 
 def sobol_generator_set(entries: dict[int, DirectionEntry], dims: int, m: int) -> GeneratorSet:
@@ -369,25 +367,16 @@ def sobol_generator_set(entries: dict[int, DirectionEntry], dims: int, m: int) -
         entry = entries.get(d)
         if entry is None:
             raise ParseError(f"no direction-number entry for dimension {d}")
-        matrices.append(_matrix_from_columns(direction_columns(entry, m), m))
+        matrices.append(BitMatrix(m, _transpose(direction_columns(entry, m), m)))
     return GeneratorSet(tuple(matrices))
 
 
 # --- point generation -------------------------------------------------------
 
 def generate_points(gens: GeneratorSet) -> NetPoints:
-    """All ``2**m`` points in index order, by the defining bit relation."""
-    m, n, s = gens.m, gens.n, gens.s
-    idx = np.arange(n, dtype=np.uint64)
-    coords = np.zeros((n, s), dtype=np.uint64)
-    for j in range(s):
-        cols = gens._columns[j]
-        acc = np.zeros(n, dtype=np.uint64)
-        for ell in range(1, m + 1):
-            mask = (idx >> np.uint64(ell - 1)) & np.uint64(1)
-            acc ^= mask * np.uint64(cols[ell - 1])
-        coords[:, j] = acc
-    return NetPoints(coords, m)
+    """All ``2**m`` points in index order: point ``i`` is the XOR of the
+    generator columns ``c`` picked by the bits ``c - 1`` of ``i``."""
+    return NetPoints(_xor_span(gens._columns), gens.m)
 
 
 # --- stacked matrices -------------------------------------------------------

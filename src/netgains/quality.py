@@ -264,6 +264,8 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
     the full-set and singleton entries are always present.  ``a_k_max``
     bounds the A_K table (default ``m``).
     """
+    if a_k_max is not None and a_k_max < 0:
+        raise ValueError(f"a_k_max must be >= 0, got {a_k_max}")
     s, m = gens.s, gens.m
     full = tuple(range(1, s + 1))
     all_subsets = s <= SUBSET_ENUMERATION_LIMIT

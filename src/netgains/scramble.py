@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .gains import gain_fast
-from .netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
+from .netgen import GeneratorSet, NetPoints, SubsetIndex, _xor_span, generate_points
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -143,15 +143,10 @@ class ScrambledPoints:
 
 def _scramble_linear(a: np.ndarray, m: int, d: int, key: int) -> np.ndarray:
     stream = _Stream(key)
-    cols = []
-    for c in range(1, m + 1):
-        cols.append((1 << (d - c)) | stream.bits(d - c))
+    cols = [(1 << (d - c)) | stream.bits(d - c) for c in range(1, m + 1)]
     shift = stream.bits(d)
-    out = np.full(a.shape, np.uint64(shift), dtype=np.uint64)
-    for c in range(1, m + 1):
-        mask = (a >> np.uint64(m - c)) & np.uint64(1)
-        out ^= mask * np.uint64(cols[c - 1])
-    return out
+    # bit m - c of a picks column c, so the span of the reversed columns is indexed by a
+    return _xor_span(np.array(cols[::-1], dtype=np.uint64))[a] ^ np.uint64(shift)
 
 
 def _scramble_nested(a: np.ndarray, m: int, d: int, key: int) -> np.ndarray:

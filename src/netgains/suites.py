@@ -3,8 +3,8 @@
 A sweep draws random generator sets, walks the whole (u, k) box with
 per-coordinate depths up to ``m + 1``, and evaluates each gain coefficient
 three ways: the pairwise sum (read from the one
-:func:`~netgains.gains.gain_pair_table` of the net, built from the points
-alone), the nullspace count, and the rank test read off one
+:func:`~netgains.gains.gain_pair_table` of the net, built from the points'
+own match depths), the nullspace count, and the rank test read off one
 :class:`~netgains.netgen.StackWalk` per subset.  The per-net record
 carries everything the individual property suites assert about: exact
 agreement of the three routes, power-of-two values, bound domination, the
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gains import (
+    NULLSPACE_LOG2_LIMIT,
     GainValue,
     ResourceLimitError,
     gain_fast,
@@ -37,10 +38,6 @@ _MAX_FAILURES = 20
 # Largest pairwise table, (m + 3)^s int64 cells (32 MiB); the (m + 2)^s box
 # of such a net is far beyond what the oracles can walk anyway.
 PAIR_TABLE_CELL_LIMIT = 1 << 22
-# Largest m of a net whose 4^m point pairs the table histograms.  At m = 12
-# one table peaks near 64 MiB (its row blocks) and takes 1-3 s for s <= 3 on
-# a 2-core host; each further bit doubles the memory and quadruples the time.
-PAIR_TABLE_MAX_M = 12
 
 
 def random_generator_set(rng: random.Random, s: int, m: int) -> GeneratorSet:
@@ -83,8 +80,10 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     """Run all three gain routes over the full depth box and tally failures.
 
     Raises :class:`ResourceLimitError` before any work when the pairwise
-    table would exceed :data:`PAIR_TABLE_CELL_LIMIT` cells or its histogram
-    would cover the pairs of more than ``2**PAIR_TABLE_MAX_M`` points.
+    table would exceed :data:`PAIR_TABLE_CELL_LIMIT` cells, or when the
+    nullspace count would walk ``(2**s - 1) * 2**m > 2**NULLSPACE_LOG2_LIMIT``
+    states on the ``k = 0`` triples alone.  Points that are no digital net
+    count as one oracle mismatch.
     """
     s, m = gens.s, gens.m
     if (m + 3) ** s > PAIR_TABLE_CELL_LIMIT:
@@ -92,15 +91,15 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
             f"pairwise table of s={s}, m={m} has {m + 3}^{s} cells "
             f"(limit {PAIR_TABLE_CELL_LIMIT})"
         )
-    if m > PAIR_TABLE_MAX_M:
+    if ((1 << s) - 1) << m > 1 << NULLSPACE_LOG2_LIMIT:
         raise ResourceLimitError(
-            f"pairwise table of m={m} histograms 2^{2 * m} pairs (limit m <= {PAIR_TABLE_MAX_M})"
+            f"the k = 0 triples of s={s}, m={m} walk (2^{s} - 1) * 2^{m} nullspace states "
+            f"(limit 2^{NULLSPACE_LOG2_LIMIT})"
         )
     n = gens.n
     points = generate_points(gens)
     t = t_value(gens)
     counting = minimal_counting_t(points)
-    table = gain_pair_table(points)  # n times the pairwise gain of every (u, k)
     cap = m + 1
 
     mismatches = non_power = chain_bad = zero_bad = 0
@@ -112,10 +111,17 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
         if len(failures) < _MAX_FAILURES:
             failures.append({"kind": kind, "u": list(u), "k": list(k), **extra})
 
+    try:
+        table = gain_pair_table(points)  # n times the pairwise gain of every (u, k)
+    except ValueError as exc:  # wrong points: the other two routes still compare
+        table, mismatches = None, 1
+        note("oracle", (), (), brute=str(exc))
+
     for r in range(1, s + 1):
         clamp = min(t + r - 1, m)
         for u in itertools.combinations(range(1, s + 1), r):
-            pairs = table[tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))]
+            view = tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
+            pairs = None if table is None else table[view]
             walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
             residual = walk.table.residual
             for _, rank, nxt in walk:
@@ -123,7 +129,7 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
                 triples += 1
                 fast = GainValue.zero() if residual(nxt) else GainValue(m - rank)
                 value = fast.as_int
-                total = int(pairs[k])
+                total = value * n if pairs is None else int(pairs[k])
                 middle = gain_representation(gens, SubsetIndex._trusted(u, k))
                 if not (total == value * n and value == middle):
                     mismatches += 1
@@ -171,6 +177,10 @@ def sweep_records(
     seed: int = 0,
 ) -> list[NetRecord]:
     """Evaluate ``trials`` random nets drawn from the given size ranges."""
+    if max_s < 1:
+        raise ValueError(f"max_s must be >= 1, got {max_s}")
+    if min_m > max_m:
+        raise ValueError(f"max_m must be >= min_m = {min_m}, got {max_m}")
     rng = random.Random(seed)
     records = []
     for _ in range(trials):
@@ -322,7 +332,6 @@ def _identity_entries(gens: GeneratorSet, count: int) -> list[SubsetIndex]:
 __all__ = [
     "SWEEP_SUITES",
     "PAIR_TABLE_CELL_LIMIT",
-    "PAIR_TABLE_MAX_M",
     "random_generator_set",
     "NetRecord",
     "evaluate_net",

@@ -88,6 +88,13 @@ def test_analyze_twin_matrices_hit_ceiling(tmp_path, capsys):
     assert payload["gamma_log2"] == 3  # 2^m with m = 3
 
 
+def test_analyze_rejects_negative_a_k_max(shiftnet_file, capsys):
+    code = main(["--json", "analyze", "--raw", shiftnet_file, "--full", "--a-k-max", "-1"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "a_k_max must be >= 0" in captured.err
+
+
 def test_analyze_full_report(shiftnet_file, capsys):
     assert main(["--json", "analyze", "--raw", shiftnet_file, "--full"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -203,7 +210,8 @@ def test_verify_oversized_sweep_net_exits_invalid(capsys):
 
 
 def test_verify_sweep_net_with_too_many_points_exits_invalid(monkeypatch, capsys):
-    # seed 0 draws m = 26 for the one coordinate: a small table over 2^52 pairs
+    # seed 0 draws m = 26 for the one coordinate: a small table, but its
+    # k = 0 triple alone would walk 2^26 nullspace states
     from netgains import suites
 
     def no_points(gens):
@@ -215,7 +223,15 @@ def test_verify_sweep_net_with_too_many_points_exits_invalid(monkeypatch, capsys
          "--max-s", "1", "--max-m", "32"]
     )
     assert code == EXIT_INVALID
-    assert f"m <= {suites.PAIR_TABLE_MAX_M}" in capsys.readouterr().err
+    assert "nullspace states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,name", [("--max-s", "0", "max_s"), ("--max-m", "1", "max_m")])
+def test_verify_rejects_empty_sweep_ranges(flag, value, name, capsys):
+    code = main(["--seed", "1", "verify", "--suite", "power-of-two", "--trials", "1", flag, value])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -22,6 +22,7 @@ from netgains.gf2 import BitMatrix, rank, rank_of_rows
 from netgains.netgen import GeneratorSet, SubsetIndex, assemble_cuk, generate_points
 from netgains.quality import bounded_vectors, t_value
 from netgains.samples import shift_net
+from netgains.scramble import ScrambleKind, ScrambleSpec, scramble
 from netgains.suites import random_generator_set
 
 
@@ -99,7 +100,7 @@ def test_bruteforce_validates_subset(shift_points):
 
 
 def test_bruteforce_chunked_path_agrees():
-    # n = 4096 spans eight row blocks of the pairwise sum and of the histogram
+    # n = 4096 spans eight row blocks of the pairwise sum
     rng = random.Random(8)
     m = 12
     mats = tuple(
@@ -122,25 +123,39 @@ def subset_view(u, s):
     return tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
 
 
-def pair_table_nets():
+def pair_table_points():
     rng = random.Random(29)
-    yield shift_net()
-    for _ in range(30):
-        yield random_generator_set(rng, rng.randint(1, 3), rng.randint(1, 5))
+    nets = [shift_net()]
+    nets += [random_generator_set(rng, rng.randint(1, 3), rng.randint(1, 5)) for _ in range(30)]
+    for gens in nets:
+        yield pytest.param(generate_points(gens), id=f"s{gens.s}m{gens.m}")
+    # a digital shift or a random linear scramble keeps x(i) ^ x(0) linear in i
+    for kind in (ScrambleKind.DIGITAL_SHIFT_ONLY, ScrambleKind.RANDOM_LINEAR):
+        for seed, gens in enumerate(nets[:6]):
+            spec = ScrambleSpec(kind=kind, output_bits=gens.m, seed=seed)
+            points = scramble(generate_points(gens), spec).to_net_points()
+            yield pytest.param(points, id=f"{kind.value}{seed}-s{gens.s}m{gens.m}")
 
 
-@pytest.mark.parametrize("gens", list(pair_table_nets()), ids=lambda g: f"s{g.s}m{g.m}")
-def test_pair_table_matches_bruteforce_everywhere(gens):
-    pts = generate_points(gens)
+@pytest.mark.parametrize("pts", list(pair_table_points()))
+def test_pair_table_matches_bruteforce_everywhere(pts):
+    s, m = pts.s, pts.m
     table = gain_pair_table(pts)
-    assert table.shape == (gens.m + 3,) * gens.s and table.dtype == np.int64
-    assert table[(0,) * gens.s] == pts.n**2  # empty u: every pair adds 1
-    for r in range(1, gens.s + 1):
-        for u in combinations(range(1, gens.s + 1), r):
-            pairs = table[subset_view(u, gens.s)]
-            assert pairs.shape == (gens.m + 2,) * r
-            for k in product(range(gens.m + 2), repeat=r):
+    assert table.shape == (m + 3,) * s and table.dtype == np.int64
+    assert table[(0,) * s] == pts.n**2  # empty u: every pair adds 1
+    for r in range(1, s + 1):
+        for u in combinations(range(1, s + 1), r):
+            pairs = table[subset_view(u, s)]
+            assert pairs.shape == (m + 2,) * r
+            for k in product(range(m + 2), repeat=r):
                 assert Fraction(int(pairs[k]), pts.n) == gain_bruteforce(pts, SubsetIndex(u, k))
+
+
+def test_pair_table_refuses_points_that_are_no_digital_net(shift_points):
+    spec = ScrambleSpec(kind=ScrambleKind.NESTED_UNIFORM, output_bits=shift_points.m, seed=3)
+    nested = scramble(shift_points, spec).to_net_points()
+    with pytest.raises(ValueError, match="not a digital net"):
+        gain_pair_table(nested)
 
 
 # --- gain_representation -------------------------------------------------------------

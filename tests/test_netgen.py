@@ -8,12 +8,14 @@ import pytest
 
 from netgains.gf2 import BitMatrix, rank, rank_of_rows
 from netgains.netgen import (
+    DEPTH_INF,
     DIRECTION_NUMBERS,
     RAW,
     DirectionEntry,
     ParseError,
     StackWalk,
     SubsetIndex,
+    _match_depth,
     assemble_cuk,
     direction_columns,
     generate_points,
@@ -24,7 +26,7 @@ from netgains.netgen import (
 )
 from netgains.quality import bounded_vectors, compositions
 from netgains.suites import random_generator_set
-from netgains.samples import JOE_KUO_HEAD, SHIFT_NET_RAW
+from netgains.samples import JOE_KUO_HEAD, SHIFT_NET_RAW, sobol_net
 
 # Pascal matrix mod 2: entry (r, c) = C(c-1, r-1) mod 2; derived by running
 # the direction-number recurrence by hand for a=0, m_1=1: m = 1,3,5,15.
@@ -160,7 +162,8 @@ def test_columns_recoverable_from_points(shift, sobol2d):
 
 def test_points_match_column_xor_at_every_index(shift, sobol2d, identity_net):
     # point i is the XOR of the generator columns picked by the bits of i
-    for gens in (shift, sobol2d, identity_net(5, 2)):
+    wide = random_generator_set(random.Random(12), 2, 12)
+    for gens in (shift, sobol2d, identity_net(5, 2), wide, sobol_net(7, 8)):
         pts = generate_points(gens)
         m = gens.m
         for j in range(1, gens.s + 1):
@@ -174,6 +177,16 @@ def test_points_match_column_xor_at_every_index(shift, sobol2d, identity_net):
                     if (i >> (c - 1)) & 1:
                         want ^= cols[c - 1]
                 assert int(pts.coords[i, j - 1]) == want
+
+
+def test_match_depth_is_m_minus_bit_length():
+    rng = random.Random(32)
+    # the largest and a random value of every bit length 1..32, and zero
+    values = [0]
+    for b in range(1, 33):
+        values += [(1 << b) - 1, rng.randrange(1 << (b - 1), 1 << b)]
+    depth = _match_depth(np.array(values, dtype=np.uint64), 32)
+    assert [int(d) for d in depth] == [DEPTH_INF] + [32 - v.bit_length() for v in values[1:]]
 
 
 def test_shift_net_balanced_to_depth_three(shift_points):

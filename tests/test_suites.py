@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from netgains import suites
-from netgains.gains import ResourceLimitError, gain_fast
+from netgains.gains import NULLSPACE_LOG2_LIMIT, ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix
-from netgains.netgen import GeneratorSet, SubsetIndex
+from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex
 from netgains.suites import (
     PAIR_TABLE_CELL_LIMIT,
-    PAIR_TABLE_MAX_M,
     evaluate_net,
     random_generator_set,
     suites_from_records,
@@ -58,6 +57,24 @@ def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
     assert not suite.passed
 
 
+def test_evaluate_net_catches_one_flipped_point_bit(monkeypatch):
+    real = suites.generate_points
+
+    def broken(gens):
+        coords = real(gens).coords.copy()
+        coords[5, 1] ^= 1  # last bit of point 5, coordinate 2
+        return NetPoints(coords, gens.m)
+
+    monkeypatch.setattr(suites, "generate_points", broken)
+    gens = random_generator_set(random.Random(2), 2, 4)
+    rec = evaluate_net(gens)
+    assert rec.oracle_mismatches == 1 and not rec.oracles_agree
+    (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
+    assert failure["u"] == [] and "not a digital net" in failure["brute"]
+    (suite,) = suites_from_records([rec], ["power-of-two"])
+    assert not suite.passed
+
+
 def test_evaluate_net_refuses_an_oversized_table_up_front(monkeypatch):
     def no_points(gens):
         raise AssertionError("points generated before the ceiling check")
@@ -67,11 +84,18 @@ def test_evaluate_net_refuses_an_oversized_table_up_front(monkeypatch):
     assert (8 + 3) ** 8 > PAIR_TABLE_CELL_LIMIT
     with pytest.raises(ResourceLimitError, match="pairwise table"):
         evaluate_net(gens)
-    # one coordinate keeps the table small, but 2^20 points make 2^40 pairs
-    wide = GeneratorSet((BitMatrix.identity(20),))
-    assert 20 + 3 <= PAIR_TABLE_CELL_LIMIT and 20 > PAIR_TABLE_MAX_M
-    with pytest.raises(ResourceLimitError, match=f"m <= {PAIR_TABLE_MAX_M}"):
+    # one coordinate keeps the table small, but its k = 0 triple alone
+    # would walk 2^25 nullspace states
+    wide = GeneratorSet((BitMatrix.identity(25),))
+    assert 25 + 3 <= PAIR_TABLE_CELL_LIMIT and 25 > NULLSPACE_LOG2_LIMIT
+    with pytest.raises(ResourceLimitError, match="nullspace states"):
         evaluate_net(wide)
+    # (2^s - 1) * 2^m states: 15 * 2^21 is over 2^24, 15 * 2^20 and 2^24 are not
+    with pytest.raises(ResourceLimitError, match="nullspace states"):
+        evaluate_net(GeneratorSet((BitMatrix.identity(21),) * 4))
+    for s, m in ((4, 20), (1, 24)):
+        with pytest.raises(AssertionError, match="points generated"):
+            evaluate_net(GeneratorSet((BitMatrix.identity(m),) * s))
 
 
 def test_suites_surface_failures():
