@@ -5,16 +5,13 @@ estimation."""
 from .gf2 import (
     BitMatrix,
     BitVector,
-    nullspace_basis,
     rank,
-    row_reduce,
 )
 from .netgen import (
     GeneratorSet,
     NetPoints,
     ParseError,
     SubsetIndex,
-    assemble_cuk,
     generate_points,
     load_generators,
 )
@@ -60,15 +57,12 @@ __all__ = [
     "BitMatrix",
     "BitVector",
     "rank",
-    "row_reduce",
-    "nullspace_basis",
     "GeneratorSet",
     "NetPoints",
     "ParseError",
     "SubsetIndex",
     "load_generators",
     "generate_points",
-    "assemble_cuk",
     "QualityReport",
     "quality_report",
     "t_value",

@@ -15,7 +15,8 @@ Three routes of increasing speed compute the same number:
   gives the same sums for every ``(u, k)`` at once, in O(n * s), from the
   match depths of the points' XOR differences from point 0.
 * :func:`gain_representation` - a signed count over the nullspace of the
-  stacked matrix; middle ground.
+  stacked matrix; middle ground.  :class:`KernelWalk` gives the counts for
+  every ``k`` of one subset, restricting one nullspace basis row by row.
 * :func:`gain_fast` - rank plus one membership test.
 
 They are kept deliberately separate so each can serve as an oracle for the
@@ -32,7 +33,6 @@ from typing import TextIO
 
 import numpy as np
 
-from . import gf2
 from .netgen import (
     GeneratorSet,
     NetPoints,
@@ -159,33 +159,109 @@ def gain_pair_table(points: NetPoints) -> np.ndarray:
 def gain_representation(gens: GeneratorSet, idx: SubsetIndex) -> int:
     """Gain coefficient as a signed count over the stacked matrix nullspace.
 
-    Walks all indices whose stacked image is zero and adds the sign given
-    by the parity of "next row fires" events.  Sign patterns are linear in
-    the index, so a Gray-code walk updates them in O(1) per state.
+    The one-vector :class:`KernelWalk`: depths past ``m + 1`` are clamped
+    there, which changes neither the nullspace nor the next rows.
 
     Raises :class:`ResourceLimitError` when the nullspace has more than
     ``2**NULLSPACE_LOG2_LIMIT`` elements; use :func:`gain_fast` there.
     """
     gens.validate_index(idx)
-    m = gens.m
-    rows: list[int] = []  # C_{u,k} without its zero rows past m
-    nabla = []  # row k_j + 1 of each matrix
-    for j, kj in zip(idx.u, idx.k):
-        table = gens._rows[j - 1]  # zero from row m + 1 on
-        kj = min(kj, m)
-        rows += table[:kj]
-        nabla.append(table[kj])
-    null = gf2.nullspace_of_rows(rows, m)
-    dim = len(null)
+    cap = gens.m + 1
+    k = [min(kj, cap) for kj in idx.k]
+    return next(iter(KernelWalk(gens, idx.u, k, cap, sum(k))))
+
+
+class KernelWalk:
+    """Signed nullspace counts for the depth vectors ``k`` of one subset ``u``.
+
+    Visits the ``k`` of :class:`~netgains.netgen.StackWalk` with the same
+    ``floor``, ``cap`` and (fixed) ``budget``, in the same lexicographic
+    order, but eliminates in the dual space and shares no code with that
+    rank route: per coordinate of ``u`` it keeps a basis of the nullspace of
+    the rows stacked up to it.  As ``N(C_{u,k+e_j})`` is ``{v in N(C_{u,k}) :
+    row_{k_j+1}(j) . v = 0}``, stepping ``k_j`` up is one :func:`_restrict`.
+
+    Iterating yields, per ``k``, the sum over N(C_{u,k}) of -1 to the number
+    of next rows (row ``k_j + 1`` of each ``j``) a vector trips.  Sign
+    patterns are linear in the vector, so a Gray-code walk updates them in
+    O(1) per state.  ``k``, a list updated in place, and ``basis`` are the
+    current ones.  Raises :class:`ResourceLimitError` at a ``k`` whose
+    nullspace has more than ``2**NULLSPACE_LOG2_LIMIT`` elements.
+    """
+
+    def __init__(self, gens: GeneratorSet, u, floor, cap: int, budget: int):
+        if not u or any(not 1 <= j <= gens.s for j in u):
+            raise ValueError(f"u must be nonempty coordinates in 1..{gens.s}, got {tuple(u)}")
+        if len(floor) != len(u):
+            raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
+        if not 0 <= cap <= gens.m + 1:
+            raise ValueError(f"cap must be in [0, {gens.m + 1}], got {cap}")
+        self._rows = [gens._rows[j - 1] for j in u]  # zero from row m + 1 on
+        self._floor = tuple(floor)
+        self._cap = cap
+        self._budget = budget
+        self._m = gens.m
+        self.k = [0] * len(u)
+        self.basis: list[int] = []
+
+    def __iter__(self):
+        rows, floor, cap, budget, k = self._rows, self._floor, self._cap, self._budget, self.k
+        if max(floor) > cap or sum(floor) > budget:
+            return
+        last = len(rows) - 1
+        bases = [[]] * (last + 1)  # at i: the basis for the rows of coordinates 0..i
+        nexts = [0] * (last + 1)  # row k_j + 1 of each coordinate
+        i, basis = -1, [1 << b for b in range(self._m)]  # the empty stack's: all m-bit vectors
+        while True:
+            for j in range(i + 1, last + 1):  # the coordinates after i start at their floor
+                k[j] = floor[j]
+                nexts[j] = rows[j][floor[j]]
+                for ell in range(floor[j]):
+                    basis = _restrict(basis, rows[j][ell])
+                bases[j] = basis
+            self.basis = basis
+            yield _signed_count(basis, nexts)
+            # the next k in lex order steps up the last coordinate that can
+            i, used = last, sum(k)
+            while k[i] >= cap or used >= budget:
+                used -= k[i] - floor[i]
+                i -= 1
+                if i < 0:
+                    return
+            basis = bases[i] = _restrict(bases[i], rows[i][k[i]])
+            k[i] += 1
+            nexts[i] = rows[i][k[i]]
+
+
+def _restrict(basis: list[int], row: int) -> list[int]:
+    """A basis of ``{v in span(basis) : row . v = 0}``; ``basis`` itself if all of it.
+
+    Takes the first vector with odd product, XORs it into the later ones
+    with odd product, and drops it.  The earlier vectors have even product.
+    """
+    for i, pivot in enumerate(basis):
+        if (pivot & row).bit_count() & 1:
+            break
+    else:
+        return basis
+    out = basis[:i]
+    for vec in basis[i + 1 :]:
+        out.append(vec ^ pivot if (vec & row).bit_count() & 1 else vec)
+    return out
+
+
+def _signed_count(basis: list[int], nexts: list[int]) -> int:
+    """Sum over the span of ``basis`` of -1 to the number of ``nexts`` rows it trips."""
+    dim = len(basis)
     if dim > NULLSPACE_LOG2_LIMIT:
         raise ResourceLimitError(
             f"nullspace has 2^{dim} elements (limit 2^{NULLSPACE_LOG2_LIMIT})"
         )
-    # pattern of one basis vector: which selected next-rows it trips
+    # pattern of one basis vector: which next rows it trips
     patkeys = []
-    for vec in null:
+    for vec in basis:
         pat = 0
-        for g in nabla:
+        for g in nexts:
             pat = (pat << 1) | ((g & vec).bit_count() & 1)
         patkeys.append(pat)
     total = 1  # the zero index: all-match, sign +1
@@ -395,6 +471,7 @@ __all__ = [
     "gain_bruteforce",
     "gain_pair_table",
     "gain_representation",
+    "KernelWalk",
     "max_gain",
     "gain_bounds",
     "enumerate_gains",

@@ -9,6 +9,8 @@ package affordable.
 Matrices are immutable after construction and the functions return fresh
 values.  :class:`PivotTable` is the one mutable piece: the elimination
 state that every rank and membership question in the package goes through.
+Nullspaces are the nullspace gain oracle's own business
+(:class:`netgains.gains.KernelWalk`), so they share no code with it.
 """
 
 from __future__ import annotations
@@ -172,84 +174,11 @@ def rank(matrix: BitMatrix) -> int:
     return rank_of_rows(matrix.rows)
 
 
-@dataclass(frozen=True)
-class RowReduction:
-    reduced: BitMatrix
-    rank: int
-    pivot_cols: tuple[int, ...]
-
-
-def row_reduce(matrix: BitMatrix) -> RowReduction:
-    """Reduced row echelon form over GF(2).
-
-    The result keeps the original number of rows: pivot rows come first in
-    pivot-column order, zero rows pad the bottom.  The row space is
-    preserved and ``rank`` agrees with :func:`rank`.
-    """
-    table = PivotTable(matrix.ncols)
-    for row in matrix.rows:
-        table.push(row)
-    # pivot-column order is descending bit_length; then clear above pivots
-    pivot_rows = [row for row in reversed(table.pivots) if row]
-    for i in range(len(pivot_rows)):
-        for j in range(i + 1, len(pivot_rows)):
-            lead = pivot_rows[j].bit_length()
-            if (pivot_rows[i] >> (lead - 1)) & 1:
-                pivot_rows[i] ^= pivot_rows[j]
-    r = len(pivot_rows)
-    pivot_cols = tuple(matrix.ncols - row.bit_length() + 1 for row in pivot_rows)
-    padded = tuple(pivot_rows) + (0,) * (matrix.nrows - r)
-    return RowReduction(BitMatrix(matrix.ncols, padded), r, pivot_cols)
-
-
-def nullspace_of_rows(rows: Iterable[int], ncols: int) -> list[int]:
-    """Packed basis of {x : row . x = 0 for every row}; ``ncols - rank`` vectors.
-
-    Rows and basis vectors are ``ncols`` bits wide, column 1 most
-    significant.  The rows are brought to echelon form indexed by leading
-    bit; each free column then gives one vector, in column order, whose
-    pivot bits are solved from the lowest pivot up.  The elimination is its
-    own, not :class:`PivotTable`'s, so the nullspace gain oracle shares no
-    code with the rank route it checks.
-    """
-    pivots = [0] * (ncols + 1)
-    for row in rows:
-        while row:
-            lead = row.bit_length()
-            pivot = pivots[lead]
-            if not pivot:
-                pivots[lead] = row
-                break
-            row ^= pivot
-    out = []
-    for free in range(ncols, 0, -1):
-        if pivots[free]:
-            continue
-        vec = 1 << (free - 1)
-        # the bits of vec below ``lead`` are final; pivot row ``lead`` sets its own
-        for lead in range(1, ncols + 1):
-            pivot = pivots[lead]
-            if pivot and (pivot & vec).bit_count() & 1:
-                vec |= 1 << (lead - 1)
-        out.append(vec)
-    return out
-
-
-def nullspace_basis(matrix: BitMatrix) -> tuple[BitVector, ...]:
-    """Basis of {x : matrix @ x = 0}; has ``ncols - rank`` elements."""
-    n = matrix.ncols
-    return tuple(BitVector(vec, n) for vec in nullspace_of_rows(matrix.rows, n))
-
-
 __all__ = [
     "MAX_COLS",
     "BitVector",
     "BitMatrix",
     "PivotTable",
-    "RowReduction",
     "rank",
     "rank_of_rows",
-    "row_reduce",
-    "nullspace_of_rows",
-    "nullspace_basis",
 ]

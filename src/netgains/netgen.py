@@ -136,8 +136,11 @@ class GeneratorSet:
 class NetPoints:
     """All ``2**m`` points of a net as an (n, s) array of numerators."""
 
-    def __init__(self, coords: np.ndarray, m: int):
-        coords = np.array(coords, dtype=np.uint64, order="C")  # own copy, frozen below
+    def __init__(self, coords: np.ndarray, m: int, *, _owned: bool = False):
+        # frozen below: an own copy, so the caller's array stays writeable and unaliased,
+        # unless ``_owned`` says that no one writes to ``coords`` again
+        coords = (np.ascontiguousarray(coords, dtype=np.uint64) if _owned
+                  else np.array(coords, dtype=np.uint64, order="C"))
         if coords.ndim != 2:
             raise ValueError("coords must be 2-dimensional")
         if not 1 <= m <= MAX_M:
@@ -376,22 +379,10 @@ def sobol_generator_set(entries: dict[int, DirectionEntry], dims: int, m: int) -
 def generate_points(gens: GeneratorSet) -> NetPoints:
     """All ``2**m`` points in index order: point ``i`` is the XOR of the
     generator columns ``c`` picked by the bits ``c - 1`` of ``i``."""
-    return NetPoints(_xor_span(gens._columns), gens.m)
+    return NetPoints(_xor_span(gens._columns), gens.m, _owned=True)
 
 
 # --- stacked matrices -------------------------------------------------------
-
-def assemble_cuk(gens: GeneratorSet, idx: SubsetIndex) -> BitMatrix:
-    """Stack the first k_j rows of each selected generator matrix."""
-    gens.validate_index(idx)
-    rows = []
-    for j, kj in zip(idx.u, idx.k):
-        table = gens._rows[j - 1]  # rows 1..m, then zero rows
-        rows += table[:kj]
-        if kj > len(table):
-            rows += (0,) * (kj - len(table))
-    return BitMatrix(gens.m, tuple(rows))
-
 
 class StackWalk:
     """Depth-first walk over the depth vectors ``k`` of one coordinate subset ``u``.
@@ -517,7 +508,6 @@ __all__ = [
     "direction_columns",
     "sobol_generator_set",
     "generate_points",
-    "assemble_cuk",
     "StackWalk",
     "stack_at",
     "write_points_csv",

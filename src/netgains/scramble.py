@@ -137,8 +137,8 @@ class ScrambledPoints:
         return (self._numerators.astype(np.float64) + self._offsets) * scale
 
     def to_net_points(self) -> NetPoints:
-        """Reinterpret the scrambled numerators as a net (output_bits <= 32)."""
-        return NetPoints(self._numerators, self._bits)
+        """Reinterpret the scrambled numerators, frozen and shared, as a net (output_bits <= 32)."""
+        return NetPoints(self._numerators, self._bits, _owned=True)
 
 
 def _scramble_linear(a: np.ndarray, m: int, d: int, key: int) -> np.ndarray:
@@ -280,6 +280,8 @@ def estimate(
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
+    if isinstance(integrand, HaarIntegrand) and integrand.u[-1] > points.s:
+        raise ValueError(f"haar integrand on u={integrand.u} exceeds dimension s={points.s}")
     means = []
     for r in range(replicates):
         scrambled = scramble(points, replace(spec, seed=replicate_seed(spec.seed, r)))

@@ -4,8 +4,10 @@ A sweep draws random generator sets, walks the whole (u, k) box with
 per-coordinate depths up to ``m + 1``, and evaluates each gain coefficient
 three ways: the pairwise sum (read from the one
 :func:`~netgains.gains.gain_pair_table` of the net, built from the points'
-own match depths), the nullspace count, and the rank test read off one
-:class:`~netgains.netgen.StackWalk` per subset.  The per-net record
+own match depths), the nullspace count read off one
+:class:`~netgains.gains.KernelWalk` per subset, and the rank test read off
+one :class:`~netgains.netgen.StackWalk` per subset; the two walks go in
+lockstep over the same ``k``.  The per-net record
 carries everything the individual property suites assert about: exact
 agreement of the three routes, power-of-two values, bound domination, the
 forced-zero region, rank-derived t versus counting t, and attainment of
@@ -22,10 +24,10 @@ from fractions import Fraction
 from .gains import (
     NULLSPACE_LOG2_LIMIT,
     GainValue,
+    KernelWalk,
     ResourceLimitError,
     gain_fast,
     gain_pair_table,
-    gain_representation,
     max_gain,
 )
 from .gf2 import BitMatrix
@@ -123,14 +125,16 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
             view = tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
             pairs = None if table is None else table[view]
             walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
+            kernel = KernelWalk(gens, u, (0,) * r, cap, r * cap)
             residual = walk.table.residual
-            for _, rank, nxt in walk:
+            for (_, rank, nxt), middle in zip(walk, kernel, strict=True):
+                if kernel.k != walk.k:
+                    raise AssertionError(f"walks of u={u} apart: k={walk.k} and {kernel.k}")
                 k = tuple(walk.k)
                 triples += 1
                 fast = GainValue.zero() if residual(nxt) else GainValue(m - rank)
                 value = fast.as_int
                 total = value * n if pairs is None else int(pairs[k])
-                middle = gain_representation(gens, SubsetIndex._trusted(u, k))
                 if not (total == value * n and value == middle):
                     mismatches += 1
                     note("oracle", u, k, fast=value, brute=str(Fraction(total, n)), middle=middle)

@@ -31,3 +31,12 @@ def test_names_the_benchmark_reaches_outside_all():
     assert "min_m" in inspect.signature(suites.sweep_records).parameters
     assert set(cli._COMMANDS) == {"gen", "analyze", "gains", "scramble", "integrate", "verify"}
     assert callable(cli.main)
+
+
+def test_from_scratch_references_live_in_the_tests():
+    import gf2_reference
+
+    moved = {"RowReduction", "row_reduce", "nullspace_of_rows", "nullspace_basis", "assemble_cuk"}
+    for mod in (netgains, *(importlib.import_module(f"netgains.{name}") for name in MODULES)):
+        assert not moved & set(vars(mod)), mod.__name__
+    assert all(callable(getattr(gf2_reference, name)) for name in moved)

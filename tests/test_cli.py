@@ -170,6 +170,16 @@ def test_integrate_haar(shiftnet_file, capsys):
     assert payload["mean"] == 0.0  # depth-zero wave is integrated exactly
 
 
+def test_integrate_haar_beyond_the_dimension_exits_invalid(joekuo_file, capsys):
+    code = main(
+        ["--seed", "5", "integrate", "--dirnum", joekuo_file, "--dims", "2", "--m", "4",
+         "--integrand", "haar", "--u", "3", "--k", "1", "--reps", "2", "--kind", "rls"]
+    )
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u=(3,)" in err and "s=2" in err
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_sweep_suites_pass(capsys):

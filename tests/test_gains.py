@@ -7,8 +7,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from gf2_reference import assemble_cuk, nullspace_of_rows
 from netgains.gains import (
     GainValue,
+    KernelWalk,
     ResourceLimitError,
     enumerate_gains,
     gain_bounds,
@@ -19,7 +21,7 @@ from netgains.gains import (
     max_gain,
 )
 from netgains.gf2 import BitMatrix, rank, rank_of_rows
-from netgains.netgen import GeneratorSet, SubsetIndex, assemble_cuk, generate_points
+from netgains.netgen import GeneratorSet, SubsetIndex, generate_points
 from netgains.quality import bounded_vectors, t_value
 from netgains.samples import shift_net
 from netgains.scramble import ScrambleKind, ScrambleSpec, scramble
@@ -187,6 +189,85 @@ def test_representation_resource_guard():
     wide = GeneratorSet((BitMatrix(26, (0,) * 26),))
     with pytest.raises(ResourceLimitError):
         gain_representation(wide, SubsetIndex((1,), (1,)))
+
+
+# --- the kernel walk ---------------------------------------------------------------
+
+def brute_signed_count(gens: GeneratorSet, u, k) -> int:
+    """Sum over all x with C_{u,k} x = 0 of -1 to the number of next rows x trips."""
+    rows = assemble_cuk(gens, SubsetIndex(u, k)).rows
+    nexts = [gens.row(j, kj + 1) for j, kj in zip(u, k)]
+    total = 0
+    for x in range(1 << gens.m):
+        if not any((row & x).bit_count() & 1 for row in rows):
+            total += (-1) ** sum((g & x).bit_count() & 1 for g in nexts)
+    return total
+
+
+def kernel_walk_nets(rng: random.Random) -> list[GeneratorSet]:
+    nets = [random_generator_set(rng, rng.randint(1, 3), m) for m in range(1, 11)]
+    for m in (3, 6, 9):
+        a, b = random_generator_set(rng, 2, m).matrices
+        zero = BitMatrix(m, (0,) * m)
+        nets += [GeneratorSet((a, a, b)), GeneratorSet((zero, a)), GeneratorSet((b, zero, b))]
+    return nets
+
+
+def test_kernel_walk_matches_from_scratch_nullspaces():
+    rng = random.Random(53)
+    visits = 0
+    for gens in kernel_walk_nets(rng):
+        m, cap = gens.m, gens.m + 1
+        for _ in range(4):
+            size = rng.randint(1, gens.s)
+            u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
+            floor = tuple(rng.randint(0, cap) for _ in u)
+            # deep floors reach k_j = m + 1; few visits past m = 6 keep the brute force cheap
+            budget = sum(floor) + rng.randint(0, 2 if m > 6 else size * cap)
+            walk = KernelWalk(gens, u, floor, cap, budget)
+            seen = []
+            for count in walk:
+                k = tuple(walk.k)
+                rows = assemble_cuk(gens, SubsetIndex(u, k)).rows
+                null = nullspace_of_rows(rows, m)
+                assert len(walk.basis) == len(null) == m - rank_of_rows(rows)
+                assert rank_of_rows(walk.basis) == len(walk.basis)
+                assert all(not (row & v).bit_count() & 1 for row in rows for v in walk.basis)
+                assert count == brute_signed_count(gens, u, k)
+                seen.append(k)
+            want = [
+                k
+                for k in bounded_vectors(size, cap, budget)
+                if all(a >= b for a, b in zip(k, floor))
+            ]
+            assert seen == want
+            visits += len(seen)
+    assert visits > 500
+
+
+def test_kernel_walk_refuses_a_nullspace_past_the_limit(monkeypatch, identity_net):
+    from netgains import gains
+
+    monkeypatch.setattr(gains, "NULLSPACE_LOG2_LIMIT", 3)
+    gens = identity_net(5)
+    walk = KernelWalk(gens, (1,), (2,), 6, 6)
+    assert list(walk) == [0, 0, 0, 1, 1]  # nullspaces of dimension 3, 2, 1, 0, 0
+    with pytest.raises(ResourceLimitError, match="2\\^4 elements"):
+        list(KernelWalk(gens, (1,), (1,), 6, 6))
+    with pytest.raises(ResourceLimitError):
+        gain_representation(gens, SubsetIndex((1,), (1,)))
+    assert gain_representation(gens, SubsetIndex((1,), (5 + 5,))) == 1
+
+
+def test_kernel_walk_validates_arguments(shift):
+    with pytest.raises(ValueError):
+        KernelWalk(shift, (0, 2), (0, 0), 4, 4)
+    with pytest.raises(ValueError):
+        KernelWalk(shift, (1, 5), (0, 0), 4, 4)
+    with pytest.raises(ValueError):
+        KernelWalk(shift, (1, 2), (0,), 4, 4)
+    with pytest.raises(ValueError):
+        KernelWalk(shift, (1,), (0,), shift.m + 2, 4)
 
 
 # --- max_gain -------------------------------------------------------------------------

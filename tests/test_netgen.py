@@ -2,21 +2,23 @@
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gf2_reference import assemble_cuk
 from netgains.gf2 import BitMatrix, rank, rank_of_rows
 from netgains.netgen import (
     DEPTH_INF,
     DIRECTION_NUMBERS,
     RAW,
     DirectionEntry,
+    NetPoints,
     ParseError,
     StackWalk,
     SubsetIndex,
     _match_depth,
-    assemble_cuk,
     direction_columns,
     generate_points,
     load_generators,
@@ -177,6 +179,28 @@ def test_points_match_column_xor_at_every_index(shift, sobol2d, identity_net):
                     if (i >> (c - 1)) & 1:
                         want ^= cols[c - 1]
                 assert int(pts.coords[i, j - 1]) == want
+
+
+def test_points_are_generated_without_a_second_copy():
+    gens = sobol_net(7, 18)
+    gens._columns  # cached on the net, not part of the points
+    tracemalloc.start()
+    try:
+        points = generate_points(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert points.coords.nbytes == 7 << 21  # 14 MiB
+    assert peak <= 1.2 * points.coords.nbytes
+
+
+def test_net_points_copy_the_callers_array(shift_points):
+    coords = shift_points.coords.copy()
+    points = NetPoints(coords, shift_points.m)
+    assert not np.shares_memory(points.coords, coords)
+    assert coords.flags.writeable and not points.coords.flags.writeable
+    coords[3, 1] ^= 1
+    assert np.array_equal(points.coords, shift_points.coords)
 
 
 def test_match_depth_is_m_minus_bit_length():

@@ -1,5 +1,6 @@
 """Randomization: distributional properties, determinism, the variance law."""
 
+import importlib
 import math
 
 import numpy as np
@@ -76,7 +77,9 @@ def test_scrambles_preserve_counting(shift, shift_points, sobol2d, sobol2d_point
         t = t_value(gens)
         for kind in ALL_KINDS:
             for seed in range(20):
-                net = scramble(points, ScrambleSpec(kind=kind, seed=seed)).to_net_points()
+                scrambled = scramble(points, ScrambleSpec(kind=kind, seed=seed))
+                net = scrambled.to_net_points()
+                assert np.shares_memory(net.coords, scrambled.numerators)  # frozen, not copied
                 assert verify_net_by_counting(net, t)
 
 
@@ -215,6 +218,19 @@ def test_haar_estimates_are_unbiased(shift, shift_points):
 def test_estimate_needs_two_replicates(shift_points):
     with pytest.raises(ValueError):
         estimate(shift_points, ScrambleSpec(seed=0), lambda x: x[:, 0], 1)
+
+
+def test_haar_beyond_the_dimension_refused_before_scrambling(shift, sobol2d_points, monkeypatch):
+    module = importlib.import_module("netgains.scramble")
+
+    def no_scramble(points, spec):
+        raise AssertionError("scrambled before the dimension check")
+
+    monkeypatch.setattr(module, "scramble", no_scramble)
+    with pytest.raises(ValueError, match=r"u=\(3,\).*s=2"):
+        estimate(sobol2d_points, ScrambleSpec(seed=0), HaarIntegrand((3,), (1,)), 2)
+    with pytest.raises(ValueError, match=r"\(1, 5\).*s=4"):
+        verify_gain_identity(shift, SubsetIndex((1, 5), (0, 0)), 2, ScrambleSpec(seed=0))
 
 
 def test_non_finite_integrand_reported(shift_points):

@@ -57,6 +57,28 @@ def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
     assert not suite.passed
 
 
+def test_evaluate_net_catches_one_wrong_signed_count(monkeypatch):
+    from netgains import gains
+
+    real = gains._signed_count
+    calls = []
+
+    def broken(basis, nexts):
+        calls.append(None)
+        return real(basis, nexts) + (len(calls) == 7)  # the 7th triple's count is one off
+
+    monkeypatch.setattr(gains, "_signed_count", broken)
+    gens = random_generator_set(random.Random(2), 2, 4)
+    rec = evaluate_net(gens)
+    assert len(calls) == rec.triples
+    assert rec.oracle_mismatches == 1 and not rec.oracles_agree
+    (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
+    assert failure["middle"] == failure["fast"] + 1
+    assert failure["brute"] == str(Fraction(failure["fast"]))
+    (suite,) = suites_from_records([rec], ["power-of-two"])
+    assert not suite.passed
+
+
 def test_evaluate_net_catches_one_flipped_point_bit(monkeypatch):
     real = suites.generate_points
 
