@@ -166,20 +166,19 @@ def gain_representation(gens: GeneratorSet, idx: SubsetIndex) -> int:
     ``2**NULLSPACE_LOG2_LIMIT`` elements; use :func:`gain_fast` there.
     """
     gens.validate_index(idx)
-    cap = gens.m + 1
-    k = [min(kj, cap) for kj in idx.k]
-    return next(iter(KernelWalk(gens, idx.u, k, cap, sum(k))))
+    return next(iter(KernelWalk(gens, idx.u, [min(kj, gens.m + 1) for kj in idx.k])))
 
 
 class KernelWalk:
     """Signed nullspace counts for the depth vectors ``k`` of one subset ``u``.
 
-    Visits the ``k`` of :class:`~netgains.netgen.StackWalk` with the same
-    ``floor``, ``cap`` and (fixed) ``budget``, in the same lexicographic
-    order, but eliminates in the dual space and shares no code with that
-    rank route: per coordinate of ``u`` it keeps a basis of the nullspace of
-    the rows stacked up to it.  As ``N(C_{u,k+e_j})`` is ``{v in N(C_{u,k}) :
-    row_{k_j+1}(j) . v = 0}``, stepping ``k_j`` up is one :func:`_restrict`.
+    Visits every ``k`` with ``floor[j] <= k[j] <= m + 1`` in lexicographic
+    order, as :class:`~netgains.netgen.StackWalk` does with cap ``m + 1`` and
+    a budget that never binds, but eliminates in the dual space and shares
+    no code with that rank route: per coordinate of ``u`` it keeps a basis
+    of the nullspace of the rows stacked up to it.  As ``N(C_{u,k+e_j})`` is
+    ``{v in N(C_{u,k}) : row_{k_j+1}(j) . v = 0}``, stepping ``k_j`` up is
+    one :func:`_restrict`.
 
     Iterating yields, per ``k``, the sum over N(C_{u,k}) of -1 to the number
     of next rows (row ``k_j + 1`` of each ``j``) a vector trips.  Sign
@@ -189,25 +188,21 @@ class KernelWalk:
     nullspace has more than ``2**NULLSPACE_LOG2_LIMIT`` elements.
     """
 
-    def __init__(self, gens: GeneratorSet, u, floor, cap: int, budget: int):
+    def __init__(self, gens: GeneratorSet, u, floor):
         if not u or any(not 1 <= j <= gens.s for j in u):
             raise ValueError(f"u must be nonempty coordinates in 1..{gens.s}, got {tuple(u)}")
         if len(floor) != len(u):
             raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
-        if not 0 <= cap <= gens.m + 1:
-            raise ValueError(f"cap must be in [0, {gens.m + 1}], got {cap}")
+        if any(not 0 <= f <= gens.m + 1 for f in floor):
+            raise ValueError(f"floor entries must be in [0, {gens.m + 1}], got {tuple(floor)}")
         self._rows = [gens._rows[j - 1] for j in u]  # zero from row m + 1 on
         self._floor = tuple(floor)
-        self._cap = cap
-        self._budget = budget
         self._m = gens.m
         self.k = [0] * len(u)
         self.basis: list[int] = []
 
     def __iter__(self):
-        rows, floor, cap, budget, k = self._rows, self._floor, self._cap, self._budget, self.k
-        if max(floor) > cap or sum(floor) > budget:
-            return
+        rows, floor, cap, k = self._rows, self._floor, self._m + 1, self.k
         last = len(rows) - 1
         bases = [[]] * (last + 1)  # at i: the basis for the rows of coordinates 0..i
         nexts = [0] * (last + 1)  # row k_j + 1 of each coordinate
@@ -222,9 +217,8 @@ class KernelWalk:
             self.basis = basis
             yield _signed_count(basis, nexts)
             # the next k in lex order steps up the last coordinate that can
-            i, used = last, sum(k)
-            while k[i] >= cap or used >= budget:
-                used -= k[i] - floor[i]
+            i = last
+            while k[i] >= cap:
                 i -= 1
                 if i < 0:
                     return

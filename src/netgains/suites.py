@@ -85,7 +85,8 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     table would exceed :data:`PAIR_TABLE_CELL_LIMIT` cells, or when the
     nullspace count would walk ``(2**s - 1) * 2**m > 2**NULLSPACE_LOG2_LIMIT``
     states on the ``k = 0`` triples alone.  Points that are no digital net
-    count as one oracle mismatch.
+    count as one oracle mismatch, and so does a subset whose rank and kernel
+    walks fall out of step; its walk stops there.
     """
     s, m = gens.s, gens.m
     if (m + 3) ** s > PAIR_TABLE_CELL_LIMIT:
@@ -125,11 +126,15 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
             view = tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
             pairs = None if table is None else table[view]
             walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
-            kernel = KernelWalk(gens, u, (0,) * r, cap, r * cap)
+            kernel = KernelWalk(gens, u, (0,) * r)
+            counts = iter(kernel)
             residual = walk.table.residual
-            for (_, rank, nxt), middle in zip(walk, kernel, strict=True):
-                if kernel.k != walk.k:
-                    raise AssertionError(f"walks of u={u} apart: k={walk.k} and {kernel.k}")
+            for _, rank, nxt in walk:
+                middle = next(counts, None)
+                if middle is None or kernel.k != walk.k:  # walks out of step: stop this u
+                    mismatches += 1
+                    note("oracle", u, walk.k, kernel_k=None if middle is None else list(kernel.k))
+                    break
                 k = tuple(walk.k)
                 triples += 1
                 fast = GainValue.zero() if residual(nxt) else GainValue(m - rank)
@@ -152,6 +157,10 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
                     if r + sum(k) <= m - t:
                         zero_bad += 1
                         note("zero_region", u, k, log2=fast.log2)
+            else:  # the rank walk ended: the kernel walk must end with it
+                if next(counts, None) is not None:
+                    mismatches += 1
+                    note("oracle", u, kernel.k, kernel_k=list(kernel.k))
 
     closed, witness = max_gain(gens)
     witness_ok = gain_fast(gens, witness) == closed

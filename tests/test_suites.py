@@ -79,6 +79,39 @@ def test_evaluate_net_catches_one_wrong_signed_count(monkeypatch):
     assert not suite.passed
 
 
+class _SkippingKernelWalk(suites.KernelWalk):
+    """Drops the fourth count, so it falls one ``k`` ahead of the rank walk."""
+
+    def __iter__(self):
+        for i, count in enumerate(super().__iter__()):
+            if i != 3:
+                yield count
+
+
+class _ShortKernelWalk(suites.KernelWalk):
+    def __iter__(self):
+        counts = list(super().__iter__())
+        yield from counts[:-1]
+
+
+class _LongKernelWalk(suites.KernelWalk):
+    def __iter__(self):
+        yield from super().__iter__()
+        yield 0
+
+
+@pytest.mark.parametrize("broken", [_SkippingKernelWalk, _ShortKernelWalk, _LongKernelWalk])
+def test_evaluate_net_records_walks_out_of_step(monkeypatch, broken):
+    monkeypatch.setattr(suites, "KernelWalk", broken)
+    gens = random_generator_set(random.Random(2), 2, 4)
+    rec = evaluate_net(gens)  # must not raise
+    assert rec.oracle_mismatches == 3  # once per subset of {1, 2}
+    assert [f["kind"] for f in rec.failures] == ["oracle"] * 3
+    assert all("kernel_k" in f for f in rec.failures)
+    (suite,) = suites_from_records([rec], ["power-of-two"])
+    assert not suite.passed
+
+
 def test_evaluate_net_catches_one_flipped_point_bit(monkeypatch):
     real = suites.generate_points
 
