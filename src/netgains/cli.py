@@ -20,14 +20,7 @@ import numpy as np
 from . import netgen, quality, suites
 from .gains import ResourceLimitError, enumerate_gains, max_gain
 from .netgen import ParseError, load_generators
-from .scramble import (
-    HaarIntegrand,
-    ScrambleKind,
-    ScrambleSpec,
-    estimate,
-    replicate_seed,
-    scramble,
-)
+from .scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, _replicate_seeds, _scrambles, estimate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -234,28 +227,22 @@ def cmd_scramble(args) -> int:
     points = netgen.generate_points(gens)
     kind = _KINDS[args.kind]
     bits = args.output_bits if args.output_bits is not None else gens.m
-    specs = [
-        ScrambleSpec(kind=kind, output_bits=bits, seed=replicate_seed(seed, rep))
-        for rep in range(args.reps)
-    ]
+    scrambles = _scrambles(points, ScrambleSpec(kind, bits), _replicate_seeds(seed, args.reps))
     if args.json:
-        reps = []
-        for spec in specs:
-            scrambled = scramble(points, spec)
-            reps.append([[int(v) for v in row] for row in scrambled.numerators])
+        reps = [[[int(v) for v in row] for row in sp.numerators] for sp in scrambles]
         _emit(
             args,
             {"kind": kind.value, "output_bits": bits, "seed": seed, "numerators": reps},
         )
     elif args.format == "csv":
         with _out_stream(args.out) as fh:
-            for spec in specs:
-                for row in scramble(points, spec).reals:
+            for sp in scrambles:
+                for row in sp.reals:
                     fh.write(",".join(repr(float(v)) for v in row) + "\n")
     else:
         with _out_stream(args.out, binary=True) as fh:
-            for spec in specs:
-                netgen.write_points_binary(scramble(points, spec).numerators, bits, fh)
+            for sp in scrambles:
+                netgen.write_points_binary(sp.numerators, bits, fh)
     return EXIT_OK
 
 

@@ -162,20 +162,15 @@ def _cell_counts(points: NetPoints, k: Sequence[int]) -> np.ndarray:
 def verify_net_by_counting(points: NetPoints, t: int) -> bool:
     """Check the defining balance property directly on the points.
 
-    True iff every dyadic box of total depth at most ``m - t`` holds exactly
-    ``2**(m - depth)`` points.  Deep levels are checked first since an
-    unbalanced net usually fails there.
+    True iff every dyadic box of total depth ``m - t`` holds exactly
+    ``2**t`` points.  The shallower boxes then hold their share too, since
+    each is the union of two boxes one level deeper.
     """
     m = points.m
     if not 0 <= t <= m:
         raise ValueError(f"t must be in [0, {m}], got {t}")
-    for level in range(m - t, -1, -1):
-        want = 1 << (m - level)
-        for k in compositions(level, points.s, lo=0, hi=min(level, m)):
-            counts = _cell_counts(points, k)
-            if counts.min() != want or counts.max() != want:
-                return False
-    return True
+    counts = (_cell_counts(points, k) for k in compositions(m - t, points.s))
+    return all(c.min() == c.max() == 1 << t for c in counts)
 
 
 def minimal_counting_t(points: NetPoints) -> int:

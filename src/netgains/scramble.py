@@ -13,7 +13,7 @@ the 64-bit seed:
 Scrambled points carry ``output_bits >= m`` digits; a uniform offset below
 the last digit makes each point exactly uniform on [0, 1).  All randomness
 comes from a splitmix-style hash, so results are reproducible across runs,
-platforms and thread counts.
+platforms and chunk sizes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,22 +33,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 
-_TAG_LINEAR = 0x11
-_TAG_NESTED = 0x22
-_TAG_SHIFT = 0x33
 _TAG_OFFSET = 0x44
 _TAG_REPLICATE = 0x55
 
 
-def splitmix64(x: int) -> int:
-    """64-bit avalanche hash (the splitmix64 finalizer on x + golden gamma)."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _C1) & _MASK64
-    x = ((x ^ (x >> 27)) * _C2) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _mix_np(x: np.ndarray) -> np.ndarray:
+    """64-bit avalanche hash: the splitmix64 finalizer on ``x`` + golden gamma."""
     with np.errstate(over="ignore"):
         x = x + np.uint64(_GOLDEN)
         x = (x ^ (x >> np.uint64(30))) * np.uint64(_C1)
@@ -56,11 +46,10 @@ def _mix_np(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
-def _derive(seed: int, *parts: int) -> int:
-    key = seed & _MASK64
+def _derive(keys: np.ndarray, *parts: int) -> np.ndarray:
     for part in parts:
-        key = splitmix64(key ^ (part & _MASK64))
-    return key
+        keys = _mix_np(keys ^ np.uint64(part & _MASK64))
+    return keys
 
 
 def replicate_seed(seed: int, r: int) -> int:
@@ -69,22 +58,12 @@ def replicate_seed(seed: int, r: int) -> int:
     Hashed, so distinct base seeds give unrelated replicate sets; an XOR
     of ``seed`` and ``r`` would make seeds 1 and 2 share replicates 0..3.
     """
-    return _derive(seed, _TAG_REPLICATE, r)
+    return int(_derive(np.uint64(seed & _MASK64), _TAG_REPLICATE, r))
 
 
-class _Stream:
-    """Sequential splitmix64 draws from a derived key."""
-
-    def __init__(self, key: int):
-        self._state = key & _MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return splitmix64(self._state)
-
-    def bits(self, count: int) -> int:
-        word = self.next64()
-        return word >> (64 - count) if count > 0 else 0
+def _replicate_seeds(seed: int, count: int) -> np.ndarray:
+    """``replicate_seed(seed, r)`` for ``r < count``."""
+    return _mix_np(np.arange(count, dtype=np.uint64) ^ _derive(np.uint64(seed & _MASK64), _TAG_REPLICATE))
 
 
 class ScrambleKind(str, Enum):
@@ -103,16 +82,14 @@ class ScrambleSpec:
 
 
 class ScrambledPoints:
-    """Scrambled numerators over 2**output_bits plus in-cell offsets."""
+    """Scrambled numerators over 2**output_bits, from the 64-bit scramble seed ``seed``."""
 
-    def __init__(self, numerators: np.ndarray, output_bits: int, offsets: np.ndarray):
+    def __init__(self, numerators: np.ndarray, output_bits: int, seed: int):
         numerators = np.ascontiguousarray(numerators, dtype=np.uint64)
         numerators.flags.writeable = False
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        offsets.flags.writeable = False
         self._numerators = numerators
-        self._offsets = offsets
         self._bits = output_bits
+        self._seed = seed
 
     @property
     def numerators(self) -> np.ndarray:
@@ -132,65 +109,101 @@ class ScrambledPoints:
 
     @property
     def reals(self) -> np.ndarray:
-        """Points in [0, 1); exactly uniform thanks to the in-cell offset."""
-        scale = math.ldexp(1.0, -self._bits)
-        return (self._numerators.astype(np.float64) + self._offsets) * scale
+        """Points in [0, 1); exactly uniform thanks to an in-cell offset hashed from the seed."""
+        return _reals(self._numerators[None], self._bits, np.array([self._seed], dtype=np.uint64))[0]
 
     def to_net_points(self) -> NetPoints:
         """Reinterpret the scrambled numerators, frozen and shared, as a net (output_bits <= 32)."""
         return NetPoints(self._numerators, self._bits, _owned=True)
 
 
-def _scramble_linear(a: np.ndarray, m: int, d: int, key: int) -> np.ndarray:
-    stream = _Stream(key)
-    cols = [(1 << (d - c)) | stream.bits(d - c) for c in range(1, m + 1)]
-    shift = stream.bits(d)
-    # bit m - c of a picks column c, so the span of the reversed columns is indexed by a
-    return _xor_span(np.array(cols[::-1], dtype=np.uint64))[a] ^ np.uint64(shift)
-
-
-def _scramble_nested(a: np.ndarray, m: int, d: int, key: int) -> np.ndarray:
-    out = np.zeros(a.shape, dtype=np.uint64)
-    zero = np.zeros(a.shape, dtype=np.uint64)
-    for r in range(1, d + 1):
-        if r - 1 <= m:
-            prefix = a >> np.uint64(m - (r - 1))
-        else:
-            prefix = a << np.uint64(r - 1 - m)
-        flips = _mix_np(prefix ^ np.uint64(_derive(key, r))) & np.uint64(1)
-        in_bit = (a >> np.uint64(m - r)) & np.uint64(1) if r <= m else zero
-        out |= (in_bit ^ flips) << np.uint64(d - r)
+def _reals(numerators: np.ndarray, bits: int, seeds: np.ndarray) -> np.ndarray:
+    """Points ``(r, n, s)`` of the scrambles with ``seeds``: each numerator plus an
+    offset below its last digit, hashed from the seed, point and coordinate."""
+    index = np.arange(numerators.shape[1], dtype=np.uint64)
+    out = numerators.astype(np.float64)
+    for j in range(1, numerators.shape[2] + 1):
+        h = _mix_np(index ^ _derive(seeds, _TAG_OFFSET, j)[:, None])
+        out[:, :, j - 1] += (h >> np.uint64(11)).astype(np.float64) * math.ldexp(1.0, -53)
+    out *= math.ldexp(1.0, -bits)
     return out
 
 
-def _scramble_shift(a: np.ndarray, m: int, d: int, key: int) -> np.ndarray:
-    shift = _Stream(key).bits(d)
-    return (a << np.uint64(d - m)) ^ np.uint64(shift)
+# Each scramble kind maps the m-digit numerators ``a`` of one coordinate to
+# ``d`` digits under every key of ``keys``: ``(n,)`` and ``(r,)`` to ``(r, n)``.
+
+def _scramble_linear(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:
+    # draw i of a key's stream is _mix_np(key + i * gamma): m draws for the columns, one for the shift
+    words = _mix_np(keys[:, None] + np.arange(1, m + 2, dtype=np.uint64) * np.uint64(_GOLDEN))
+    # column c has its leading one at digit c and d - c random digits below it
+    below = np.uint64(d) - np.arange(1, m + 1, dtype=np.uint64)
+    cols = (np.uint64(1) << below) | (words[:, :m] >> (np.uint64(64) - below))
+    shift = words[:, m] >> np.uint64(64 - d)
+    # bit m - c of a picks column c, so the span of the reversed columns is indexed by a
+    return _xor_span(cols[:, ::-1].T)[a].T ^ shift[:, None]
+
+
+def _scramble_nested(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(keys), len(a)), dtype=np.uint64)
+    for r in range(1, d + 1):
+        prefix = a >> np.uint64(m - (r - 1)) if r - 1 <= m else a << np.uint64(r - 1 - m)
+        digit = _mix_np(prefix ^ _derive(keys, r)[:, None]) & np.uint64(1)
+        if r <= m:
+            digit ^= (a >> np.uint64(m - r)) & np.uint64(1)
+        out |= digit << np.uint64(d - r)
+    return out
+
+
+def _scramble_shift(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:
+    shift = _mix_np(keys + np.uint64(_GOLDEN)) >> np.uint64(64 - d)  # the stream's first draw
+    return (a << np.uint64(d - m)) ^ shift[:, None]
 
 
 _KIND_TAG_FN = {
-    ScrambleKind.RANDOM_LINEAR: (_TAG_LINEAR, _scramble_linear),
-    ScrambleKind.NESTED_UNIFORM: (_TAG_NESTED, _scramble_nested),
-    ScrambleKind.DIGITAL_SHIFT_ONLY: (_TAG_SHIFT, _scramble_shift),
+    ScrambleKind.RANDOM_LINEAR: (0x11, _scramble_linear),
+    ScrambleKind.NESTED_UNIFORM: (0x22, _scramble_nested),
+    ScrambleKind.DIGITAL_SHIFT_ONLY: (0x33, _scramble_shift),
 }
+
+# Scrambled values per chunk of seeds; a chunk holds at least one scramble.
+_CHUNK_VALUES = 1 << 18
+
+
+def _output_bits(m: int, output_bits: int | None) -> int:
+    d = m if output_bits is None else output_bits
+    if not m <= d <= 64:
+        raise ValueError(f"output_bits must be in [{m}, 64], got {d}")
+    return d
+
+
+def _scramble_chunks(points: NetPoints, kind: ScrambleKind, d: int, seeds: np.ndarray):
+    """Yield ``(start, numerators)``: the scrambles ``(r, n, s)`` of ``points`` at ``d``
+    digits under ``seeds[start:start + r]``, about ``_CHUNK_VALUES`` values at a time."""
+    tag, fn = _KIND_TAG_FN[ScrambleKind(kind)]
+    n, s = points.n, points.s
+    step = max(1, _CHUNK_VALUES // (n * s))
+    for start in range(0, len(seeds), step):
+        keys = seeds[start : start + step]
+        numerators = np.empty((len(keys), n, s), dtype=np.uint64)
+        for j in range(1, s + 1):
+            numerators[:, :, j - 1] = fn(points.coords[:, j - 1], points.m, d, _derive(keys, tag, j))
+        yield start, numerators
+
+
+def _scrambles(points: NetPoints, spec: ScrambleSpec, seeds: np.ndarray) -> Iterator[ScrambledPoints]:
+    """The scrambles of ``points`` under ``spec`` with each of ``seeds`` in turn."""
+    d = _output_bits(points.m, spec.output_bits)
+    return (
+        ScrambledPoints(numerators[i], d, int(seeds[start + i]))
+        for start, numerators in _scramble_chunks(points, spec.kind, d, seeds)
+        for i in range(len(numerators))
+    )
 
 
 def scramble(points: NetPoints, spec: ScrambleSpec) -> ScrambledPoints:
     """Randomize a net; same seed gives bit-identical output every time."""
-    m = points.m
-    d = m if spec.output_bits is None else spec.output_bits
-    if not m <= d <= 64:
-        raise ValueError(f"output_bits must be in [{m}, 64], got {d}")
-    tag, fn = _KIND_TAG_FN[ScrambleKind(spec.kind)]
-    n, s = points.n, points.s
-    numerators = np.empty((n, s), dtype=np.uint64)
-    offsets = np.empty((n, s), dtype=np.float64)
-    index = np.arange(n, dtype=np.uint64)
-    for j in range(1, s + 1):
-        numerators[:, j - 1] = fn(points.coords[:, j - 1], m, d, _derive(spec.seed, tag, j))
-        h = _mix_np(index ^ np.uint64(_derive(spec.seed, _TAG_OFFSET, j)))
-        offsets[:, j - 1] = (h >> np.uint64(11)).astype(np.float64) * math.ldexp(1.0, -53)
-    return ScrambledPoints(numerators, d, offsets)
+    (out,) = _scrambles(points, spec, np.array([spec.seed & _MASK64], dtype=np.uint64))
+    return out
 
 
 # --- integrands and estimation ------------------------------------------------
@@ -220,12 +233,13 @@ class HaarIntegrand:
         return max(self.k) + 1
 
     def values_from_cells(self, numerators: np.ndarray, bits: int) -> np.ndarray:
-        """Exact values from cell labels; needs ``bits >= max(k) + 1``."""
+        """Exact values from cell labels, one per point (the last axis holds
+        the coordinates); needs ``bits >= max(k) + 1``."""
         if bits < self.needed_bits:
             raise ValueError(f"need {self.needed_bits} digits, points carry {bits}")
-        out = np.full(numerators.shape[0], self.amplitude)
+        out = np.full(numerators.shape[:-1], self.amplitude)
         for j, kj in zip(self.u, self.k):
-            bit = (numerators[:, j - 1] >> np.uint64(bits - (kj + 1))) & np.uint64(1)
+            bit = (numerators[..., j - 1] >> np.uint64(bits - (kj + 1))) & np.uint64(1)
             out *= 1.0 - 2.0 * bit.astype(np.float64)
         return out
 
@@ -259,12 +273,6 @@ class RqmcEstimate:
         }
 
 
-def _replicate_values(integrand, scrambled: ScrambledPoints) -> np.ndarray:
-    if isinstance(integrand, HaarIntegrand) and scrambled.output_bits >= integrand.needed_bits:
-        return integrand.values_from_cells(scrambled.numerators, scrambled.output_bits)
-    return np.asarray(integrand(scrambled.reals), dtype=np.float64)
-
-
 def estimate(
     points: NetPoints,
     spec: ScrambleSpec,
@@ -276,26 +284,39 @@ def estimate(
     Replicate r reuses ``spec`` with seed ``replicate_seed(spec.seed, r)``,
     so replicates of different base seeds are independent; the reported
     ``variance_of_mean`` is the unbiased sample variance of the replicate
-    means divided by the replicate count.
+    means divided by the replicate count.  ``integrand`` maps the rows of
+    an array of points to one value each; it is called on the points of
+    many replicates at once.  A :class:`HaarIntegrand` is read from the
+    scrambled cells instead, at ``max(output bits, max(k) + 1)`` digits.
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
-    if isinstance(integrand, HaarIntegrand) and integrand.u[-1] > points.s:
-        raise ValueError(f"haar integrand on u={integrand.u} exceeds dimension s={points.s}")
-    means = []
-    for r in range(replicates):
-        scrambled = scramble(points, replace(spec, seed=replicate_seed(spec.seed, r)))
-        values = _replicate_values(integrand, scrambled)
+    d = _output_bits(points.m, spec.output_bits)
+    haar = isinstance(integrand, HaarIntegrand)
+    if haar:
+        if integrand.u[-1] > points.s:
+            raise ValueError(f"haar integrand on u={integrand.u} exceeds dimension s={points.s}")
+        if integrand.needed_bits > 64:
+            raise ValueError(f"haar integrand at k={integrand.k} needs more than 64 digits")
+        d = max(d, integrand.needed_bits)
+    seeds = _replicate_seeds(spec.seed, replicates)
+    means = np.empty(replicates)
+    for start, numerators in _scramble_chunks(points, spec.kind, d, seeds):
+        r, n, s = numerators.shape
+        if haar:
+            values = integrand.values_from_cells(numerators, d)
+        else:
+            x = _reals(numerators, d, seeds[start : start + r]).reshape(r * n, s)
+            values = np.asarray(integrand(x), dtype=np.float64).reshape(r, n)
         if not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            rep, bad = divmod(int(np.flatnonzero(~np.isfinite(values))[0]), n)
             raise ValueError(
-                f"integrand returned a non-finite value at point {bad} of replicate {r}"
+                f"integrand returned a non-finite value at point {bad} of replicate {start + rep}"
             )
-        means.append(float(values.mean()))
-    arr = np.array(means)
-    grand = float(arr.mean())
-    var_mean = float(arr.var(ddof=1)) / replicates
-    return RqmcEstimate(grand, var_mean, replicates, tuple(means))
+        means[start : start + r] = values.mean(axis=1)
+    grand = float(means.mean())
+    var_mean = float(means.var(ddof=1)) / replicates
+    return RqmcEstimate(grand, var_mean, replicates, tuple(means.tolist()))
 
 
 @dataclass(frozen=True)
@@ -348,10 +369,7 @@ def verify_gain_identity(
     gens.validate_index(idx)
     expected = gain_fast(gens, idx)
     points = generate_points(gens)
-    base_bits = gens.m if spec.output_bits is None else spec.output_bits
-    bits = max(base_bits, max(idx.k) + 1)
-    run_spec = replace(spec, output_bits=bits)
-    est = estimate(points, run_spec, HaarIntegrand(idx.u, idx.k), replicates)
+    est = estimate(points, spec, HaarIntegrand(idx.u, idx.k), replicates)
 
     ys = np.array(est.per_replicate_means)
     r = replicates
@@ -384,7 +402,6 @@ def verify_gain_identity(
 
 
 __all__ = [
-    "splitmix64",
     "replicate_seed",
     "ScrambleKind",
     "ScrambleSpec",

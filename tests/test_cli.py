@@ -180,6 +180,22 @@ def test_integrate_haar_beyond_the_dimension_exits_invalid(joekuo_file, capsys):
     assert err.startswith("error: ") and "u=(3,)" in err and "s=2" in err
 
 
+def test_integrate_haar_past_the_reals_precision(shiftnet_file, capsys):
+    def run(k):
+        return main(["--json", "--seed", "3", "integrate", "--raw", shiftnet_file,
+                     "--integrand", "haar", "--u", "1", "--k", k, "--reps", "8"])
+
+    for k in ("62", "63"):
+        assert run(k) == EXIT_OK
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["std_error"] > 0.0 and abs(payload["mean"]) < 1.0
+        assert captured.err == ""
+    assert run("64") == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k=(64,)" in err
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_sweep_suites_pass(capsys):

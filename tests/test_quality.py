@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from netgains.gf2 import rank_of_rows
-from netgains.netgen import GeneratorSet, generate_points
+from netgains.netgen import GeneratorSet, NetPoints, generate_points
 from netgains.quality import (
     bounded_vectors,
     compositions,
@@ -232,6 +232,35 @@ def test_rank_t_equals_counting_t_on_random_nets():
     for _ in range(60):
         gens = random_generator_set(rng, rng.randint(1, 4), rng.randint(2, 6))
         assert t_value(gens) == minimal_counting_t(generate_points(gens))
+
+
+def counting_every_level(points: NetPoints, t: int) -> bool:
+    """Reference: every dyadic box of total depth at most ``m - t`` holds ``2**(m - depth)`` points."""
+    m = points.m
+    for level in range(m - t, -1, -1):
+        for k in compositions(level, points.s):
+            cells = points.coords >> np.array([m - kj for kj in k], dtype=np.uint64)
+            _, counts = np.unique(cells, axis=0, return_counts=True)
+            if counts.min() != 1 << (m - level) or counts.max() != 1 << (m - level):
+                return False
+    return True
+
+
+def test_counting_one_level_agrees_with_every_level():
+    rng = random.Random(41)
+    draw = np.random.default_rng(41)
+    for _ in range(50):
+        s, m = rng.randint(1, 4), rng.randint(1, 6)
+        net = generate_points(random_generator_set(rng, s, m)).coords
+        flipped = net.copy()
+        flipped[rng.randrange(1 << m), rng.randrange(s)] ^= np.uint64(1 << rng.randrange(m))
+        multiset = draw.integers(0, 1 << m, size=(1 << m, s), dtype=np.uint64)
+        coarse = multiset >> np.uint64(rng.randint(0, m)) << np.uint64(rng.randint(0, m))
+        for coords in (net, flipped, multiset, coarse & np.uint64((1 << m) - 1)):
+            points = NetPoints(coords, m)
+            answers = [counting_every_level(points, t) for t in range(m + 1)]
+            assert [verify_net_by_counting(points, t) for t in range(m + 1)] == answers
+            assert minimal_counting_t(points) == answers.index(True)
 
 
 # --- microstructure -------------------------------------------------------------

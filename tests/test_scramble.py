@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from netgains.scramble import (
     ScrambleKind,
     ScrambleSpec,
     estimate,
+    replicate_seed,
     scramble,
     verify_gain_identity,
 )
@@ -223,14 +225,36 @@ def test_estimate_needs_two_replicates(shift_points):
 def test_haar_beyond_the_dimension_refused_before_scrambling(shift, sobol2d_points, monkeypatch):
     module = importlib.import_module("netgains.scramble")
 
-    def no_scramble(points, spec):
+    def no_scramble(points, kind, d, seeds):
         raise AssertionError("scrambled before the dimension check")
 
-    monkeypatch.setattr(module, "scramble", no_scramble)
+    monkeypatch.setattr(module, "_scramble_chunks", no_scramble)
     with pytest.raises(ValueError, match=r"u=\(3,\).*s=2"):
         estimate(sobol2d_points, ScrambleSpec(seed=0), HaarIntegrand((3,), (1,)), 2)
     with pytest.raises(ValueError, match=r"\(1, 5\).*s=4"):
         verify_gain_identity(shift, SubsetIndex((1, 5), (0, 0)), 2, ScrambleSpec(seed=0))
+    with pytest.raises(ValueError, match=r"k=\(0, 64\)"):
+        estimate(sobol2d_points, ScrambleSpec(seed=0), HaarIntegrand((1, 2), (0, 64)), 2)
+    with pytest.raises(ValueError, match=r"k=\(70,\)"):
+        verify_gain_identity(shift, SubsetIndex((1,), (70,)), 2, ScrambleSpec(seed=0))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_deep_haar_is_read_from_cells(shift_points, kind):
+    # past 53 digits the reals cannot tell the halves of a depth-k cell apart
+    for k in (62, 63):
+        f = HaarIntegrand((2,), (k,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(shift_points, ScrambleSpec(kind=kind, seed=3), f, 8)
+        want = [
+            f.values_from_cells(
+                scramble(shift_points, ScrambleSpec(kind, k + 1, replicate_seed(3, r))).numerators, k + 1
+            ).mean()
+            for r in range(8)
+        ]
+        assert est.per_replicate_means == tuple(want)
+        assert est.std_error > 0.0
 
 
 def test_non_finite_integrand_reported(shift_points):
@@ -241,6 +265,19 @@ def test_non_finite_integrand_reported(shift_points):
 
     with pytest.raises(ValueError, match="point 3"):
         estimate(shift_points, ScrambleSpec(seed=0), bad, 2)
+
+
+def test_non_finite_integrand_names_its_replicate(shift_points, monkeypatch):
+    # two replicates per chunk, so replicate 3 is the second of the second chunk
+    monkeypatch.setattr(importlib.import_module("netgains.scramble"), "_CHUNK_VALUES", 2 * 16 * 4)
+    spec = ScrambleSpec(ScrambleKind.RANDOM_LINEAR, seed=4)
+    target = scramble(shift_points, ScrambleSpec(spec.kind, seed=replicate_seed(4, 3))).reals[5]
+
+    def bad(x):
+        return np.where((x == target).all(axis=1), np.inf, 0.0)
+
+    with pytest.raises(ValueError, match="point 5 of replicate 3"):
+        estimate(shift_points, spec, bad, 6)
 
 
 # --- the variance identity ------------------------------------------------------------
@@ -319,3 +356,29 @@ def test_identity_diagnostic_reruns_nested(shift, monkeypatch):
     assert {"expected_gain_log2", "empirical_n_var", "mc_se", "pass"} <= set(
         report.to_json_dict()
     )
+
+
+# --- the batched engine against the from-scratch scramble ------------------------------
+
+def test_engine_matches_the_sequential_scramble():
+    import random
+
+    import scramble_reference as ref
+    from netgains.suites import random_generator_set
+
+    rng = random.Random(61)
+    for _ in range(12):
+        gens = random_generator_set(rng, rng.randint(1, 3), rng.randint(1, 6))
+        points = generate_points(gens)
+        for kind in ALL_KINDS:
+            d = rng.choice([gens.m, rng.randint(gens.m, 64), 64])
+            seed = rng.getrandbits(64)
+            got = scramble(points, ScrambleSpec(kind, d, seed))
+            numerators, reals = ref.scramble_rows(points.coords.tolist(), gens.m, d, kind.value, seed)
+            assert got.numerators.tolist() == numerators
+            assert got.reals.tolist() == reals
+            # and replicate r of an estimate is that scramble under replicate_seed(seed, r)
+            est = estimate(points, ScrambleSpec(kind, d, seed), lambda x: x.sum(axis=1), 3)
+            for r, mean in enumerate(est.per_replicate_means):
+                _, reals = ref.scramble_rows(points.coords.tolist(), gens.m, d, kind.value, ref.replicate_seed(seed, r))
+                assert mean == np.asarray(reals).sum(axis=1).mean()
