@@ -26,6 +26,8 @@ others; all three use exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
@@ -45,6 +47,7 @@ from .netgen import (
 from .quality import first_rank_deficient_k, t_star_u, t_u, t_value
 
 NULLSPACE_LOG2_LIMIT = 24
+ENUMERATION_VISIT_LIMIT = 1 << 24
 _BRUTE_CHUNK = 512
 
 
@@ -391,16 +394,50 @@ def _entry_key(idx: SubsetIndex) -> tuple:
     return (idx.order, idx.u, idx.depth, idx.k)
 
 
+def _box_counts(s: int, cap: int, max_depth: int) -> list[int]:
+    """At ``r``: how many ``k`` in ``[0, cap]^r`` have ``|k| <= max_depth``, for ``r = 0..s``.
+
+    A DP over totals: ``ways[d]`` counts the vectors of total ``d``, and
+    adding a coordinate sums ``cap + 1`` neighbouring totals.
+    """
+    top = min(max_depth, s * cap)
+    ways = [1] + [0] * top
+    counts = [1]
+    for _ in range(s):
+        prefix = list(itertools.accumulate(ways, initial=0))
+        ways = [prefix[d + 1] - prefix[max(0, d - cap)] for d in range(top + 1)]
+        counts.append(sum(ways))
+    return counts
+
+
+def _subsets(s: int):
+    """Nonempty subsets of ``1..s`` in ``(|u|, u)`` order, each with its bit mask."""
+    for r in range(1, s + 1):
+        for u in itertools.combinations(range(1, s + 1), r):
+            yield u, sum(1 << (j - 1) for j in u)
+
+
 def enumerate_gains(
     gens: GeneratorSet, max_depth: int, *, max_visits: int | None = None
 ) -> GainReport:
     """Visit every (u, k) with ``|k| <= max_depth`` and record nonzero gains.
 
     Depths are capped at ``m + 1`` per coordinate since the zero-row
-    padding makes gains stationary from depth ``m`` on.  For each ``u`` one
-    :class:`StackWalk` eliminates the stacks of all its ``k``.  Each nonzero
-    gain is checked against the clamped t bound on the fly.  ``max_visits``
-    truncates the sweep (the report then carries ``truncated=True``).
+    padding makes gains stationary from depth ``m`` on.  The stack of
+    ``(u, k)`` is that of the all-coordinate ``k`` padded with zeros, so
+    one :class:`StackWalk` over coordinates ``1..s`` with floor 0 eliminates
+    every stack once.  At each stack it reduces the ``s`` next rows; the
+    residual is linear, so every ``u`` containing the support of ``k``
+    costs one XOR, the free coordinates taken in Gray-code order.  The
+    same walk finds the least deficient total, so ``t``, and the entries
+    are checked against the clamped t bound after it.
+
+    Entries come in ``(|u|, u, k)`` order, ``k`` lexicographic.
+    ``max_visits`` keeps the first that many ``(u, k)`` in that order (the
+    report then carries ``truncated=True``); it trims the report but does
+    not shorten the walk.  Raises :class:`ResourceLimitError`, before any
+    walk, when there are more than :data:`ENUMERATION_VISIT_LIMIT` pairs
+    ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -408,31 +445,72 @@ def enumerate_gains(
         raise ValueError(f"max_visits must be >= 0, got {max_visits}")
     s, m = gens.s, gens.m
     cap = m + 1
-    subsets = (u for r in range(1, s + 1) for u in itertools.combinations(range(1, s + 1), r))
-    t = t_value(gens)
+    counts = _box_counts(s, cap, max_depth)
+    total = sum(math.comb(s, r) * counts[r] for r in range(1, s + 1))
+    if total > ENUMERATION_VISIT_LIMIT:
+        raise ResourceLimitError(
+            f"max_depth={max_depth} over s={s} coordinates asks for {total} (u, k) visits "
+            f"(limit {ENUMERATION_VISIT_LIMIT})"
+        )
+    # quota[mask]: how many of the first (u, k) in lex order are still to visit
+    quota = [0] * (1 << s)
+    left = total if max_visits is None else min(total, max_visits)
+    for u, mask in _subsets(s):
+        quota[mask] = min(counts[len(u)], left)
+        left -= quota[mask]
+    truncated = max_visits is not None and max_visits < total
 
+    found: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # (*k, rank) per stack
+    # gray[i]: the free coordinate, counted from 1, that step i of a Gray code over
+    # them flips; step 0 flips placeholder 0, so the code starts at u = supp(k)
+    gray = b""
+    for j in range(1, s + 1):
+        gray += bytes([j]) + gray
+    gray = b"\0" + gray
+    rows = gens._rows
+    walk = StackWalk(gens, range(1, s + 1), (0,) * s, cap, max(max_depth, cap))
+    residual, k = walk.table.residual, walk.k
+    least = cap + 1  # no deficient stack yet; some total <= m + 1 always is
+    visited = 0
+    for depth, rank, _ in walk:
+        if rank < depth < least:
+            least = depth
+            walk.budget = max(max_depth, least - 1)
+        if depth > max_depth:
+            continue
+        acc = u = 0
+        free_rows, free_bits = [0], [0]
+        for j in range(s):
+            reduced = residual(rows[j][k[j]]) if rank < m else 0  # a full stack spans all
+            if k[j]:
+                acc ^= reduced
+                u |= 1 << j
+            else:
+                free_rows.append(reduced)
+                free_bits.append(1 << j)
+        stack = (*k, rank)
+        for b in gray[: 1 << (len(free_rows) - 1)]:
+            acc ^= free_rows[b]
+            u ^= free_bits[b]
+            if quota[u]:
+                quota[u] -= 1
+                visited += 1
+                if not acc:
+                    found[u].append(stack)
+
+    t = m + 1 - least
+    values = [GainValue(m - rank) for rank in range(m + 1)]
     entries: list[tuple[SubsetIndex, GainValue]] = []
     violations: list[dict] = []
-    visited = 0
-    truncated = False
-    for u in subsets:
+    for u, mask in _subsets(s):
         clamp = min(t + len(u) - 1, m)
-        walk = StackWalk(gens, u, (0,) * len(u), cap, max_depth)
-        residual = walk.table.residual
-        for _, rank, nxt in walk:
-            if max_visits is not None and visited >= max_visits:
-                truncated = True
-                break
-            visited += 1
-            if residual(nxt):
-                continue
-            log2 = m - rank
-            k = tuple(walk.k)
-            entries.append((SubsetIndex._trusted(u, k), GainValue(log2)))
-            if log2 > clamp:
-                violations.append({"u": list(u), "k": list(k), "log2_gain": log2})
-        if truncated:
-            break
+        members = [(mask >> j) & 1 for j in range(s)]
+        for stack in found.get(mask, ()):
+            rank = stack[-1]
+            kk = tuple(itertools.compress(stack, members))
+            entries.append((SubsetIndex._trusted(u, kk), values[rank]))
+            if m - rank > clamp:
+                violations.append({"u": list(u), "k": list(kk), "log2_gain": m - rank})
 
     gamma = GainValue.zero()
     attaining = None
@@ -458,6 +536,7 @@ def enumerate_gains(
 
 __all__ = [
     "NULLSPACE_LOG2_LIMIT",
+    "ENUMERATION_VISIT_LIMIT",
     "ResourceLimitError",
     "GainValue",
     "GainReport",

@@ -9,6 +9,10 @@ package affordable.
 Matrices are immutable after construction and the functions return fresh
 values.  :class:`PivotTable` is the one mutable piece: the elimination
 state that every rank and membership question in the package goes through.
+Its :meth:`~PivotTable.residual` is the normal form of a vector, zero at
+every pivot position, so it is linear: the residual of an XOR of vectors
+is the XOR of their residuals, and one reduction per vector answers the
+membership of all their XOR combinations.
 Nullspaces are the nullspace gain oracle's own business
 (:class:`netgains.gains.KernelWalk`), so they share no code with it.
 """
@@ -132,14 +136,22 @@ class PivotTable:
         return len(self.log)
 
     def residual(self, vec: int) -> int:
-        """``vec`` reduced against the table; 0 iff it lies in the row space."""
+        """Normal form of ``vec``: the one vector of ``vec`` + row space that is
+        zero at every pivot position.  0 iff ``vec`` lies in the row space, and
+        linear in ``vec``.  Each pivot has its own leading bit, so reducing from
+        the top clears each pivot position for good."""
         pivots = self.pivots
+        rest = 0
         while vec:
-            pivot = pivots[vec.bit_length()]
-            if not pivot:
-                return vec
-            vec ^= pivot
-        return 0
+            lead = vec.bit_length()
+            pivot = pivots[lead]
+            if pivot:
+                vec ^= pivot
+            else:
+                top = 1 << (lead - 1)
+                rest |= top
+                vec ^= top
+        return rest
 
     def push(self, vec: int) -> bool:
         """Add the residual of ``vec`` as a new pivot. True if rank grew."""

@@ -400,6 +400,10 @@ class StackWalk:
     each ``j``).  ``table.residual(nxt) == 0`` says whether that XOR lies in
     the row space.  ``k`` is the current vector, a list updated in place.
     Lowering ``budget`` while iterating skips the deeper ``k`` from then on.
+
+    A zero depth adds no rows, so with floor 0 the walk also visits the
+    stack of every subset of ``u``: ``enumerate_gains`` and ``t_u`` walk
+    once over all their coordinates rather than once per subset.
     """
 
     def __init__(self, gens: GeneratorSet, u, floor, cap: int, budget: int):

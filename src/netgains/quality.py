@@ -4,9 +4,15 @@ Two independent routes to the same quantities live here.  The algebraic
 route works on generator matrices: the t parameter is ``m + 1`` minus the
 smallest total depth at which some stacked row matrix goes rank deficient,
 and the subset-restricted variants ``t_u`` / ``t_star_u`` restrict which
-depth vectors compete.  The combinatorial route counts points in dyadic
-boxes (:func:`verify_net_by_counting`, :func:`microstructure_A`) and never
-touches a matrix, which makes it the oracle for the algebraic route.
+depth vectors compete.  Each is one :class:`~netgains.netgen.StackWalk`
+that lowers its budget below every deficient total it meets: ``t_star_u``
+walks ``k >= 1`` over ``u``, ``t_u`` walks ``k >= 0`` over ``u`` (a zero
+depth drops a coordinate, so that covers every subset of ``u``),
+``t_value`` is ``t_u`` of all coordinates and ``t_d`` the largest ``t_u``
+over the subsets of size ``d``.  The combinatorial route counts points in
+dyadic boxes (:func:`verify_net_by_counting`, :func:`microstructure_A`)
+and never touches a matrix, which makes it the oracle for the algebraic
+route.
 """
 
 from __future__ import annotations
@@ -59,45 +65,25 @@ def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, .
     The search terminates: any stack with more than ``m`` rows is deficient,
     and so is any stack containing the all-zero row ``m + 1``.
     """
-    k = _least_deficient(gens, u, max(len(u), gens.m + 1))
+    k = _least_deficient(gens, u, 1, max(len(u), gens.m + 1))
     if k is None:
         raise AssertionError("unreachable: depth m+1 stacks are always deficient")
     return k
 
 
-def _least_deficient(gens: GeneratorSet, u: Sequence[int], budget: int) -> tuple[int, ...] | None:
-    """Lex-first ``k >= 1`` of least total ``<= budget`` with a deficient stack, if any.
+def _least_deficient(gens: GeneratorSet, u: Sequence[int], floor: int, budget: int) -> tuple[int, ...] | None:
+    """Lex-first ``k >= floor`` of least total ``<= budget`` with a deficient stack, if any.
 
     Each deficient ``k`` the walk meets lowers its budget below its own
     total, so the last one met is the lex-first of the least total.
     """
-    walk = StackWalk(gens, u, (1,) * len(u), gens.m + 1, budget)
+    walk = StackWalk(gens, u, (floor,) * len(u), gens.m + 1, budget)
     best = None
     for depth, rank, _ in walk:
         if rank < depth:
             best = tuple(walk.k)
             walk.budget = depth - 1
     return best
-
-
-def _worst_t_star(gens: GeneratorSet, coords: Sequence[int], max_size: int) -> int:
-    """Largest ``t*_u`` over the subsets of ``coords`` of size at most ``max_size``.
-
-    That is ``m + 1`` minus the least deficient total over all of them.  Each
-    walk only looks below the least total found so far, and a subset of
-    size ``r`` has no total below ``r``, so the search, smallest subsets
-    first, stops at the size that reaches that total.  Some singleton is
-    always deficient by total ``m + 1``.
-    """
-    least = gens.m + 2
-    for r in range(1, max_size + 1):
-        if r >= least:
-            break
-        for u in itertools.combinations(coords, r):
-            k = _least_deficient(gens, u, least - 1)
-            if k is not None:
-                least = sum(k)
-    return gens.m + 1 - least
 
 
 def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
@@ -111,16 +97,22 @@ def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
 
 
 def t_u(gens: GeneratorSet, u: Sequence[int]) -> int:
-    """Quality parameter of the projection onto ``u``: the largest t*_v over ``v`` in ``u``."""
+    """Quality parameter of the projection onto ``u``: the largest t*_v over ``v`` in ``u``.
+
+    That is ``m + 1`` minus the least deficient total over every ``k`` in
+    ``[0, m + 1]^u``, as a zero depth drops a coordinate: one walk with
+    floor 0.  ``k = (m + 1, 0, ...)`` is always deficient.
+    """
     u = _checked_subset(gens, u)
-    return _worst_t_star(gens, u, len(u))
+    return gens.m + 1 - sum(_least_deficient(gens, u, 0, gens.m + 1))
 
 
 def t_d(gens: GeneratorSet, d: int) -> int:
-    """Worst t*_u over all subsets of at most ``d`` coordinates."""
+    """Worst t*_u over all subsets of at most ``d`` coordinates: the largest
+    :func:`t_u` over the subsets of exactly ``d``, which contain the rest."""
     if not 1 <= d <= gens.s:
         raise ValueError(f"d must be in [1, {gens.s}], got {d}")
-    return _worst_t_star(gens, range(1, gens.s + 1), d)
+    return max(t_u(gens, u) for u in itertools.combinations(range(1, gens.s + 1), d))
 
 
 def _checked_subset(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
@@ -136,9 +128,10 @@ def t_value(gens: GeneratorSet) -> int:
     """The net's t parameter, from ranks of stacked generator rows.
 
     The worst t*_u over every subset: ``m + 1`` minus the least total depth
-    at which some stack of at least one row per coordinate is deficient.
+    at which some stack of at least one row per coordinate is deficient,
+    so :func:`t_u` of all coordinates.
     """
-    return t_d(gens, gens.s)
+    return t_u(gens, range(1, gens.s + 1))
 
 
 # --- counting route ----------------------------------------------------------

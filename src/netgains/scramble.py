@@ -244,6 +244,10 @@ class HaarIntegrand:
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Values at the reals ``x`` (one point per row).  A float carries 53
+        bits, so a wave needing more digits is refused: read it from cells."""
+        if self.needed_bits > 53:
+            raise ValueError(f"haar integrand at k={self.k} needs more than the 53 digits of a float")
         out = np.full(x.shape[0], self.amplitude)
         for j, kj in zip(self.u, self.k):
             cell = np.floor(x[:, j - 1] * float(1 << (kj + 1))).astype(np.int64)

@@ -282,6 +282,13 @@ def test_gains_rejects_negative_max_visits(shiftnet_file, capsys):
     assert captured.out == "" and "max_visits must be >= 0" in captured.err
 
 
+def test_gains_refuses_an_unbounded_depth(joekuo_file, capsys):
+    code = main(["gains", "--dirnum", joekuo_file, "--dims", "7", "--m", "10", "--depth", "1000"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: max_depth=1000 ")
+
+
 def test_out_of_memory_exits_invalid(monkeypatch, capsys):
     from netgains import suites
 

@@ -1,5 +1,6 @@
 """Gain coefficients: three routes, bounds, the closed-form maximum."""
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,7 +24,7 @@ from netgains.gains import (
 from netgains.gf2 import BitMatrix, rank, rank_of_rows
 from netgains.netgen import GeneratorSet, SubsetIndex, generate_points
 from netgains.quality import bounded_vectors, t_value
-from netgains.samples import shift_net
+from netgains.samples import shift_net, sobol_net
 from netgains.scramble import ScrambleKind, ScrambleSpec, scramble
 from netgains.suites import random_generator_set
 
@@ -443,9 +444,14 @@ def scratch_report(gens: GeneratorSet, max_depth: int, max_visits: int | None) -
 
 def test_enumerate_matches_scratch_loop_for_every_budget():
     rng = random.Random(53)
-    for _ in range(12):
-        gens = random_generator_set(rng, rng.randint(1, 3), rng.randint(2, 4))
-        depth = rng.randint(2, 7)
+    nets = [
+        (random_generator_set(rng, rng.randint(1, 3), rng.randint(2, 4)), rng.randint(2, 7))
+        for _ in range(12)
+    ]
+    # wider nets, so that budgets cut through subsets of two to five coordinates
+    for s, m, depth in ((4, 5, 3), (4, 7, 2), (5, 6, 2), (5, 7, 1)):
+        nets.append((random_generator_set(rng, s, m), depth))
+    for gens, depth in nets:
         full = enumerate_gains(gens, depth)
         for max_visits in [None, *range(full.visited + 2)]:
             report = enumerate_gains(gens, depth, max_visits=max_visits)
@@ -455,6 +461,26 @@ def test_enumerate_matches_scratch_loop_for_every_budget():
             assert report.gamma_max == (
                 GainValue.zero() if want["attaining"] is None else scratch_gain(gens, want["attaining"])
             )
+
+
+def test_enumerate_refuses_oversized_boxes_before_walking(monkeypatch, shift):
+    module = importlib.import_module("netgains.gains")
+    # the shift net at depth 3: 4 singletons, 6 pairs, 4 triples and one quadruple
+    visits = 4 * 4 + 6 * 10 + 4 * 20 + 35
+    assert enumerate_gains(shift, 3).visited == visits
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(module, "StackWalk", no_walk)
+    with pytest.raises(ResourceLimitError, match=r"max_depth=1000 "):
+        enumerate_gains(sobol_net(7, 10), 1000, max_visits=5)
+    monkeypatch.setattr(module, "ENUMERATION_VISIT_LIMIT", visits - 1)
+    with pytest.raises(ResourceLimitError, match=r"max_depth=3 .* 191 "):
+        enumerate_gains(shift, 3)
+    monkeypatch.setattr(module, "ENUMERATION_VISIT_LIMIT", visits)
+    with pytest.raises(AssertionError, match="a walk started"):
+        enumerate_gains(shift, 3)
 
 
 def test_enumerate_rejects_negative_depth(shift):

@@ -260,6 +260,31 @@ def test_pivot_table_undo_restores_earlier_span():
         assert all((table.residual(v) == 0) == (v in span) for v in range(1 << ncols))
 
 
+def test_residual_is_the_linear_normal_form():
+    # zero at every pivot position, so one reduction per vector serves every XOR of them
+    rng = random.Random(17)
+    for _ in range(300):
+        ncols = rng.randint(1, 12)
+        rows = [rng.randrange(1 << ncols) for _ in range(rng.randint(0, 14))]
+        cut = rng.randint(0, len(rows))
+        table = PivotTable(ncols)
+        for row in rows[:cut]:
+            table.push(row)
+        mark = table.rank
+        for row in rows[cut:]:
+            table.push(row)
+        for undone in (False, True):
+            if undone:
+                table.undo(mark)
+            pivot_bits = sum(1 << (lead - 1) for lead in table.log)
+            for _ in range(20):
+                a, b = rng.randrange(1 << ncols), rng.randrange(1 << ncols)
+                ra, rb = table.residual(a), table.residual(b)
+                assert table.residual(a ^ b) == ra ^ rb
+                assert ra & pivot_bits == 0
+                assert table.residual(a ^ ra) == 0  # a differs from its residual by the row space
+
+
 # --- construction guards -------------------------------------------------------
 
 def test_width_limit_enforced():

@@ -1,9 +1,12 @@
-"""Scramble, estimate and ``scramble --reps`` outputs pinned to sha256 digests.
+"""Scramble, estimate, ``scramble --reps`` and ``gains`` outputs pinned to sha256 digests.
 
 Every scramble kind, the output-bit counts ``m``, ``m + 7`` and 64, single
 scrambles and replicate estimates are hashed here, so a change to the
 scramble engine that moves one bit of one output fails.  The Haar
-integrands stay within the output bits, where estimates read cells.
+integrands stay within the output bits, where estimates read cells.  Gain
+tables are hashed at shallow, middle and whole-box depths, whole and cut
+by ``--max-visits``, so a change to the enumeration that moves one entry,
+its order or a count fails.
 """
 
 import hashlib
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 
 from netgains.cli import EXIT_OK, main
-from netgains.netgen import generate_points
+from netgains.netgen import DIRECTION_NUMBERS, generate_points, load_generators
+from netgains.quality import bounded_vectors
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, estimate, scramble
 
@@ -53,6 +57,13 @@ CLI_DIGESTS = {
     "csv": "78c487eaf525d421d5f7a27dde89fbf4ff97c5915d47e06155c14fc9f52fb4e0",
     "bin": "e9a0c2d1d536511f0b5d5dae87c69591c5afe75ce5beea7e4b7205c301021f79",
     "json": "afc8e9fd97da8d8c924e6f67b0b0c8b56da4a247f96c91bfe05b22c625b2347b",
+}
+
+GAINS_DIGESTS = {
+    ("shift", "json"): "0283607e3892684658b0672cf23d5ba409f2e21b1cf9f6b1515916d688763f7c",
+    ("shift", "csv"): "be8f3235cb94d2a957a9247a483a8969c45ff2ace531fbef560fb26342d283bc",
+    ("sobol_5_8", "json"): "7c93f344e22d05b3d65c99fc1b41dcb8adf28e4c70920839ce80e964c26b8bf8",
+    ("sobol_5_8", "csv"): "f8bcfa21f32666078179c815bbb85e350ef1f2150ee4bbdbbf68cacf82596685",
 }
 
 
@@ -95,6 +106,32 @@ def test_cli_scramble_replicates_are_pinned(data_dir, tmp_path, fmt, capsys):
             assert main(args) == EXIT_OK
             h.update(out.read_bytes())
     assert h.hexdigest() == CLI_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("net, fmt", list(GAINS_DIGESTS))
+def test_cli_gain_tables_are_pinned(data_dir, tmp_path, net, fmt):
+    if net == "shift":
+        source = ["--raw", str(data_dir / "shiftnet.txt")]
+        gens = shift_net()
+    else:
+        source = ["--dirnum", str(data_dir / "joe-kuo-head.txt"), "--dims", "5", "--m", "8"]
+        gens = sobol_net(5, 8)
+        with open(data_dir / "joe-kuo-head.txt") as fh:
+            assert load_generators(fh, DIRECTION_NUMBERS, dims=5, m=8) == gens
+    s, m = gens.s, gens.m
+    h = hashlib.sha256()
+    for depth in (3, 6, s * (m + 1)):
+        # visits to the singletons plus half of those to the first pair
+        per_size = [sum(1 for _ in bounded_vectors(r, m + 1, depth)) for r in (1, 2)]
+        cut = s * per_size[0] + per_size[1] // 2
+        for max_visits in (0, 1, cut, None):
+            out = tmp_path / f"gains-{depth}-{max_visits}.{fmt}"
+            args = ["--out", str(out), "gains", *source, "--depth", str(depth)]
+            args += ["--json"] if fmt == "json" else ["--format", "csv"]
+            args += [] if max_visits is None else ["--max-visits", str(max_visits)]
+            assert main(args) == EXIT_OK
+            h.update(out.read_bytes())
+    assert h.hexdigest() == GAINS_DIGESTS[net, fmt]
 
 
 def test_outputs_do_not_depend_on_the_chunk_size(net_points, data_dir, tmp_path, capsys, monkeypatch):

@@ -154,6 +154,17 @@ def test_haar_cells_agree_with_reals():
     assert np.array_equal(from_cells, from_reals)
 
 
+def test_haar_on_reals_refuses_waves_past_a_float():
+    rng = np.random.default_rng(8)
+    numerators = rng.integers(0, 1 << 53, size=(1000, 2), dtype=np.uint64)
+    x = numerators.astype(np.float64) / float(1 << 53)  # exact: 53-bit dyadic points
+    f = HaarIntegrand((1, 2), (3, 52))
+    assert np.array_equal(f(x), f.values_from_cells(numerators, 53))
+    assert set(f(x)) == {1.0, -1.0}
+    with pytest.raises(ValueError, match=r"k=\(3, 53\)"):
+        HaarIntegrand((1, 2), (3, 53))(x)
+
+
 def test_haar_needs_enough_digits():
     f = HaarIntegrand((1,), (4,))
     with pytest.raises(ValueError):
