@@ -38,6 +38,7 @@ import numpy as np
 from .netgen import (
     GeneratorSet,
     NetPoints,
+    ResourceLimitError,
     StackWalk,
     SubsetIndex,
     _match_depth,
@@ -49,10 +50,7 @@ from .quality import first_rank_deficient_k, t_star_u, t_u, t_value
 NULLSPACE_LOG2_LIMIT = 24
 ENUMERATION_VISIT_LIMIT = 1 << 24
 _BRUTE_CHUNK = 512
-
-
-class ResourceLimitError(RuntimeError):
-    """A gain computation would enumerate more states than allowed."""
+_PAIR_BLOCK_LOG2 = 16  # at most 2^16 rows of points per block of gain_pair_table
 
 
 @total_ordering
@@ -137,18 +135,29 @@ def gain_pair_table(points: NetPoints) -> np.ndarray:
     ``m + 2`` stands for "identical", which beats every ``k_j``.  A pair
     adds ``W[k_j, d_j] = [d_j > k_j] - [d_j == k_j]`` per coordinate in
     ``u`` and 1 per coordinate outside it, so the table is H contracted
-    along each axis with W below a leading all-ones row.
+    along each axis with W below a leading all-ones row.  Both the check
+    and the histogram run over blocks of at most an eighth of the rows
+    (but 64 rows at least and ``2**16`` at most), so beyond the table
+    itself the temporaries stay below the size of the points.
     """
     n, m, s = points.n, points.m, points.s
-    diff = points.coords ^ points.coords[0]
-    if not np.array_equal(diff, _xor_span(diff[1 << np.arange(m)])):
-        raise ValueError("points are not a digital net: x(i) ^ x(0) is not linear in i")
+    # y(q * 2^b + i) must be high[q] ^ low[i], checked and counted a block of 2^b rows at a time
+    b = min(m, max(6, m - 3), _PAIR_BLOCK_LOG2)
+    x0 = points.coords[0]
+    low = _xor_span(points.coords[1 << np.arange(b)] ^ x0)
+    high = _xor_span(points.coords[1 << np.arange(b, m)] ^ x0)
     side = m + 3
-    code = np.zeros(n, dtype=np.intp)
-    for j in range(s):
-        code *= side
-        code += np.minimum(_match_depth(diff[:, j], m), m + 2)
-    hist = n * np.bincount(code, minlength=side**s)
+    hist = np.zeros(side**s, dtype=np.int64)
+    for q, top in enumerate(high):
+        diff = points.coords[q << b : (q + 1) << b] ^ x0
+        if not np.array_equal(diff, low ^ top):
+            raise ValueError("points are not a digital net: x(i) ^ x(0) is not linear in i")
+        code = np.zeros(len(diff), dtype=np.intp)
+        for j in range(s):
+            code *= side
+            code += np.minimum(_match_depth(diff[:, j], m), m + 2)
+        hist += np.bincount(code, minlength=side**s)
+    hist *= n
     d = np.arange(side)
     k = np.arange(m + 2)[:, None]
     weight = np.vstack([np.ones(side, dtype=np.int64), (d > k).astype(np.int64) - (d == k)])

@@ -24,9 +24,14 @@ import numpy as np
 from .gf2 import BitMatrix, PivotTable
 
 MAX_M = 32
+POINT_VALUE_LIMIT = 1 << 27  # 1 GiB of uint64 numerators
 
 RAW = "raw"
 DIRECTION_NUMBERS = "direction_numbers"
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation would enumerate more states or hold more values than allowed."""
 
 
 class ParseError(ValueError):
@@ -376,9 +381,21 @@ def sobol_generator_set(entries: dict[int, DirectionEntry], dims: int, m: int) -
 
 # --- point generation -------------------------------------------------------
 
+def _refuse_points(m: int, s: int) -> None:
+    """Raise :class:`ResourceLimitError` when ``2**m`` points in ``s`` coordinates
+    exceed :data:`POINT_VALUE_LIMIT` values."""
+    if s << m > POINT_VALUE_LIMIT:
+        raise ResourceLimitError(
+            f"the points of a net with m={m}, s={s} are {s << m} values "
+            f"(limit {POINT_VALUE_LIMIT})"
+        )
+
+
 def generate_points(gens: GeneratorSet) -> NetPoints:
     """All ``2**m`` points in index order: point ``i`` is the XOR of the
-    generator columns ``c`` picked by the bits ``c - 1`` of ``i``."""
+    generator columns ``c`` picked by the bits ``c - 1`` of ``i``.  Raises
+    :class:`ResourceLimitError`, before allocating, past :data:`POINT_VALUE_LIMIT`."""
+    _refuse_points(gens.m, gens.s)
     return NetPoints(_xor_span(gens._columns), gens.m, _owned=True)
 
 
@@ -500,9 +517,11 @@ def write_points_binary(numerators: np.ndarray, bits: int, stream: io.RawIOBase)
 
 __all__ = [
     "MAX_M",
+    "POINT_VALUE_LIMIT",
     "RAW",
     "DIRECTION_NUMBERS",
     "ParseError",
+    "ResourceLimitError",
     "SubsetIndex",
     "GeneratorSet",
     "NetPoints",

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .netgen import GeneratorSet, NetPoints, StackWalk, generate_points
+from .netgen import GeneratorSet, NetPoints, StackWalk, _refuse_points, generate_points
 
 _PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
 
@@ -250,11 +250,13 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
 
     Subset tables need 2**s searches, so for ``s > 16`` they are skipped;
     the full-set and singleton entries are always present.  ``a_k_max``
-    bounds the A_K table (default ``m``).
+    bounds the A_K table (default ``m``).  The table reads the points, so a
+    net past :data:`~netgains.netgen.POINT_VALUE_LIMIT` is refused first.
     """
     if a_k_max is not None and a_k_max < 0:
         raise ValueError(f"a_k_max must be >= 0, got {a_k_max}")
     s, m = gens.s, gens.m
+    _refuse_points(m, s)
     full = tuple(range(1, s + 1))
     all_subsets = s <= SUBSET_ENUMERATION_LIMIT
 

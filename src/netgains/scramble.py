@@ -6,8 +6,8 @@ the 64-bit seed:
 * ``RANDOM_LINEAR`` - per coordinate, multiply the fraction bits by a
   random unit-lower-triangular bit matrix and XOR a random digital shift.
 * ``NESTED_UNIFORM`` - per coordinate, an independent random bit flip for
-  every node of the binary digit tree; flips are produced by a counter
-  based hash of the digit prefix, so no tree is ever materialized.
+  every node of the binary digit tree, hashed once per node from the digit
+  prefix into a table of at most ``2**m`` values per replicate and coordinate.
 * ``DIGITAL_SHIFT_ONLY`` - XOR one random shift per coordinate.
 
 Scrambled points carry ``output_bits >= m`` digits; a uniform offset below
@@ -144,14 +144,14 @@ def _scramble_linear(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndar
 
 
 def _scramble_nested(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(keys), len(a)), dtype=np.uint64)
+    table = np.zeros((len(keys), 1), dtype=np.uint64)
     for r in range(1, d + 1):
-        prefix = a >> np.uint64(m - (r - 1)) if r - 1 <= m else a << np.uint64(r - 1 - m)
-        digit = _mix_np(prefix ^ _derive(keys, r)[:, None]) & np.uint64(1)
-        if r <= m:
-            digit ^= (a >> np.uint64(m - r)) & np.uint64(1)
-        out |= digit << np.uint64(d - r)
-    return out
+        # digit r flips by the hash of its node: an (r - 1)-digit prefix, or past m a numerator and zeros
+        nodes = np.arange(table.shape[1], dtype=np.uint64) << np.uint64(max(r - 1 - m, 0))
+        table |= (_mix_np(nodes ^ _derive(keys, r)[:, None]) & np.uint64(1)) << np.uint64(d - r)
+        if r <= m:  # prefix p becomes 2p and 2p + 1, the second with digit r flipped once more
+            table = np.stack((table, table ^ (np.uint64(1) << np.uint64(d - r))), axis=2).reshape(len(keys), -1)
+    return table[:, a]
 
 
 def _scramble_shift(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:

@@ -289,6 +289,15 @@ def test_gains_refuses_an_unbounded_depth(joekuo_file, capsys):
     assert captured.out == "" and captured.err.startswith("error: max_depth=1000 ")
 
 
+@pytest.mark.parametrize("command", [["gen"], ["scramble"], ["integrate"], ["analyze", "--full"]])
+def test_points_past_the_limit_exit_invalid(command, joekuo_file, capsys):
+    code = main([command[0], "--dirnum", joekuo_file, "--dims", "7", "--m", "32", *command[1:]])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: the points of a net with m=32, s=7 ")
+
+
 def test_out_of_memory_exits_invalid(monkeypatch, capsys):
     from netgains import suites
 

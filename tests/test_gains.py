@@ -22,7 +22,7 @@ from netgains.gains import (
     max_gain,
 )
 from netgains.gf2 import BitMatrix, rank, rank_of_rows
-from netgains.netgen import GeneratorSet, SubsetIndex, generate_points
+from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
 from netgains.quality import bounded_vectors, t_value
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import ScrambleKind, ScrambleSpec, scramble
@@ -159,6 +159,35 @@ def test_pair_table_refuses_points_that_are_no_digital_net(shift_points):
     nested = scramble(shift_points, spec).to_net_points()
     with pytest.raises(ValueError, match="not a digital net"):
         gain_pair_table(nested)
+
+
+def test_pair_table_checks_every_block():
+    rng = random.Random(31)
+    gens = random_generator_set(rng, 2, 10)  # blocks of 2^7 rows
+    pts = generate_points(gens)
+    table = gain_pair_table(pts)
+    for _ in range(6):
+        idx = random_index(rng, gens)
+        view = table[subset_view(idx.u, 2)][idx.k]
+        assert Fraction(int(view), pts.n) == gain_bruteforce(pts, idx)
+    coords = pts.coords.copy()
+    coords[-1, 1] ^= 1
+    with pytest.raises(ValueError, match="not a digital net"):
+        gain_pair_table(NetPoints(coords, pts.m))
+
+
+def test_pair_table_temporaries_stay_below_the_points():
+    import tracemalloc
+
+    pts = generate_points(random_generator_set(random.Random(0), 1, 20))
+    tracemalloc.start()
+    try:
+        gain_pair_table(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pts.coords.nbytes == 8 << 20
+    assert peak <= pts.coords.nbytes
 
 
 # --- gain_representation -------------------------------------------------------------

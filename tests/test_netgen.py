@@ -15,7 +15,9 @@ from netgains.netgen import (
     RAW,
     DirectionEntry,
     NetPoints,
+    POINT_VALUE_LIMIT,
     ParseError,
+    ResourceLimitError,
     StackWalk,
     SubsetIndex,
     _match_depth,
@@ -192,6 +194,33 @@ def test_points_are_generated_without_a_second_copy():
         tracemalloc.stop()
     assert points.coords.nbytes == 7 << 21  # 14 MiB
     assert peak <= 1.2 * points.coords.nbytes
+
+
+def test_points_past_the_limit_are_refused_before_allocating():
+    gens = sobol_net(7, 32)  # 2^32 x 7 values, 224 GiB
+    gens._columns
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="m=32, s=7"):
+            generate_points(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert POINT_VALUE_LIMIT == 1 << 27
+    assert peak < 1 << 20
+
+
+def test_point_limit_counts_values(monkeypatch):
+    import netgains.netgen as netgen_module
+    from netgains import gains
+
+    assert gains.ResourceLimitError is ResourceLimitError
+    monkeypatch.setattr(netgen_module, "POINT_VALUE_LIMIT", 3 << 4)
+    assert generate_points(sobol_net(3, 4)).coords.size == 3 << 4
+    with pytest.raises(ResourceLimitError, match="m=5, s=3"):
+        generate_points(sobol_net(3, 5))
+    with pytest.raises(ResourceLimitError, match="m=4, s=4"):
+        generate_points(sobol_net(4, 4))
 
 
 def test_net_points_copy_the_callers_array(shift_points):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from netgains.gains import gain_fast, max_gain
+from netgains.gf2 import BitMatrix
 from netgains.netgen import GeneratorSet, SubsetIndex, _match_depth, generate_points
 from netgains.quality import verify_net_by_counting
 from netgains.scramble import (
@@ -393,3 +394,64 @@ def test_engine_matches_the_sequential_scramble():
             for r, mean in enumerate(est.per_replicate_means):
                 _, reals = ref.scramble_rows(points.coords.tolist(), gens.m, d, kind.value, ref.replicate_seed(seed, r))
                 assert mean == np.asarray(reals).sum(axis=1).mean()
+
+
+def singular_net(rng, s: int, m: int) -> GeneratorSet:
+    """A random net whose first matrix repeats a row, so coordinate 1 repeats numerators."""
+    from netgains.suites import random_generator_set
+
+    gens = random_generator_set(rng, s, m)
+    rows = list(gens.matrices[0].rows)
+    rows[-1] = rows[0]
+    return GeneratorSet((BitMatrix(m, tuple(rows)),) + gens.matrices[1:])
+
+
+@pytest.mark.parametrize("m", range(8, 13))
+def test_nested_tree_table_matches_the_sequential_scramble(m, monkeypatch):
+    import random
+
+    import scramble_reference as ref
+
+    mod = importlib.import_module("netgains.scramble")
+    rng = random.Random(m)
+    gens = singular_net(rng, 2, m)
+    points = generate_points(gens)
+    _, first, inverse = np.unique(points.coords[:, 0], return_index=True, return_inverse=True)
+    assert len(first) < points.n
+    seeds = np.array([rng.getrandbits(64) for _ in range(8)], dtype=np.uint64)
+    rows = rng.sample(range(points.n), 12)
+    for d in (m, m + 1, 64):
+        want = [
+            [[ref.scramble_value(int(points.coords[i, j - 1]), m, d, "nested_uniform",
+                                 ref.derive(int(seed), ref.TAGS["nested_uniform"], j))
+              for j in (1, 2)] for i in rows]
+            for seed in seeds
+        ]
+        for per_chunk in (1, 3, 7):
+            monkeypatch.setattr(mod, "_CHUNK_VALUES", per_chunk * points.n * points.s)
+            got = list(mod._scrambles(points, ScrambleSpec(ScrambleKind.NESTED_UNIFORM, d), seeds))
+            assert [sp.numerators[rows].tolist() for sp in got] == want
+            # a numerator maps to one scrambled value, wherever it repeats
+            for sp in got:
+                col = sp.numerators[:, 0]
+                assert np.array_equal(col, col[first][inverse])
+
+
+def test_nested_hashes_each_tree_node_once(monkeypatch):
+    mod = importlib.import_module("netgains.scramble")
+    mix = mod._mix_np
+    hashed = []
+
+    def counting_mix(x):
+        hashed.append(np.size(x))
+        return mix(x)
+
+    monkeypatch.setattr(mod, "_mix_np", counting_mix)
+    m, s = 12, 2
+    points = generate_points(GeneratorSet((BitMatrix.identity(m),) * s))
+    for extra in (0, 5):
+        hashed.clear()
+        scramble(points, ScrambleSpec(ScrambleKind.NESTED_UNIFORM, m + extra, 7))
+        # 2^m - 1 tree nodes per coordinate and 2^m values per digit past m, plus the keys;
+        # hashing every point at every digit would be (m + extra) * 2^m per coordinate
+        assert sum(hashed) <= s * ((2 + extra) << m)
