@@ -2,11 +2,7 @@
 coefficients of scrambled nets, and randomization with replicate variance
 estimation."""
 
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    rank,
-)
+from .gf2 import BitMatrix
 from .netgen import (
     GeneratorSet,
     NetPoints,
@@ -55,8 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitMatrix",
-    "BitVector",
-    "rank",
     "GeneratorSet",
     "NetPoints",
     "ParseError",

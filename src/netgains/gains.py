@@ -45,7 +45,7 @@ from .netgen import (
     _xor_span,
     stack_at,
 )
-from .quality import first_rank_deficient_k, t_star_u, t_u, t_value
+from .quality import _box_counts, first_rank_deficient_k, t_star_u, t_u, t_value
 
 NULLSPACE_LOG2_LIMIT = 24
 ENUMERATION_VISIT_LIMIT = 1 << 24
@@ -401,22 +401,6 @@ class GainReport:
 
 def _entry_key(idx: SubsetIndex) -> tuple:
     return (idx.order, idx.u, idx.depth, idx.k)
-
-
-def _box_counts(s: int, cap: int, max_depth: int) -> list[int]:
-    """At ``r``: how many ``k`` in ``[0, cap]^r`` have ``|k| <= max_depth``, for ``r = 0..s``.
-
-    A DP over totals: ``ways[d]`` counts the vectors of total ``d``, and
-    adding a coordinate sums ``cap + 1`` neighbouring totals.
-    """
-    top = min(max_depth, s * cap)
-    ways = [1] + [0] * top
-    counts = [1]
-    for _ in range(s):
-        prefix = list(itertools.accumulate(ways, initial=0))
-        ways = [prefix[d + 1] - prefix[max(0, d - cap)] for d in range(top + 1)]
-        counts.append(sum(ways))
-    return counts
 
 
 def _subsets(s: int):

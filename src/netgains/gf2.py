@@ -6,9 +6,9 @@ packs to ``0b0110`` when ``ncols = 4``.  All arithmetic is XOR/AND on
 machine words, which is what makes the enumeration loops elsewhere in the
 package affordable.
 
-Matrices are immutable after construction and the functions return fresh
-values.  :class:`PivotTable` is the one mutable piece: the elimination
-state that every rank and membership question in the package goes through.
+Matrices are immutable after construction.  :class:`PivotTable` is the
+mutable piece: the elimination state that every rank and membership
+question in the package goes through.
 Its :meth:`~PivotTable.residual` is the normal form of a vector, zero at
 every pivot position, so it is linear: the residual of an XOR of vectors
 is the XOR of their residuals, and one reduction per vector answers the
@@ -20,50 +20,8 @@ Nullspaces are the nullspace gain oracle's own business
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 MAX_COLS = 64
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """A length-``length`` 0/1 vector packed MSB-first into ``bits``."""
-
-    bits: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_COLS:
-            raise ValueError(f"vector length must be in [1, {MAX_COLS}], got {self.length}")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(f"bits 0x{self.bits:x} do not fit in {self.length} columns")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        seq = list(bits)
-        value = 0
-        for b in seq:
-            if b not in (0, 1):
-                raise ValueError(f"non-binary entry {b!r}")
-            value = (value << 1) | b
-        return cls(value, len(seq))
-
-    @classmethod
-    def from_string(cls, text: str) -> "BitVector":
-        return cls.from_bits(int(c) for c in text)
-
-    @classmethod
-    def zero(cls, length: int) -> "BitVector":
-        return cls(0, length)
-
-    def bit(self, col: int) -> int:
-        """Entry at 1-indexed column ``col``."""
-        if not 1 <= col <= self.length:
-            raise IndexError(f"column {col} out of range 1..{self.length}")
-        return (self.bits >> (self.length - col)) & 1
-
-    def __str__(self) -> str:
-        return format(self.bits, f"0{self.length}b")
 
 
 @dataclass(frozen=True)
@@ -82,32 +40,12 @@ class BitMatrix:
                 raise ValueError(f"row {i} (0x{row:x}) does not fit in {self.ncols} columns")
 
     @classmethod
-    def from_strings(cls, lines: Sequence[str]) -> "BitMatrix":
-        if not lines:
-            raise ValueError("cannot infer ncols from an empty row list")
-        ncols = len(lines[0])
-        rows = []
-        for line in lines:
-            if len(line) != ncols:
-                raise ValueError(f"ragged rows: expected {ncols} columns, got {len(line)}")
-            rows.append(BitVector.from_string(line).bits)
-        return cls(ncols, tuple(rows))
-
-    @classmethod
-    def empty(cls, ncols: int) -> "BitMatrix":
-        return cls(ncols, ())
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, tuple(1 << (n - 1 - i) for i in range(n)))
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, col: int) -> int:
-        """Entry at 0-indexed row ``i``, 1-indexed column ``col``."""
-        return (self.rows[i] >> (self.ncols - col)) & 1
 
     def __str__(self) -> str:
         return "\n".join(format(r, f"0{self.ncols}b") for r in self.rows)
@@ -127,7 +65,7 @@ class PivotTable:
 
     __slots__ = ("pivots", "log")
 
-    def __init__(self, ncols: int = MAX_COLS):
+    def __init__(self, ncols: int):
         self.pivots = [0] * (ncols + 1)
         self.log: list[int] = []
 
@@ -173,24 +111,8 @@ class PivotTable:
             pivots[log.pop()] = 0
 
 
-def rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank of packed rows of at most :data:`MAX_COLS` bits."""
-    table = PivotTable()
-    for row in rows:
-        table.push(row)
-    return table.rank
-
-
-def rank(matrix: BitMatrix) -> int:
-    """Rank of ``matrix`` over GF(2); the empty matrix has rank 0."""
-    return rank_of_rows(matrix.rows)
-
-
 __all__ = [
     "MAX_COLS",
-    "BitVector",
     "BitMatrix",
     "PivotTable",
-    "rank",
-    "rank_of_rows",
 ]

@@ -174,10 +174,6 @@ class NetPoints:
     def s(self) -> int:
         return self._coords.shape[1]
 
-    def fractions(self) -> np.ndarray:
-        """Points as floats in [0, 1)."""
-        return self._coords.astype(np.float64) / float(1 << self._m)
-
 
 DEPTH_INF = np.int16(2**14)  # "all digits match"; above every real depth
 

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .netgen import GeneratorSet, NetPoints, StackWalk, _refuse_points, generate_points
+from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, _refuse_points, generate_points
 
 _PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
 
@@ -45,14 +45,20 @@ def compositions(total: int, parts: int, lo: int = 0, hi: int | None = None) -> 
             yield (head,) + tail
 
 
-def bounded_vectors(parts: int, cap: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    """All ``parts``-tuples with entries in [0, cap] and sum <= ``max_total``."""
-    if parts == 0:
-        yield ()
-        return
-    for head in range(0, min(cap, max_total) + 1):
-        for tail in bounded_vectors(parts - 1, cap, max_total - head):
-            yield (head,) + tail
+def _box_counts(s: int, cap: int, max_depth: int) -> list[int]:
+    """At ``r``: how many ``k`` in ``[0, cap]^r`` have ``|k| <= max_depth``, for ``r = 0..s``.
+
+    A DP over totals: ``ways[d]`` counts the vectors of total ``d``, and
+    adding a coordinate sums ``cap + 1`` neighbouring totals.
+    """
+    top = min(max_depth, s * cap)
+    ways = [1] + [0] * top
+    counts = [1]
+    for _ in range(s):
+        prefix = list(itertools.accumulate(ways, initial=0))
+        ways = [prefix[d + 1] - prefix[max(0, d - cap)] for d in range(top + 1)]
+        counts.append(sum(ways))
+    return counts
 
 
 def _ceil_log2(count: int) -> int:
@@ -215,6 +221,7 @@ def microstructure_AK(points: NetPoints, total: int) -> int:
 # --- report -------------------------------------------------------------------
 
 SUBSET_ENUMERATION_LIMIT = 16
+A_K_KEY_LIMIT = 1 << 28  # point keys the A_K table may sort, 2**m per box
 
 
 @dataclass
@@ -252,11 +259,21 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
     the full-set and singleton entries are always present.  ``a_k_max``
     bounds the A_K table (default ``m``).  The table reads the points, so a
     net past :data:`~netgains.netgen.POINT_VALUE_LIMIT` is refused first.
+    It sorts the ``2**m`` points once per box: each ``k`` in ``[0, m]^s``
+    with ``|k| <= a_k_max``, and ``s`` stand-ins for each total past ``m``.
+    More than :data:`A_K_KEY_LIMIT` sorted keys is refused before any search.
     """
     if a_k_max is not None and a_k_max < 0:
         raise ValueError(f"a_k_max must be >= 0, got {a_k_max}")
     s, m = gens.s, gens.m
     _refuse_points(m, s)
+    bound = m if a_k_max is None else a_k_max
+    keys = (_box_counts(s, m, bound)[s] + s * max(0, bound - m)) << m
+    if keys > A_K_KEY_LIMIT:
+        raise ResourceLimitError(
+            f"a_k_max={bound} over m={m}, s={s} sorts {keys} point keys for the A_K table "
+            f"(limit {A_K_KEY_LIMIT})"
+        )
     full = tuple(range(1, s + 1))
     all_subsets = s <= SUBSET_ENUMERATION_LIMIT
 
@@ -293,7 +310,6 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
         td[s] = t
 
     pts = generate_points(gens)
-    bound = m if a_k_max is None else a_k_max
     a_k = {kk: microstructure_AK(pts, kk) for kk in range(0, bound + 1)}
 
     return QualityReport(
@@ -304,7 +320,6 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
 
 __all__ = [
     "compositions",
-    "bounded_vectors",
     "first_rank_deficient_k",
     "t_value",
     "t_star_u",
@@ -317,4 +332,5 @@ __all__ = [
     "QualityReport",
     "quality_report",
     "SUBSET_ENUMERATION_LIMIT",
+    "A_K_KEY_LIMIT",
 ]

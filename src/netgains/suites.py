@@ -26,13 +26,14 @@ from .gains import (
     GainValue,
     KernelWalk,
     ResourceLimitError,
+    enumerate_gains,
     gain_fast,
     gain_pair_table,
     max_gain,
 )
 from .gf2 import BitMatrix
 from .netgen import GeneratorSet, StackWalk, SubsetIndex, generate_points
-from .quality import minimal_counting_t, t_value
+from .quality import minimal_counting_t, t_value, verify_net_by_counting
 from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
 
@@ -289,8 +290,6 @@ SWEEP_SUITES = ("power-of-two", "bound-chain", "zero-region", "t-crossval", "att
 
 def net_preservation_suite(*, seed0: int = 0) -> SuiteResult:
     """Scrambling of either fixture under 100 seeds must keep every ball count intact."""
-    from .quality import verify_net_by_counting
-
     result = SuiteResult("net-preservation", True, 0)
     for label, gens in (("shift_net", shift_net()), ("sobol_2d", sobol_net(2, 4))):
         points = generate_points(gens)
@@ -329,8 +328,6 @@ def gain_identity_suite(
 
 def _identity_entries(gens: GeneratorSet, count: int) -> list[SubsetIndex]:
     """Deterministic nonzero-gain picks: the maximum plus the first others."""
-    from .gains import enumerate_gains
-
     report = enumerate_gains(gens, max_depth=gens.s * (gens.m + 1))
     assert report.attaining is not None
     picks = [report.attaining]

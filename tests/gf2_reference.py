@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from netgains.gf2 import BitMatrix, BitVector, PivotTable
+from netgains.gf2 import BitMatrix, PivotTable
 from netgains.netgen import GeneratorSet, SubsetIndex
 
 
@@ -28,7 +28,7 @@ def row_reduce(matrix: BitMatrix) -> RowReduction:
 
     The result keeps the original number of rows: pivot rows come first in
     pivot-column order, zero rows pad the bottom.  The row space is
-    preserved and ``rank`` agrees with :func:`netgains.gf2.rank`.
+    preserved and ``rank`` agrees with :func:`nullspace_rank`.
     """
     table = PivotTable(matrix.ncols)
     for row in matrix.rows:
@@ -78,10 +78,14 @@ def nullspace_of_rows(rows: Iterable[int], ncols: int) -> list[int]:
     return out
 
 
-def nullspace_basis(matrix: BitMatrix) -> tuple[BitVector, ...]:
-    """Basis of {x : matrix @ x = 0}; has ``ncols - rank`` elements."""
-    n = matrix.ncols
-    return tuple(BitVector(vec, n) for vec in nullspace_of_rows(matrix.rows, n))
+def nullspace_basis(matrix: BitMatrix) -> tuple[int, ...]:
+    """Packed basis of {x : matrix @ x = 0}; has ``ncols - rank`` elements."""
+    return tuple(nullspace_of_rows(matrix.rows, matrix.ncols))
+
+
+def nullspace_rank(rows: Iterable[int], ncols: int) -> int:
+    """Rank of ``ncols``-bit rows: ``ncols`` minus the dimension of their nullspace."""
+    return ncols - len(nullspace_of_rows(rows, ncols))
 
 
 def assemble_cuk(gens: GeneratorSet, idx: SubsetIndex) -> BitMatrix:

@@ -155,7 +155,7 @@ def test_criterion_8_net_preservation(capsys):
 
 def test_criterion_9_direction_number_path(capsys):
     gens = load_generators(JOE_KUO_HEAD, "direction_numbers", dims=2, m=4)
-    pascal = BitMatrix.from_strings(["1111", "0101", "0011", "0001"])
+    pascal = BitMatrix(4, (0b1111, 0b0101, 0b0011, 0b0001))
     rank_t = t_value(gens)
     count_t = minimal_counting_t(generate_points(gens))
     ok = gens.matrices[1] == pascal and rank_t == count_t

@@ -40,3 +40,16 @@ def test_from_scratch_references_live_in_the_tests():
     for mod in (netgains, *(importlib.import_module(f"netgains.{name}") for name in MODULES)):
         assert not moved & set(vars(mod)), mod.__name__
     assert all(callable(getattr(gf2_reference, name)) for name in moved)
+
+
+def test_names_nothing_calls_are_deleted():
+    from netgains.gf2 import BitMatrix, PivotTable
+    from netgains.netgen import NetPoints
+
+    gone = {"BitVector", "rank", "rank_of_rows", "bounded_vectors"}
+    for mod in (netgains, *(importlib.import_module(f"netgains.{name}") for name in MODULES)):
+        assert not gone & set(vars(mod)), mod.__name__
+        assert not gone & set(getattr(mod, "__all__", ())), mod.__name__
+    assert not {"from_strings", "empty", "entry"} & set(vars(BitMatrix))
+    assert "fractions" not in vars(NetPoints)
+    assert inspect.signature(PivotTable).parameters["ncols"].default is inspect.Parameter.empty

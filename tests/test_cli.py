@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -93,6 +94,23 @@ def test_analyze_rejects_negative_a_k_max(shiftnet_file, capsys):
     assert code == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and "a_k_max must be >= 0" in captured.err
+
+
+def test_analyze_full_refuses_an_unbounded_a_k_table(shiftnet_file, capsys):
+    start = time.perf_counter()
+    code = main(["analyze", "--raw", shiftnet_file, "--full", "--a-k-max", "1000000000"])
+    assert time.perf_counter() - start < 1.0  # refused before any box is counted
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: a_k_max=1000000000 ")
+
+
+def test_analyze_full_refuses_a_deep_net_up_front(joekuo_file, capsys):
+    # 2^20 points fit, but sorting them once per box of total <= 20 does not
+    code = main(["analyze", "--dirnum", joekuo_file, "--dims", "7", "--m", "20", "--full"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: a_k_max=20 over m=20, s=7 ")
 
 
 def test_analyze_full_report(shiftnet_file, capsys):

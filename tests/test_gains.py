@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from gf2_reference import assemble_cuk, nullspace_of_rows
+from gf2_reference import assemble_cuk, nullspace_of_rows, nullspace_rank, row_reduce
 from netgains.gains import (
     GainValue,
     KernelWalk,
@@ -21,9 +21,9 @@ from netgains.gains import (
     gain_representation,
     max_gain,
 )
-from netgains.gf2 import BitMatrix, rank, rank_of_rows
+from netgains.gf2 import BitMatrix
 from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
-from netgains.quality import bounded_vectors, t_value
+from netgains.quality import t_value
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import ScrambleKind, ScrambleSpec, scramble
 from netgains.suites import random_generator_set
@@ -63,7 +63,7 @@ def test_full_rank_next_depth_means_zero(shift, sobol2d):
             idx = random_index(rng, gens)
             bumped = SubsetIndex(idx.u, tuple(kj + 1 for kj in idx.k))
             stacked = assemble_cuk(gens, bumped)
-            if rank(stacked) == stacked.nrows:
+            if nullspace_rank(stacked.rows, gens.m) == stacked.nrows:
                 checked += 1
                 assert gain_fast(gens, idx).is_zero
         assert checked > 20
@@ -262,15 +262,16 @@ def test_kernel_walk_matches_from_scratch_nullspaces():
                 if sum(k) > budget:
                     continue
                 visits += 1
-                rows = assemble_cuk(gens, SubsetIndex(u, k)).rows
+                stack = assemble_cuk(gens, SubsetIndex(u, k))
+                rows = stack.rows
                 null = nullspace_of_rows(rows, m)
-                assert len(walk.basis) == len(null) == m - rank_of_rows(rows)
-                assert rank_of_rows(walk.basis) == len(walk.basis)
+                assert len(walk.basis) == len(null) == m - row_reduce(stack).rank
+                assert nullspace_rank(walk.basis, m) == len(walk.basis)
                 assert all(not (row & v).bit_count() & 1 for row in rows for v in walk.basis)
                 assert count == brute_signed_count(gens, u, k)
             want = [
                 k
-                for k in bounded_vectors(size, cap, size * cap)
+                for k in product(range(cap + 1), repeat=size)
                 if all(a >= b for a, b in zip(k, floor))
             ]
             assert seen == want
@@ -321,10 +322,7 @@ def test_max_gain_equal_first_rows_hits_ceiling():
 def test_max_gain_minimal_witness_subset():
     # first rows: e1, e2, e1^e2, e1 -> smallest dependent subset is {1, 4}
     rows = ["1000", "0100", "1100", "1000"]
-    mats = []
-    for top in rows:
-        mats.append(BitMatrix.from_strings([top, "0100", "0010", "0001"]))
-    gens = GeneratorSet(tuple(mats))
+    gens = GeneratorSet(tuple(BitMatrix(4, (int(top, 2), 0b0100, 0b0010, 0b0001)) for top in rows))
     value, witness = max_gain(gens)
     assert value == GainValue(4)
     assert witness.u == (1, 4)
@@ -424,19 +422,19 @@ def scratch_gain(gens: GeneratorSet, idx: SubsetIndex) -> GainValue:
     nxt = 0
     for j, kj in zip(idx.u, idx.k):
         nxt ^= gens.row(j, kj + 1)
-    r = rank_of_rows(rows)
-    return GainValue(gens.m - r) if rank_of_rows(rows + [nxt]) == r else GainValue.zero()
+    r = nullspace_rank(rows, gens.m)
+    return GainValue(gens.m - r) if nullspace_rank(rows + [nxt], gens.m) == r else GainValue.zero()
 
 
 def scratch_report(gens: GeneratorSet, max_depth: int, max_visits: int | None) -> dict:
-    """enumerate_gains rebuilt as a per-(u, k) loop over bounded_vectors."""
+    """enumerate_gains rebuilt as a per-(u, k) loop over the box, in lex order."""
     m = gens.m
     t = t_value(gens)
     entries, violations = [], []
     visited, truncated = 0, False
     subsets = [u for r in range(1, gens.s + 1) for u in combinations(range(1, gens.s + 1), r)]
     for u in subsets:
-        for k in bounded_vectors(len(u), m + 1, max_depth):
+        for k in (k for k in product(range(m + 2), repeat=len(u)) if sum(k) <= max_depth):
             if max_visits is not None and visited >= max_visits:
                 truncated = True
                 break
@@ -460,7 +458,7 @@ def scratch_report(gens: GeneratorSet, max_depth: int, max_visits: int | None) -
         # gain_bounds works out t itself; the rank bound is checked from scratch
         bounds = gain_bounds(gens, attaining)
         rows = assemble_cuk(gens, attaining).rows
-        assert bounds["rank"] == 1 << (m - rank_of_rows(rows))
+        assert bounds["rank"] == 1 << (m - nullspace_rank(rows, m))
     return {
         "entries": entries,
         "visited": visited,

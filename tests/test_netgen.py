@@ -1,14 +1,15 @@
 """Construction: parsing, point generation, stacked matrices, export."""
 
 import io
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gf2_reference import assemble_cuk
-from netgains.gf2 import BitMatrix, rank, rank_of_rows
+from gf2_reference import assemble_cuk, nullspace_rank
+from netgains.gf2 import BitMatrix
 from netgains.netgen import (
     DEPTH_INF,
     DIRECTION_NUMBERS,
@@ -28,13 +29,13 @@ from netgains.netgen import (
     write_points_binary,
     write_points_csv,
 )
-from netgains.quality import bounded_vectors, compositions
+from netgains.quality import compositions
 from netgains.suites import random_generator_set
 from netgains.samples import JOE_KUO_HEAD, SHIFT_NET_RAW, sobol_net
 
 # Pascal matrix mod 2: entry (r, c) = C(c-1, r-1) mod 2; derived by running
 # the direction-number recurrence by hand for a=0, m_1=1: m = 1,3,5,15.
-PASCAL_4 = BitMatrix.from_strings(["1111", "0101", "0011", "0001"])
+PASCAL_4 = BitMatrix(4, (0b1111, 0b0101, 0b0011, 0b0001))
 
 
 # --- raw format ---------------------------------------------------------------
@@ -94,10 +95,9 @@ def test_direction_columns_recurrence():
 def test_sobol_matrices_unit_upper_triangular():
     gens = load_generators(JOE_KUO_HEAD, DIRECTION_NUMBERS, dims=7, m=8)
     for mat in gens.matrices:
-        for r in range(8):
-            assert mat.entry(r, r + 1) == 1
-            for c in range(1, r + 1):
-                assert mat.entry(r, c) == 0
+        for r, row in enumerate(mat.rows):
+            # r zeros, then the diagonal one
+            assert row.bit_length() == 8 - r
 
 
 @pytest.mark.parametrize(
@@ -160,7 +160,7 @@ def test_columns_recoverable_from_points(shift, sobol2d):
                 # column ell of the generator, read back from the matrix
                 want = 0
                 for r in range(1, gens.m + 1):
-                    want |= gens.matrices[j - 1].entry(r - 1, ell) << (gens.m - r)
+                    want |= ((gens.matrices[j - 1].rows[r - 1] >> (gens.m - ell)) & 1) << (gens.m - r)
                 assert column == want
 
 
@@ -174,7 +174,7 @@ def test_points_match_column_xor_at_every_index(shift, sobol2d, identity_net):
             mat = gens.matrices[j - 1]
             cols = []
             for c in range(1, m + 1):
-                cols.append(sum(mat.entry(r - 1, c) << (m - r) for r in range(1, m + 1)))
+                cols.append(sum(((mat.rows[r - 1] >> (m - c)) & 1) << (m - r) for r in range(1, m + 1)))
             for i in range(gens.n):
                 want = 0
                 for c in range(1, m + 1):
@@ -258,8 +258,8 @@ def test_shift_net_balanced_to_depth_three(shift_points):
 def test_cuk_first_rows_anti_diagonal(shift):
     idx = SubsetIndex((1, 2, 3, 4), (1, 1, 1, 1))
     got = assemble_cuk(shift, idx)
-    assert got == BitMatrix.from_strings(["0001", "0010", "0100", "1000"])
-    assert rank(got) == 4
+    assert got == BitMatrix(4, (0b0001, 0b0010, 0b0100, 0b1000))
+    assert nullspace_rank(got.rows, 4) == 4
 
 
 def test_cuk_zero_depths_empty(shift):
@@ -272,7 +272,7 @@ def test_cuk_pads_zero_rows(identity_net):
     got = assemble_cuk(identity_net(m), SubsetIndex((1,), (m + 2,)))
     assert got.nrows == m + 2
     assert got.rows[m:] == (0, 0)
-    assert rank(got) == m
+    assert nullspace_rank(got.rows, m) == m
 
 
 def next_rows_xor(gens, u, k):
@@ -330,12 +330,13 @@ def test_walk_matches_from_scratch_stacks():
             for j, kj in zip(u, k):
                 target ^= gens.row(j, kj + 1)
             assert depth == sum(k)
-            assert rank_k == rank_of_rows(rows)
+            assert rank_k == nullspace_rank(rows, gens.m)
             assert nxt == target
-            assert (walk.table.residual(nxt) == 0) == (rank_of_rows(rows + [target]) == rank_k)
+            assert (walk.table.residual(nxt) == 0) == (nullspace_rank(rows + [target], gens.m) == rank_k)
             seen.append(k)
         want = [
-            k for k in bounded_vectors(size, cap, budget) if all(a >= b for a, b in zip(k, floor))
+            k for k in itertools.product(range(cap + 1), repeat=size)
+            if sum(k) <= budget and all(a >= b for a, b in zip(k, floor))
         ]
         assert seen == want
         assert walk.table.rank == 0  # every push undone
@@ -349,7 +350,7 @@ def test_walk_budget_lowered_mid_walk(sobol2d):
         if walk.k == [1, 2]:
             walk.budget = 2
     assert seen[: seen.index((1, 2)) + 1] == [
-        k for k in bounded_vectors(2, 5, 6) if k <= (1, 2)
+        k for k in itertools.product(range(6), repeat=2) if sum(k) <= 6 and k <= (1, 2)
     ]
     assert seen[seen.index((1, 2)) + 1 :] == [(2, 0)]
 

@@ -11,13 +11,13 @@ its order or a count fails.
 
 import hashlib
 import importlib
+import itertools
 
 import numpy as np
 import pytest
 
 from netgains.cli import EXIT_OK, main
 from netgains.netgen import DIRECTION_NUMBERS, generate_points, load_generators
-from netgains.quality import bounded_vectors
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, estimate, scramble
 
@@ -122,7 +122,8 @@ def test_cli_gain_tables_are_pinned(data_dir, tmp_path, net, fmt):
     h = hashlib.sha256()
     for depth in (3, 6, s * (m + 1)):
         # visits to the singletons plus half of those to the first pair
-        per_size = [sum(1 for _ in bounded_vectors(r, m + 1, depth)) for r in (1, 2)]
+        per_size = [sum(sum(k) <= depth for k in itertools.product(range(m + 2), repeat=r))
+                    for r in (1, 2)]
         cut = s * per_size[0] + per_size[1] // 2
         for max_visits in (0, 1, cut, None):
             out = tmp_path / f"gains-{depth}-{max_visits}.{fmt}"

@@ -6,10 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from netgains.gf2 import rank_of_rows
-from netgains.netgen import GeneratorSet, NetPoints, generate_points
+from gf2_reference import nullspace_rank
+from netgains.netgen import GeneratorSet, NetPoints, ResourceLimitError, generate_points
 from netgains.quality import (
-    bounded_vectors,
     compositions,
     first_rank_deficient_k,
     microstructure_A,
@@ -28,11 +27,11 @@ from netgains.suites import random_generator_set
 def brute_t_u(gens: GeneratorSet, u: tuple[int, ...]) -> int:
     """Direct definition: minimum deficient total depth over the whole box."""
     best = None
-    for k in bounded_vectors(len(u), gens.m + 1, len(u) * (gens.m + 1)):
+    for k in itertools.product(range(gens.m + 2), repeat=len(u)):
         rows = []
         for j, kj in zip(u, k):
             rows.extend(gens.row(j, ell) for ell in range(1, kj + 1))
-        if rank_of_rows(rows) < len(rows):
+        if nullspace_rank(rows, gens.m) < len(rows):
             total = sum(k)
             best = total if best is None else min(best, total)
     return gens.m + 1 - best
@@ -129,7 +128,7 @@ def test_subset_identities(shift, sobol2d):
 
 def stack_deficient(gens: GeneratorSet, u, k) -> bool:
     rows = [gens.row(j, ell) for j, kj in zip(u, k) for ell in range(1, kj + 1)]
-    return rank_of_rows(rows) < len(rows)
+    return nullspace_rank(rows, gens.m) < len(rows)
 
 
 def test_first_rank_deficient_k_is_lex_first_of_least_total():
@@ -141,7 +140,7 @@ def test_first_rank_deficient_k_is_lex_first_of_least_total():
             for u in itertools.combinations(range(1, gens.s + 1), size):
                 deficient = [
                     k
-                    for k in bounded_vectors(size, m + 1, size * (m + 1))
+                    for k in itertools.product(range(m + 2), repeat=size)
                     if min(k) >= 1 and stack_deficient(gens, u, k)
                 ]
                 least = min(sum(k) for k in deficient)
@@ -327,6 +326,22 @@ def test_quality_report_shift(shift):
     assert payload["t"] == 1
     assert {"u": [1, 2, 3, 4], "value": 0} in payload["t_star_u"]
     assert payload["A_K"]["4"] == 1
+
+
+def test_quality_report_refuses_an_a_k_table_past_the_limit(monkeypatch, shift):
+    from netgains import quality
+
+    m, s = shift.m, shift.s
+    # boxes in [0, m]^s up to total m + 1, and s stand-ins for the total past m
+    boxes = sum(sum(k) <= m + 1 for k in itertools.product(range(m + 1), repeat=s)) + s
+    monkeypatch.setattr(quality, "A_K_KEY_LIMIT", boxes << m)
+    assert quality_report(shift, a_k_max=m + 1).a_k[m + 1] == microstructure_AK(
+        generate_points(shift), m + 1
+    )
+    monkeypatch.setattr(quality, "A_K_KEY_LIMIT", (boxes << m) - 1)
+    with pytest.raises(ResourceLimitError, match=f"a_k_max={m + 1} over m={m}, s={s} "):
+        quality_report(shift, a_k_max=m + 1)
+    assert quality_report(shift).a_k == {0: 4, 1: 3, 2: 2, 3: 1, 4: 1}
 
 
 def test_quality_report_gating():
