@@ -6,12 +6,15 @@ scramble engine that moves one bit of one output fails.  The Haar
 integrands stay within the output bits, where estimates read cells.  Gain
 tables are hashed at shallow, middle and whole-box depths, whole and cut
 by ``--max-visits``, so a change to the enumeration that moves one entry,
-its order or a count fails.
+its order or a count fails.  The records of a 300-net acceptance sweep are
+hashed as JSON, so a change to ``evaluate_net`` that moves one count fails.
 """
 
 import hashlib
 import importlib
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from netgains.cli import EXIT_OK, main
 from netgains.netgen import DIRECTION_NUMBERS, generate_points, load_generators
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, estimate, scramble
+from netgains.suites import sweep_records
 
 NETS = {"shift": shift_net, "sobol_4_8": lambda: sobol_net(4, 8)}
 SEEDS = (0, 5, 2**63 + 12345)
@@ -65,6 +69,8 @@ GAINS_DIGESTS = {
     ("sobol_5_8", "json"): "7c93f344e22d05b3d65c99fc1b41dcb8adf28e4c70920839ce80e964c26b8bf8",
     ("sobol_5_8", "csv"): "f8bcfa21f32666078179c815bbb85e350ef1f2150ee4bbdbbf68cacf82596685",
 }
+
+SWEEP_DIGEST = "e50ed5455a707f756fa5850095c81d9c125118310a0f33a5491e459147be90a6"
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +149,8 @@ def test_outputs_do_not_depend_on_the_chunk_size(net_points, data_dir, tmp_path,
             test_estimate_means_are_pinned(net_points, net, integrand, kind)
         for fmt in CLI_DIGESTS:
             test_cli_scramble_replicates_are_pinned(data_dir, tmp_path, fmt, capsys)
+
+
+def test_sweep_records_are_pinned():
+    records = json.dumps([asdict(r) for r in sweep_records(300, seed=20260810)])
+    assert hashlib.sha256(records.encode()).hexdigest() == SWEEP_DIGEST
