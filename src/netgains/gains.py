@@ -41,6 +41,7 @@ from .netgen import (
     ResourceLimitError,
     StackWalk,
     SubsetIndex,
+    _cut_level,
     _match_depth,
     _xor_span,
     stack_at,
@@ -187,17 +188,25 @@ class KernelWalk:
     Visits every ``k`` with ``floor[j] <= k[j] <= m + 1`` in lexicographic
     order, as :class:`~netgains.netgen.StackWalk` does with cap ``m + 1`` and
     a budget that never binds, but eliminates in the dual space and shares
-    no code with that rank route: per coordinate of ``u`` it keeps a basis
-    of the nullspace of the rows stacked up to it.  As ``N(C_{u,k+e_j})`` is
-    ``{v in N(C_{u,k}) : row_{k_j+1}(j) . v = 0}``, stepping ``k_j`` up is
-    one :func:`_restrict`.
+    no elimination code with that rank route: per coordinate of ``u`` it
+    keeps a basis of the nullspace of the rows stacked up to it.  As
+    ``N(C_{u,k+e_j})`` is ``{v in N(C_{u,k}) : row_{k_j+1}(j) . v = 0}``,
+    stepping ``k_j`` up is one :func:`_restrict`.
 
     Iterating yields, per ``k``, the sum over N(C_{u,k}) of -1 to the number
     of next rows (row ``k_j + 1`` of each ``j``) a vector trips.  Sign
     patterns are linear in the vector, so a Gray-code walk updates them in
-    O(1) per state.  ``k``, a list updated in place, and ``basis`` are the
-    current ones.  Raises :class:`ResourceLimitError` at a ``k`` whose
-    nullspace has more than ``2**NULLSPACE_LOG2_LIMIT`` elements.
+    O(1) per state; an empty basis yields 1 without a walk.  ``k``, a list
+    updated in place, and ``basis`` are the current ones.  Raises
+    :class:`ResourceLimitError` at a ``k`` whose nullspace has more than
+    ``2**NULLSPACE_LOG2_LIMIT`` elements.
+
+    :meth:`cut`, called after a yield, skips every ``k`` still to come
+    whose stack contains the current one's rows: those equal to ``k``
+    before level ``i`` and at least ``k[i]`` at it, where ``i`` is the
+    deepest coordinate above its floor (0 if none), as
+    :meth:`~netgains.netgen.StackWalk.cut` does.  Once the basis is empty,
+    every such ``k`` has the empty nullspace and the count 1.
     """
 
     def __init__(self, gens: GeneratorSet, u, floor):
@@ -212,6 +221,12 @@ class KernelWalk:
         self._m = gens.m
         self.k = [0] * len(u)
         self.basis: list[int] = []
+        self._cut: int | None = None
+
+    def cut(self) -> int:
+        """Skip the slab of the current ``k`` (see the class docstring); return its level ``i``."""
+        self._cut = _cut_level(self.k, self._floor)
+        return self._cut
 
     def __iter__(self):
         rows, floor, cap, k = self._rows, self._floor, self._m + 1, self.k
@@ -219,6 +234,7 @@ class KernelWalk:
         bases = [[]] * (last + 1)  # at i: the basis for the rows of coordinates 0..i
         nexts = [0] * (last + 1)  # row k_j + 1 of each coordinate
         i, basis = -1, [1 << b for b in range(self._m)]  # the empty stack's: all m-bit vectors
+        self._cut = None
         while True:
             for j in range(i + 1, last + 1):  # the coordinates after i start at their floor
                 k[j] = floor[j]
@@ -227,13 +243,16 @@ class KernelWalk:
                     basis = _restrict(basis, rows[j][ell])
                 bases[j] = basis
             self.basis = basis
-            yield _signed_count(basis, nexts)
-            # the next k in lex order steps up the last coordinate that can
+            yield _signed_count(basis, nexts) if basis else 1
+            # the next k in lex order steps up the last coordinate that can,
+            # or, past a cut slab, the last one before its level
             i = last
-            while k[i] >= cap:
+            if self._cut is not None:
+                i, self._cut = self._cut - 1, None
+            while i >= 0 and k[i] >= cap:
                 i -= 1
-                if i < 0:
-                    return
+            if i < 0:
+                return
             basis = bases[i] = _restrict(bases[i], rows[i][k[i]])
             k[i] += 1
             nexts[i] = rows[i][k[i]]

@@ -414,6 +414,13 @@ class StackWalk:
     the row space.  ``k`` is the current vector, a list updated in place.
     Lowering ``budget`` while iterating skips the deeper ``k`` from then on.
 
+    :meth:`cut`, called after a yield, skips every ``k`` still to come
+    whose stack contains the current one's rows: the slab of ``k'`` equal
+    to ``k`` before level ``i`` and at least ``k[i]`` at it, where ``i`` is
+    the deepest coordinate above its floor (0 if none).  In lexicographic
+    order they run from the current ``k`` to the end of the level-``i``
+    loop, so the walk resumes past them.
+
     A zero depth adds no rows, so with floor 0 the walk also visits the
     stack of every subset of ``u``: ``enumerate_gains`` and ``t_u`` walk
     once over all their coordinates rather than once per subset.
@@ -432,11 +439,18 @@ class StackWalk:
         self.budget = budget
         self.table = PivotTable(gens.m)
         self.k = [0] * len(u)
+        self._cut: int | None = None
+
+    def cut(self) -> int:
+        """Skip the slab of the current ``k`` (see the class docstring); return its level ``i``."""
+        self._cut = _cut_level(self.k, self._floor)
+        return self._cut
 
     def __iter__(self):
         rows, floor, cap, k = self._rows, self._floor, self._cap, self.k
         push, undo, log = self.table.push, self.table.undo, self.table.log
         undo(0)  # a walk left early may have rows pushed
+        self._cut = None
         last = len(rows) - 1
         tail = [0] * (last + 2)  # least depth the coordinates from i on need
         for i in range(last, -1, -1):
@@ -473,6 +487,9 @@ class StackWalk:
             depth, nxt = spent[level], pre[level]
             while True:
                 yield depth + kl, len(log), nxt ^ row[kl]
+                if self._cut is not None:  # leave the levels from the cut on
+                    level, self._cut = self._cut, None
+                    break
                 if kl >= min(hi, self.budget - depth):
                     break
                 push(row[kl])
@@ -480,6 +497,14 @@ class StackWalk:
                 k[level] = kl
             undo(marks[level])
             level, entering = level - 1, False
+
+
+def _cut_level(k, floor) -> int:
+    """The deepest coordinate of ``k`` above its floor, 0 if none: the level a walk cuts at."""
+    i = len(k) - 1
+    while i and k[i] == floor[i]:
+        i -= 1
+    return i
 
 
 def stack_at(gens: GeneratorSet, u, k) -> tuple[int, bool]:

@@ -2,16 +2,21 @@
 
 A sweep draws random generator sets, walks the whole (u, k) box with
 per-coordinate depths up to ``m + 1``, and evaluates each gain coefficient
-three ways: the pairwise sum (read from the one
-:func:`~netgains.gains.gain_pair_table` of the net, built from the points'
-own match depths), the nullspace count read off one
+three ways, each into its own dense table laid out as the pairwise one: the
+pairwise sum (the one :func:`~netgains.gains.gain_pair_table` of the net,
+built from the points' own match depths), the nullspace count read off one
 :class:`~netgains.gains.KernelWalk` per subset, and the rank test read off
-one :class:`~netgains.netgen.StackWalk` per subset; the two walks go in
-lockstep over the same ``k``.  The per-net record
-carries everything the individual property suites assert about: exact
-agreement of the three routes, power-of-two values, bound domination, the
-forced-zero region, rank-derived t versus counting t, and attainment of
-the closed-form maximum by the enumerated maximum.
+one :class:`~netgains.netgen.StackWalk` per subset.  The two walks go in
+lockstep over the same ``k``.  Once a stack has rank ``m``, so has every
+deeper one, and each walk sees it from its own state: rank ``m``, or an
+empty nullspace basis.  There each route writes gain 1 over the slab of
+those deeper stacks still to come in one assignment and cuts the slab from
+its walk; a route that cuts alone falls out of step.  The tables are then
+compared, and checked for the paper's properties, as whole arrays.  The
+per-net record carries everything the individual property suites assert
+about: exact agreement of the three routes, power-of-two values, bound
+domination, the forced-zero region, rank-derived t versus counting t, and
+attainment of the closed-form maximum by the enumerated maximum.
 """
 
 from __future__ import annotations
@@ -21,25 +26,28 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .gains import (
     NULLSPACE_LOG2_LIMIT,
-    GainValue,
     KernelWalk,
     ResourceLimitError,
     enumerate_gains,
-    gain_fast,
     gain_pair_table,
     max_gain,
 )
 from .gf2 import BitMatrix
-from .netgen import GeneratorSet, StackWalk, SubsetIndex, generate_points
+from .netgen import MAX_M, GeneratorSet, StackWalk, SubsetIndex, generate_points
 from .quality import minimal_counting_t, t_value, verify_net_by_counting
 from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
 
 _MAX_FAILURES = 20
 # Largest pairwise table, (m + 3)^s int64 cells (32 MiB); the (m + 2)^s box
-# of such a net is far beyond what the oracles can walk anyway.
+# of such a net is far beyond what the oracles can walk anyway.  The rank
+# and kernel tables (int8 and int32) and the checks' temporaries peak at 16
+# bytes a cell (64 MiB) on top of it: no more than gain_pair_table's own
+# peak of about 24 bytes a cell while it builds the table.
 PAIR_TABLE_CELL_LIMIT = 1 << 22
 
 
@@ -87,7 +95,10 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     nullspace count would walk ``(2**s - 1) * 2**m > 2**NULLSPACE_LOG2_LIMIT``
     states on the ``k = 0`` triples alone.  Points that are no digital net
     count as one oracle mismatch, and so does a subset whose rank and kernel
-    walks fall out of step; its walk stops there.
+    walks fall out of step; its walk stops there.  The triples are the cells
+    the rank route reached, failures come in ``(|u|, u, k)`` order, a
+    subset's walks falling out of step after its cells, and at most
+    ``_MAX_FAILURES`` of them are kept.
     """
     s, m = gens.s, gens.m
     if (m + 3) ** s > PAIR_TABLE_CELL_LIMIT:
@@ -100,71 +111,85 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
             f"the k = 0 triples of s={s}, m={m} walk (2^{s} - 1) * 2^{m} nullspace states "
             f"(limit 2^{NULLSPACE_LOG2_LIMIT})"
         )
-    n = gens.n
     points = generate_points(gens)
     t = t_value(gens)
     counting = minimal_counting_t(points)
     cap = m + 1
 
-    mismatches = non_power = chain_bad = zero_bad = 0
-    enum_max: int | None = None
-    triples = 0
     failures: list[dict] = []
-
-    def note(kind: str, u, k, **extra) -> None:
-        if len(failures) < _MAX_FAILURES:
-            failures.append({"kind": kind, "u": list(u), "k": list(k), **extra})
-
     try:
-        table = gain_pair_table(points)  # n times the pairwise gain of every (u, k)
+        pairs = gain_pair_table(points)  # n times the pairwise gain of every (u, k)
+        mismatches = 0
     except ValueError as exc:  # wrong points: the other two routes still compare
-        table, mismatches = None, 1
-        note("oracle", (), (), brute=str(exc))
+        pairs, mismatches = None, 1
+        failures.append({"kind": "oracle", "u": [], "k": [], "brute": str(exc)})
 
-    for r in range(1, s + 1):
-        clamp = min(t + r - 1, m)
-        for u in itertools.combinations(range(1, s + 1), r):
-            view = tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
-            pairs = None if table is None else table[view]
-            walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
-            kernel = KernelWalk(gens, u, (0,) * r)
-            counts = iter(kernel)
-            residual = walk.table.residual
-            for _, rank, nxt in walk:
-                middle = next(counts, None)
-                if middle is None or kernel.k != walk.k:  # walks out of step: stop this u
-                    mismatches += 1
-                    note("oracle", u, walk.k, kernel_k=None if middle is None else list(kernel.k))
-                    break
-                k = tuple(walk.k)
-                triples += 1
-                fast = GainValue.zero() if residual(nxt) else GainValue(m - rank)
-                value = fast.as_int
-                total = value * n if pairs is None else int(pairs[k])
-                if not (total == value * n and value == middle):
-                    mismatches += 1
-                    note("oracle", u, k, fast=value, brute=str(Fraction(total, n)), middle=middle)
-                    continue
-                if value and (value & (value - 1) or value > (1 << m)):
-                    non_power += 1
-                    note("non_power", u, k, value=value)
-                if not fast.is_zero:
-                    if enum_max is None or fast.log2 > enum_max:
-                        enum_max = fast.log2
-                    # nonzero gains obey 2^(m-rank) <= 2^(t+|u|-1) clamped at 2^m
-                    if not (fast.log2 == m - rank <= clamp):
-                        chain_bad += 1
-                        note("chain", u, k, log2=fast.log2, rank=rank, clamp=clamp)
-                    if r + sum(k) <= m - t:
-                        zero_bad += 1
-                        note("zero_region", u, k, log2=fast.log2)
-            else:  # the rank walk ended: the kernel walk must end with it
-                if next(counts, None) is not None:
-                    mismatches += 1
-                    note("oracle", u, kernel.k, kernel_k=list(kernel.k))
+    # the other two routes on the cells of the pair table: log2 of the rank
+    # route's gain (-1 for 0) and the kernel route's signed count
+    shape = (m + 3,) * s
+    log2 = np.full(shape, _NO_LOG2, dtype=np.int8)
+    counts = np.full(shape, _NO_COUNT, dtype=np.int32)
+    stray = {}  # u -> the note of its walks falling out of step
+    for u, view in _subset_views(s):
+        r = len(u)
+        log2_u, counts_u = log2[view], counts[view]
+        walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
+        kernel = KernelWalk(gens, u, (0,) * r)
+        route, residual = iter(kernel), walk.table.residual
+        walk_k, kernel_k = walk.k, kernel.k  # updated in place
+        for _, rank, nxt in walk:
+            count = next(route, None)
+            if count is None or kernel_k != walk_k:  # walks out of step: stop this u
+                stray[u] = {"kind": "oracle", "u": list(u), "k": list(walk_k),
+                            "kernel_k": None if count is None else list(kernel_k)}
+                break
+            k = tuple(walk_k)
+            if rank == m:  # and so has every stack of the slab: gain 1
+                log2_u[_slab(k, walk.cut())] = 0
+            else:
+                log2_u[k] = -1 if residual(nxt) else m - rank
+            if kernel.basis:
+                counts_u[k] = count
+            else:  # an empty nullspace, and so is every one of the slab: count 1
+                counts_u[_slab(k, kernel.cut())] = count
+        else:  # the rank walk ended: the kernel walk must end with it
+            if next(route, None) is not None:
+                stray[u] = {"kind": "oracle", "u": list(u), "k": list(kernel_k),
+                            "kernel_k": list(kernel_k)}
 
+    # the three routes on the cells the rank route reached; a cell the kernel
+    # route missed keeps _NO_COUNT, which no gain equals
+    visited = log2 != _NO_LOG2
+    value = _GAIN_OF_LOG2[log2]
+    oracle = value != counts
+    if pairs is not None:
+        value *= gens.n
+        oracle |= value != pairs
+    del value  # the largest temporary: 8 bytes a cell
+    oracle &= visited
+    # the paper's properties of the gains all three agree on (log2, -1 for 0);
+    # entry e on an axis is 1 + k_j for a member of u and 0 otherwise, so
+    # |u| and |u| + |k| add up one axis at a time
+    agreed = np.where(oracle, _NO_LOG2, log2)
+    member, entry = _MEMBER[: m + 3], _ENTRY[: m + 3]
+    size, total = member, entry
+    for _ in range(s - 1):
+        size, total = np.add.outer(size, member), np.add.outer(total, entry)
+    non_power = agreed > m
+    # nonzero gains obey 2^(m-rank) <= 2^(t+|u|-1) clamped at 2^m
+    chain = (agreed - size >= t) | non_power
+    zero = (agreed >= 0) & (total <= m - t)
+    tallies = [int(np.count_nonzero(a)) for a in (oracle, non_power, chain, zero)]
+    enum_max = int(agreed.max())
+
+    if (any(tallies) or stray) and len(failures) < _MAX_FAILURES:
+        cells = _cell_notes(s, m, t, stray, oracle, non_power, chain, zero, log2, counts, pairs)
+        failures += itertools.islice(cells, _MAX_FAILURES - len(failures))
     closed, witness = max_gain(gens)
-    witness_ok = gain_fast(gens, witness) == closed
+    # the rank route's gain at the witness, as gain_fast would compute it
+    depth = dict(zip(witness.u, witness.k))
+    cell = tuple(1 + min(depth[j], cap) if j in depth else 0 for j in range(1, s + 1))
+    witness_ok = int(log2[cell]) == closed.log2
     return NetRecord(
         s=s,
         m=m,
@@ -172,14 +197,66 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
         counting_t=counting,
         closed_form_log2=closed.log2,
         witness_ok=witness_ok,
-        enum_max_log2=enum_max,
-        triples=triples,
-        oracle_mismatches=mismatches,
-        non_power_values=non_power,
-        chain_violations=chain_bad,
-        zero_region_violations=zero_bad,
+        enum_max_log2=None if enum_max < 0 else enum_max,
+        triples=int(np.count_nonzero(visited)),
+        oracle_mismatches=mismatches + len(stray) + tallies[0],
+        non_power_values=tallies[1],
+        chain_violations=tallies[2],
+        zero_region_violations=tallies[3],
         failures=failures,
     )
+
+
+# the cells a route has not reached: below every log2 (-1 for gain 0) and
+# below every signed count (-2^NULLSPACE_LOG2_LIMIT at least)
+_NO_LOG2 = -2
+_NO_COUNT = np.iinfo(np.int32).min
+# the gain 2^e at index e; 0 at the indices -1 (gain 0) and _NO_LOG2
+_GAIN_OF_LOG2 = np.array([1 << e for e in range(MAX_M + 1)] + [0, 0], dtype=np.int64)
+_ENTRY = np.arange(MAX_M + 3, dtype=np.int16)
+_MEMBER = np.minimum(_ENTRY, 1).astype(np.int8)
+
+
+def _subset_views(s: int):
+    """Each nonempty ``u`` in ``(|u|, u)`` order, with the index of its cells.
+
+    Indexing a table laid out as :func:`~netgains.gains.gain_pair_table` by
+    the index gives the cells of ``u``, ``k`` on an axis per member of ``u``.
+    """
+    for r in range(1, s + 1):
+        for u in itertools.combinations(range(1, s + 1), r):
+            yield u, tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
+
+
+def _slab(k: tuple, i: int) -> tuple:
+    """The cells equal to ``k`` before axis ``i`` and at least ``k[i]`` at it."""
+    return k[:i] + (slice(k[i], None),)
+
+
+def _cell_notes(s, m, t, stray, oracle, non_power, chain, zero, log2, counts, pairs):
+    """The failures of the cells in ``(|u|, u, k)`` order, then each subset's stray walk."""
+    n = 1 << m
+    for u, view in _subset_views(s):
+        kinds = oracle[view], non_power[view], chain[view], zero[view]
+        log2_u, counts_u = log2[view], counts[view]
+        for k in zip(*np.nonzero(kinds[0] | kinds[1] | kinds[2] | kinds[3])):
+            head = {"u": list(u), "k": [int(kj) for kj in k]}
+            log2_k = int(log2_u[k])
+            value = 0 if log2_k < 0 else 1 << log2_k
+            if kinds[0][k]:
+                total = value * n if pairs is None else int(pairs[view][k])
+                yield {"kind": "oracle", **head, "fast": value,
+                       "brute": str(Fraction(total, n)), "middle": int(counts_u[k])}
+                continue
+            if kinds[1][k]:
+                yield {"kind": "non_power", **head, "value": value}
+            if kinds[2][k]:
+                yield {"kind": "chain", **head, "log2": log2_k, "rank": m - log2_k,
+                       "clamp": min(t + len(u) - 1, m)}
+            if kinds[3][k]:
+                yield {"kind": "zero_region", **head, "log2": log2_k}
+        if u in stray:
+            yield stray[u]
 
 
 def sweep_records(

@@ -278,6 +278,43 @@ def test_kernel_walk_matches_from_scratch_nullspaces():
     assert visits > 500
 
 
+def test_kernel_walk_cut_skips_exactly_its_slab():
+    # cut walks against uncut ones: each cut must skip just the k' equal to k
+    # before the cut level i and at least k[i] at it
+    rng = random.Random(29)
+    cuts = {"first state": 0, "last coordinate": 0, "floor > 0": 0, "empty basis": 0}
+    for trial in range(150):
+        gens = random_generator_set(rng, rng.randint(1, 3), rng.randint(1, 5))
+        cap = gens.m + 1
+        size = rng.randint(1, gens.s)
+        u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
+        floor = tuple(rng.randint(0, 2) for _ in u)
+        uncut = KernelWalk(gens, u, floor)
+        full = {tuple(uncut.k): (count, uncut.basis) for count in uncut}
+        walk = KernelWalk(gens, u, floor)
+        seen = []
+        for count in walk:
+            k = tuple(walk.k)
+            assert (count, walk.basis) == full[k]
+            if not (rng.random() < 0.3 or (trial % 5 == 0 and not seen) or not walk.basis):
+                seen.append(k)
+                continue
+            i = walk.cut()
+            assert i == max((j for j in range(size) if k[j] > floor[j]), default=0)
+            tails = product(range(k[i], cap + 1), *(range(f, cap + 1) for f in floor[i + 1 :]))
+            slab = [k[:i] + tail for tail in tails]
+            if not walk.basis:  # the cut of evaluate_net: count 1 on the whole slab
+                assert all(full[kk] == (1, []) for kk in slab)
+                cuts["empty basis"] += 1
+            seen += slab
+            cuts["first state"] += not seen[: -len(slab)] and k == floor
+            cuts["last coordinate"] += size > 1 and i == size - 1
+            cuts["floor > 0"] += any(floor)
+            assert gain_representation(gens, SubsetIndex(u, k)) == count
+        assert seen == list(full)
+    assert min(cuts.values()) >= 20, cuts
+
+
 def test_kernel_walk_refuses_a_nullspace_past_the_limit(monkeypatch, identity_net):
     from netgains import gains
 

@@ -342,6 +342,40 @@ def test_walk_matches_from_scratch_stacks():
         assert walk.table.rank == 0  # every push undone
 
 
+def test_walk_cut_skips_exactly_its_slab():
+    # cut walks against uncut ones: each cut must skip just the k' equal to k
+    # before the cut level i and at least k[i] at it, in the box and budget
+    rng = random.Random(12)
+    cuts = {"first state": 0, "last coordinate": 0, "floor > 0": 0}
+    for trial in range(300):
+        gens = random_generator_set(rng, rng.randint(1, 4), rng.randint(1, 6))
+        size = rng.randint(1, gens.s)
+        u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
+        floor = tuple(rng.randint(0, 2) for _ in u)
+        cap = rng.randint(0, gens.m + 1)
+        budget = rng.randint(0, size * (gens.m + 1))
+        uncut = StackWalk(gens, u, floor, cap, budget)
+        full = {tuple(uncut.k): state for state in uncut}
+        walk = StackWalk(gens, u, floor, cap, budget)
+        seen = []
+        for state in walk:
+            k = tuple(walk.k)
+            assert state == full[k]
+            if not (rng.random() < 0.3 or (trial % 5 == 0 and not seen)):
+                seen.append(k)
+                continue
+            i = walk.cut()
+            assert i == max((j for j in range(size) if k[j] > floor[j]), default=0)
+            tails = itertools.product(range(k[i], cap + 1), *(range(f, cap + 1) for f in floor[i + 1 :]))
+            seen += [k[:i] + tail for tail in tails if sum(k[:i]) + sum(tail) <= budget]
+            cuts["first state"] += not seen[:-1] and k == floor
+            cuts["last coordinate"] += size > 1 and i == size - 1
+            cuts["floor > 0"] += any(floor)
+        assert seen == list(full)
+        assert walk.table.rank == 0  # every push undone
+    assert min(cuts.values()) >= 20, cuts
+
+
 def test_walk_budget_lowered_mid_walk(sobol2d):
     walk = StackWalk(sobol2d, (1, 2), (0, 0), 5, 6)
     seen = []

@@ -1,10 +1,12 @@
 """Sweep machinery: determinism and failure surfacing."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from gf2_reference import assemble_cuk, nullspace_rank
 from netgains import suites
 from netgains.gains import NULLSPACE_LOG2_LIMIT, ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix
@@ -57,6 +59,16 @@ def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
     assert not suite.passed
 
 
+def box(gens):
+    """Every (u, k) of the sweep in (|u|, u, k) order, with whether C_{u,k} has full rank."""
+    s, m = gens.s, gens.m
+    for r in range(1, s + 1):
+        for u in itertools.combinations(range(1, s + 1), r):
+            for k in itertools.product(range(m + 2), repeat=r):
+                rows = assemble_cuk(gens, SubsetIndex(u, k)).rows
+                yield u, k, nullspace_rank(rows, m) == m
+
+
 def test_evaluate_net_catches_one_wrong_signed_count(monkeypatch):
     from netgains import gains
 
@@ -65,18 +77,89 @@ def test_evaluate_net_catches_one_wrong_signed_count(monkeypatch):
 
     def broken(basis, nexts):
         calls.append(None)
-        return real(basis, nexts) + (len(calls) == 7)  # the 7th triple's count is one off
+        return real(basis, nexts) + (len(calls) == 7)  # the 7th count is one off
 
     monkeypatch.setattr(gains, "_signed_count", broken)
     gens = random_generator_set(random.Random(2), 2, 4)
     rec = evaluate_net(gens)
-    assert len(calls) == rec.triples
+    # one signed count per stack of rank < m; an empty nullspace counts 1 without one
+    assert len(calls) == sum(not full for _, _, full in box(gens)) < rec.triples
     assert rec.oracle_mismatches == 1 and not rec.oracles_agree
     (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
     assert failure["middle"] == failure["fast"] + 1
     assert failure["brute"] == str(Fraction(failure["fast"]))
     (suite,) = suites_from_records([rec], ["power-of-two"])
     assert not suite.passed
+
+
+class _SlabOfTwoKernelWalk(suites.KernelWalk):
+    """Counts 2, not 1, at every empty nullspace: the value of the kernel route's slabs."""
+
+    def __iter__(self):
+        for count in super().__iter__():
+            yield count if self.basis else 2
+
+
+def test_evaluate_net_flags_every_cell_of_a_wrong_slab(monkeypatch):
+    monkeypatch.setattr(suites, "KernelWalk", _SlabOfTwoKernelWalk)
+    gens = random_generator_set(random.Random(2), 3, 3)
+    rec = evaluate_net(gens)
+    # the slabs cover exactly the full-rank stacks, where the gain is 1
+    want = [(list(u), list(k)) for u, k, full in box(gens) if full]
+    assert rec.oracle_mismatches == len(want) > suites._MAX_FAILURES
+    assert rec.triples == (gens.m + 3) ** gens.s - 1
+    assert [(f["u"], f["k"]) for f in rec.failures] == want[: suites._MAX_FAILURES]
+    assert all(f["kind"] == "oracle" and (f["fast"], f["brute"], f["middle"]) == (1, "1", 2)
+               for f in rec.failures)
+
+
+def test_evaluate_net_tallies_bound_and_zero_region_breaches_of_a_wrong_t(monkeypatch):
+    gens = random_generator_set(random.Random(4), 3, 4)
+    m, wrong_t = gens.m, 0  # the net's t is larger: its bounds are breached
+    assert suites.t_value(gens) > wrong_t
+    monkeypatch.setattr(suites, "t_value", lambda gens: wrong_t)
+    rec = evaluate_net(gens)
+    want = []
+    for u, k, _ in box(gens):
+        gain = gain_fast(gens, SubsetIndex(u, k))
+        if gain.is_zero:
+            continue
+        clamp = min(wrong_t + len(u) - 1, m)
+        if gain.log2 > clamp:
+            want.append({"kind": "chain", "u": list(u), "k": list(k), "log2": gain.log2,
+                         "rank": m - gain.log2, "clamp": clamp})
+        if len(u) + sum(k) <= m - wrong_t:
+            want.append({"kind": "zero_region", "u": list(u), "k": list(k), "log2": gain.log2})
+    assert rec.oracles_agree
+    assert rec.chain_violations == sum(f["kind"] == "chain" for f in want) > 0
+    assert rec.zero_region_violations == sum(f["kind"] == "zero_region" for f in want) > 0
+    assert rec.failures == want[: suites._MAX_FAILURES]
+
+
+class _OneSlabOfTwoKernelWalk(suites.KernelWalk):
+    """Counts 2, not 1, at ``k = (1, 2)`` of ``u = (2, 3)`` only."""
+
+    def __init__(self, gens, u, floor):
+        super().__init__(gens, u, floor)
+        self.u = tuple(u)
+
+    def __iter__(self):
+        for count in super().__iter__():
+            yield 2 if (self.u, self.k) == ((2, 3), [1, 2]) else count
+
+
+def test_evaluate_net_flags_exactly_the_cells_of_one_wrong_slab(monkeypatch):
+    gens = random_generator_set(random.Random(2), 3, 3)
+    full = {(u, k): f for u, k, f in box(gens)}
+    # C_{(2,3),(1,2)} is the first full-rank stack with k_2 = 1: the kernel
+    # route's slab there is k_2 = 1, k_3 >= 2
+    assert [full[(2, 3), (1, k3)] for k3 in range(5)] == [False, False, True, True, True]
+    monkeypatch.setattr(suites, "KernelWalk", _OneSlabOfTwoKernelWalk)
+    rec = evaluate_net(gens)
+    assert rec.oracle_mismatches == 3
+    assert [(f["u"], f["k"], f["fast"], f["brute"], f["middle"]) for f in rec.failures] == [
+        ([2, 3], [1, k3], 1, "1", 2) for k3 in range(2, 5)
+    ]
 
 
 class _SkippingKernelWalk(suites.KernelWalk):
