@@ -7,7 +7,10 @@ integrands stay within the output bits, where estimates read cells.  Gain
 tables are hashed at shallow, middle and whole-box depths, whole and cut
 by ``--max-visits``, so a change to the enumeration that moves one entry,
 its order or a count fails.  The records of a 300-net acceptance sweep are
-hashed as JSON, so a change to ``evaluate_net`` that moves one count fails.
+hashed as JSON, so a change to ``evaluate_net`` that moves one count fails,
+and so are the five sweep suites of a clean sweep and of one whose ``t`` is
+one too small, so a change that moves one verdict, count or failure note
+fails.
 """
 
 import hashlib
@@ -23,7 +26,8 @@ from netgains.cli import EXIT_OK, main
 from netgains.netgen import DIRECTION_NUMBERS, generate_points, load_generators
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, estimate, scramble
-from netgains.suites import sweep_records
+from netgains import suites
+from netgains.suites import SWEEP_SUITES, suites_from_records, sweep_records
 
 NETS = {"shift": shift_net, "sobol_4_8": lambda: sobol_net(4, 8)}
 SEEDS = (0, 5, 2**63 + 12345)
@@ -71,6 +75,12 @@ GAINS_DIGESTS = {
 }
 
 SWEEP_DIGEST = "e50ed5455a707f756fa5850095c81d9c125118310a0f33a5491e459147be90a6"
+
+# t_value lowered by 0 and by 1: the second breaches bound-chain, zero-region and t-crossval
+SUITES_DIGESTS = {
+    0: "e2909763eadd9c6e57b8deb664acea2ba15052c7192f533a7cf62358971cc7e0",
+    1: "fb045fe8bd3fe8e6055c66a79c2b94b6f7f6d79d81e6ad308aaab3a86a937cde",
+}
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +164,12 @@ def test_outputs_do_not_depend_on_the_chunk_size(net_points, data_dir, tmp_path,
 def test_sweep_records_are_pinned():
     records = json.dumps([asdict(r) for r in sweep_records(300, seed=20260810)])
     assert hashlib.sha256(records.encode()).hexdigest() == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("lowered", list(SUITES_DIGESTS))
+def test_sweep_suites_are_pinned(monkeypatch, lowered):
+    real = suites.t_value
+    monkeypatch.setattr(suites, "t_value", lambda gens: real(gens) - lowered)
+    results = suites_from_records(sweep_records(100, seed=20260811), list(SWEEP_SUITES))
+    text = json.dumps([r.to_json_dict() for r in results])
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITES_DIGESTS[lowered]
