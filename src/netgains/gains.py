@@ -41,8 +41,10 @@ from .netgen import (
     ResourceLimitError,
     StackWalk,
     SubsetIndex,
+    _check_walk,
     _cut_level,
     _match_depth,
+    _subsets,
     _xor_span,
     stack_at,
 )
@@ -186,12 +188,12 @@ class KernelWalk:
     """Signed nullspace counts for the depth vectors ``k`` of one subset ``u``.
 
     Visits every ``k`` with ``floor[j] <= k[j] <= m + 1`` in lexicographic
-    order, as :class:`~netgains.netgen.StackWalk` does with cap ``m + 1`` and
-    a budget that never binds, but eliminates in the dual space and shares
-    no elimination code with that rank route: per coordinate of ``u`` it
-    keeps a basis of the nullspace of the rows stacked up to it.  As
-    ``N(C_{u,k+e_j})`` is ``{v in N(C_{u,k}) : row_{k_j+1}(j) . v = 0}``,
-    stepping ``k_j`` up is one :func:`_restrict`.
+    order.  It eliminates in the dual space and shares no elimination code
+    with the rank route, :class:`~netgains.netgen.StackWalk`: per
+    coordinate of ``u`` it keeps a basis of the nullspace of the rows
+    stacked up to it.  As ``N(C_{u,k+e_j})`` is
+    ``{v in N(C_{u,k}) : row_{k_j+1}(j) . v = 0}``, stepping ``k_j`` up is
+    one :func:`_restrict`.
 
     Iterating yields, per ``k``, the sum over N(C_{u,k}) of -1 to the number
     of next rows (row ``k_j + 1`` of each ``j``) a vector trips.  Sign
@@ -210,10 +212,7 @@ class KernelWalk:
     """
 
     def __init__(self, gens: GeneratorSet, u, floor):
-        if not u or any(not 1 <= j <= gens.s for j in u):
-            raise ValueError(f"u must be nonempty coordinates in 1..{gens.s}, got {tuple(u)}")
-        if len(floor) != len(u):
-            raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
+        _check_walk(gens, u, floor)
         if any(not 0 <= f <= gens.m + 1 for f in floor):
             raise ValueError(f"floor entries must be in [0, {gens.m + 1}], got {tuple(floor)}")
         self._rows = [gens._rows[j - 1] for j in u]  # zero from row m + 1 on
@@ -344,10 +343,9 @@ def _minimal_dependent_first_rows(gens: GeneratorSet) -> tuple[int, ...]:
     """Smallest (by size, then lex) subset whose first rows are dependent."""
     s = gens.s
     if s <= 20:
-        for r in range(1, s + 1):
-            for u in itertools.combinations(range(1, s + 1), r):
-                if stack_at(gens, u, (1,) * r)[0] < r:
-                    return u
+        for u in _subsets(s):
+            if stack_at(gens, u, (1,) * len(u))[0] < len(u):
+                return u
         raise AssertionError("unreachable: caller checked dependence")
     # too many subsets: take the circuit that closes the first dependent prefix
     f = next(j for j in range(1, s + 1) if stack_at(gens, range(1, j + 1), (1,) * j)[0] < j)
@@ -422,13 +420,6 @@ def _entry_key(idx: SubsetIndex) -> tuple:
     return (idx.order, idx.u, idx.depth, idx.k)
 
 
-def _subsets(s: int):
-    """Nonempty subsets of ``1..s`` in ``(|u|, u)`` order, each with its bit mask."""
-    for r in range(1, s + 1):
-        for u in itertools.combinations(range(1, s + 1), r):
-            yield u, sum(1 << (j - 1) for j in u)
-
-
 def enumerate_gains(
     gens: GeneratorSet, max_depth: int, *, max_visits: int | None = None
 ) -> GainReport:
@@ -467,7 +458,8 @@ def enumerate_gains(
     # quota[mask]: how many of the first (u, k) in lex order are still to visit
     quota = [0] * (1 << s)
     left = total if max_visits is None else min(total, max_visits)
-    for u, mask in _subsets(s):
+    masks = {u: sum(1 << (j - 1) for j in u) for u in _subsets(s)}
+    for u, mask in masks.items():
         quota[mask] = min(counts[len(u)], left)
         left -= quota[mask]
     truncated = max_visits is not None and max_visits < total
@@ -514,7 +506,7 @@ def enumerate_gains(
     values = [GainValue(m - rank) for rank in range(m + 1)]
     entries: list[tuple[SubsetIndex, GainValue]] = []
     violations: list[dict] = []
-    for u, mask in _subsets(s):
+    for u, mask in masks.items():
         clamp = min(t + len(u) - 1, m)
         members = [(mask >> j) & 1 for j in range(s)]
         for stack in found.get(mask, ()):

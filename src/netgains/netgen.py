@@ -15,6 +15,7 @@ stacked matrix and every gain coefficient well defined at arbitrary depth.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TextIO
@@ -427,10 +428,7 @@ class StackWalk:
     """
 
     def __init__(self, gens: GeneratorSet, u, floor, cap: int, budget: int):
-        if not u or any(not 1 <= j <= gens.s for j in u):
-            raise ValueError(f"u must be nonempty coordinates in 1..{gens.s}, got {tuple(u)}")
-        if len(floor) != len(u):
-            raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
+        _check_walk(gens, u, floor)
         if not 0 <= cap <= gens.m + 1:
             raise ValueError(f"cap must be in [0, {gens.m + 1}], got {cap}")
         self._rows = [gens._rows[j - 1] for j in u]
@@ -497,6 +495,20 @@ class StackWalk:
                 k[level] = kl
             undo(marks[level])
             level, entering = level - 1, False
+
+
+def _subsets(s: int):
+    """The nonempty subsets of ``1..s`` in ``(|u|, u)`` order."""
+    for r in range(1, s + 1):
+        yield from itertools.combinations(range(1, s + 1), r)
+
+
+def _check_walk(gens: GeneratorSet, u, floor) -> None:
+    """Refuse a walk over coordinates ``u`` from ``floor`` that ``gens`` cannot take."""
+    if not u or any(not 1 <= j <= gens.s for j in u):
+        raise ValueError(f"u must be nonempty coordinates in 1..{gens.s}, got {tuple(u)}")
+    if len(floor) != len(u):
+        raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
 
 
 def _cut_level(k, floor) -> int:

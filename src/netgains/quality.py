@@ -23,7 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, _refuse_points, generate_points
+from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, generate_points
+from .netgen import _refuse_points, _subsets
 
 _PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
 
@@ -279,9 +280,8 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
 
     star: dict[tuple[int, ...], int] = {}
     if all_subsets:
-        for r in range(1, s + 1):
-            for u in itertools.combinations(full, r):
-                star[u] = t_star_u(gens, u)
+        for u in _subsets(s):
+            star[u] = t_star_u(gens, u)
     else:
         for j in full:
             star[(j,)] = t_star_u(gens, (j,))
@@ -290,8 +290,8 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
     tu: dict[tuple[int, ...], int] = {}
     td: dict[int, int] = {}
     if all_subsets:
-        # subset DP: t_u is the running max of t* over sub-subsets
-        for u in sorted(star, key=lambda u: (len(u), u)):
+        # subset DP: t_u is the running max of t* over sub-subsets, each met before u
+        for u in star:
             best = star[u]
             if len(u) > 1:
                 for drop in range(len(u)):

@@ -6,15 +6,14 @@ three ways, each into its own dense table laid out as the pairwise one: the
 pairwise sum (the one :func:`~netgains.gains.gain_pair_table` of the net,
 built from the points' own match depths), the nullspace count read off one
 :class:`~netgains.gains.KernelWalk` per subset, and the rank test read off
-one :class:`~netgains.netgen.StackWalk` per subset.  The two walks go in
-lockstep over the same ``k``.  Once a stack has rank ``m``, so has every
-deeper one, and each walk sees it from its own state: rank ``m``, or an
-empty nullspace basis.  There each route writes gain 1 over the slab of
-those deeper stacks still to come in one assignment and cuts the slab from
-its walk; a route that cuts alone falls out of step.  The tables are then
-compared, and checked for the paper's properties, as whole arrays.  The
-per-net record carries everything the individual property suites assert
-about: exact agreement of the three routes, power-of-two values, bound
+one :class:`~netgains.netgen.StackWalk` per subset.  Once a stack has rank
+``m``, so has every deeper one, and each walk sees it from its own state:
+rank ``m``, or an empty nullspace basis.  There the route writes gain 1
+over the slab of those deeper stacks still to come in one assignment and
+cuts the slab from its walk.  The tables are then compared cell by cell,
+and checked for the paper's properties, as whole arrays.  The per-net
+record carries everything the individual property suites assert about:
+exact agreement of the three routes, power-of-two values, bound
 domination, the forced-zero region, rank-derived t versus counting t, and
 attainment of the closed-form maximum by the enumerated maximum.
 """
@@ -37,7 +36,7 @@ from .gains import (
     max_gain,
 )
 from .gf2 import BitMatrix
-from .netgen import MAX_M, GeneratorSet, StackWalk, SubsetIndex, generate_points
+from .netgen import MAX_M, GeneratorSet, StackWalk, SubsetIndex, _subsets, generate_points
 from .quality import minimal_counting_t, t_value, verify_net_by_counting
 from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
@@ -94,10 +93,9 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     table would exceed :data:`PAIR_TABLE_CELL_LIMIT` cells, or when the
     nullspace count would walk ``(2**s - 1) * 2**m > 2**NULLSPACE_LOG2_LIMIT``
     states on the ``k = 0`` triples alone.  Points that are no digital net
-    count as one oracle mismatch, and so does a subset whose rank and kernel
-    walks fall out of step; its walk stops there.  The triples are the cells
-    the rank route reached, failures come in ``(|u|, u, k)`` order, a
-    subset's walks falling out of step after its cells, and at most
+    count as one oracle mismatch, and so does every cell of the box where
+    the routes disagree or one of them wrote nothing.  The triples are the
+    cells of the box, failures come in ``(|u|, u, k)`` order, and at most
     ``_MAX_FAILURES`` of them are kept.
     """
     s, m = gens.s, gens.m
@@ -129,44 +127,33 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     shape = (m + 3,) * s
     log2 = np.full(shape, _NO_LOG2, dtype=np.int8)
     counts = np.full(shape, _NO_COUNT, dtype=np.int32)
-    stray = {}  # u -> the note of its walks falling out of step
     for u, view in _subset_views(s):
         r = len(u)
         log2_u, counts_u = log2[view], counts[view]
         walk = StackWalk(gens, u, (0,) * r, cap, r * cap)
-        kernel = KernelWalk(gens, u, (0,) * r)
-        route, residual = iter(kernel), walk.table.residual
-        walk_k, kernel_k = walk.k, kernel.k  # updated in place
+        residual, k = walk.table.residual, walk.k  # k is updated in place
         for _, rank, nxt in walk:
-            count = next(route, None)
-            if count is None or kernel_k != walk_k:  # walks out of step: stop this u
-                stray[u] = {"kind": "oracle", "u": list(u), "k": list(walk_k),
-                            "kernel_k": None if count is None else list(kernel_k)}
-                break
-            k = tuple(walk_k)
             if rank == m:  # and so has every stack of the slab: gain 1
-                log2_u[_slab(k, walk.cut())] = 0
+                log2_u[_slab(tuple(k), walk.cut())] = 0
             else:
-                log2_u[k] = -1 if residual(nxt) else m - rank
+                log2_u[tuple(k)] = -1 if residual(nxt) else m - rank
+        kernel = KernelWalk(gens, u, (0,) * r)
+        k = kernel.k
+        for count in kernel:
             if kernel.basis:
-                counts_u[k] = count
+                counts_u[tuple(k)] = count
             else:  # an empty nullspace, and so is every one of the slab: count 1
-                counts_u[_slab(k, kernel.cut())] = count
-        else:  # the rank walk ended: the kernel walk must end with it
-            if next(route, None) is not None:
-                stray[u] = {"kind": "oracle", "u": list(u), "k": list(kernel_k),
-                            "kernel_k": list(kernel_k)}
+                counts_u[_slab(tuple(k), kernel.cut())] = count
 
-    # the three routes on the cells the rank route reached; a cell the kernel
-    # route missed keeps _NO_COUNT, which no gain equals
-    visited = log2 != _NO_LOG2
+    # every cell but the empty-u origin; a cell a walk never wrote keeps its
+    # mark: _NO_LOG2 is flagged by itself, and no gain equals _NO_COUNT
     value = _GAIN_OF_LOG2[log2]
-    oracle = value != counts
+    oracle = (value != counts) | (log2 == _NO_LOG2)
     if pairs is not None:
         value *= gens.n
         oracle |= value != pairs
     del value  # the largest temporary: 8 bytes a cell
-    oracle &= visited
+    oracle[(0,) * s] = False
     # the paper's properties of the gains all three agree on (log2, -1 for 0);
     # entry e on an axis is 1 + k_j for a member of u and 0 otherwise, so
     # |u| and |u| + |k| add up one axis at a time
@@ -182,8 +169,8 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     tallies = [int(np.count_nonzero(a)) for a in (oracle, non_power, chain, zero)]
     enum_max = int(agreed.max())
 
-    if (any(tallies) or stray) and len(failures) < _MAX_FAILURES:
-        cells = _cell_notes(s, m, t, stray, oracle, non_power, chain, zero, log2, counts, pairs)
+    if any(tallies) and len(failures) < _MAX_FAILURES:
+        cells = _cell_notes(s, m, t, oracle, non_power, chain, zero, log2, counts, pairs)
         failures += itertools.islice(cells, _MAX_FAILURES - len(failures))
     closed, witness = max_gain(gens)
     # the rank route's gain at the witness, as gain_fast would compute it
@@ -198,8 +185,8 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
         closed_form_log2=closed.log2,
         witness_ok=witness_ok,
         enum_max_log2=None if enum_max < 0 else enum_max,
-        triples=int(np.count_nonzero(visited)),
-        oracle_mismatches=mismatches + len(stray) + tallies[0],
+        triples=log2.size - 1,
+        oracle_mismatches=mismatches + tallies[0],
         non_power_values=tallies[1],
         chain_violations=tallies[2],
         zero_region_violations=tallies[3],
@@ -223,9 +210,8 @@ def _subset_views(s: int):
     Indexing a table laid out as :func:`~netgains.gains.gain_pair_table` by
     the index gives the cells of ``u``, ``k`` on an axis per member of ``u``.
     """
-    for r in range(1, s + 1):
-        for u in itertools.combinations(range(1, s + 1), r):
-            yield u, tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
+    for u in _subsets(s):
+        yield u, tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
 
 
 def _slab(k: tuple, i: int) -> tuple:
@@ -233,8 +219,8 @@ def _slab(k: tuple, i: int) -> tuple:
     return k[:i] + (slice(k[i], None),)
 
 
-def _cell_notes(s, m, t, stray, oracle, non_power, chain, zero, log2, counts, pairs):
-    """The failures of the cells in ``(|u|, u, k)`` order, then each subset's stray walk."""
+def _cell_notes(s, m, t, oracle, non_power, chain, zero, log2, counts, pairs):
+    """The failures of the cells in ``(|u|, u, k)`` order; a route with no value there reads None."""
     n = 1 << m
     for u, view in _subset_views(s):
         kinds = oracle[view], non_power[view], chain[view], zero[view]
@@ -244,9 +230,10 @@ def _cell_notes(s, m, t, stray, oracle, non_power, chain, zero, log2, counts, pa
             log2_k = int(log2_u[k])
             value = 0 if log2_k < 0 else 1 << log2_k
             if kinds[0][k]:
-                total = value * n if pairs is None else int(pairs[view][k])
-                yield {"kind": "oracle", **head, "fast": value,
-                       "brute": str(Fraction(total, n)), "middle": int(counts_u[k])}
+                count = int(counts_u[k])
+                yield {"kind": "oracle", **head, "fast": None if log2_k == _NO_LOG2 else value,
+                       "brute": None if pairs is None else str(Fraction(int(pairs[view][k]), n)),
+                       "middle": None if count == _NO_COUNT else count}
                 continue
             if kinds[1][k]:
                 yield {"kind": "non_power", **head, "value": value}
@@ -255,8 +242,6 @@ def _cell_notes(s, m, t, stray, oracle, non_power, chain, zero, log2, counts, pa
                        "clamp": min(t + len(u) - 1, m)}
             if kinds[3][k]:
                 yield {"kind": "zero_region", **head, "log2": log2_k}
-        if u in stray:
-            yield stray[u]
 
 
 def sweep_records(
@@ -297,72 +282,34 @@ class SuiteResult:
         }
 
 
-def _collect(records: list[NetRecord], name: str, bad_count, kinds: tuple[str, ...]) -> SuiteResult:
-    failures = []
-    checked = 0
-    for i, rec in enumerate(records):
-        checked += rec.triples
-        if bad_count(rec):
-            failures.append(
-                {
-                    "net": i,
-                    "s": rec.s,
-                    "m": rec.m,
-                    "details": [f for f in rec.failures if f["kind"] in kinds],
-                }
-            )
-    return SuiteResult(name, not failures, checked, failures)
+def _details(*kinds: str):
+    return lambda r: {"details": [f for f in r.failures if f["kind"] in kinds]}
+
+
+# suite -> (which nets fail, what a failing net's entry adds, what a net counts as checked)
+_SWEEP = {
+    "power-of-two": (lambda r: r.oracle_mismatches or r.non_power_values,
+                     _details("oracle", "non_power"), lambda r: r.triples),
+    "bound-chain": (lambda r: r.chain_violations, _details("chain"), lambda r: r.triples),
+    "zero-region": (lambda r: r.zero_region_violations, _details("zero_region"), lambda r: r.triples),
+    "t-crossval": (lambda r: r.t != r.counting_t,
+                   lambda r: {"t": r.t, "counting_t": r.counting_t}, lambda r: 1),
+    "attainment": (lambda r: not (r.attained and r.witness_ok),
+                   lambda r: {"enum_max_log2": r.enum_max_log2, "closed_form_log2": r.closed_form_log2,
+                              "witness_ok": r.witness_ok}, lambda r: 1),
+}
+SWEEP_SUITES = tuple(_SWEEP)
 
 
 def suites_from_records(records: list[NetRecord], names: list[str]) -> list[SuiteResult]:
     out = []
     for name in names:
-        if name == "power-of-two":
-            out.append(
-                _collect(
-                    records,
-                    name,
-                    lambda r: r.oracle_mismatches or r.non_power_values,
-                    ("oracle", "non_power"),
-                )
-            )
-        elif name == "bound-chain":
-            out.append(_collect(records, name, lambda r: r.chain_violations, ("chain",)))
-        elif name == "zero-region":
-            out.append(
-                _collect(records, name, lambda r: r.zero_region_violations, ("zero_region",))
-            )
-        elif name == "t-crossval":
-            result = SuiteResult(name, True, len(records))
-            for i, rec in enumerate(records):
-                if rec.t != rec.counting_t:
-                    result.failures.append(
-                        {"net": i, "s": rec.s, "m": rec.m, "t": rec.t, "counting_t": rec.counting_t}
-                    )
-            result.passed = not result.failures
-            out.append(result)
-        elif name == "attainment":
-            result = SuiteResult(name, True, len(records))
-            for i, rec in enumerate(records):
-                if not (rec.attained and rec.witness_ok):
-                    result.failures.append(
-                        {
-                            "net": i,
-                            "s": rec.s,
-                            "m": rec.m,
-                            "enum_max_log2": rec.enum_max_log2,
-                            "closed_form_log2": rec.closed_form_log2,
-                            "witness_ok": rec.witness_ok,
-                        }
-                    )
-            result.passed = not result.failures
-            out.append(result)
-        else:
+        if name not in _SWEEP:
             raise ValueError(f"unknown sweep suite {name!r}")
+        fails, adds, checks = _SWEEP[name]
+        failures = [{"net": i, "s": r.s, "m": r.m, **adds(r)} for i, r in enumerate(records) if fails(r)]
+        out.append(SuiteResult(name, not failures, sum(checks(r) for r in records), failures))
     return out
-
-
-SWEEP_SUITES = ("power-of-two", "bound-chain", "zero-region", "t-crossval", "attainment")
 
 
 def net_preservation_suite(*, seed0: int = 0) -> SuiteResult:

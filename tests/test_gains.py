@@ -330,13 +330,8 @@ def test_kernel_walk_refuses_a_nullspace_past_the_limit(monkeypatch, identity_ne
 
 
 def test_kernel_walk_validates_arguments(shift):
-    with pytest.raises(ValueError):
-        KernelWalk(shift, (0, 2), (0, 0))
-    with pytest.raises(ValueError):
-        KernelWalk(shift, (1, 5), (0, 0))
-    with pytest.raises(ValueError):
-        KernelWalk(shift, (1, 2), (0,))
-    with pytest.raises(ValueError):
+    # u and the floor's length: test_netgen::test_both_walks_refuse_a_bad_u_or_floor_length
+    with pytest.raises(ValueError, match="floor entries"):
         KernelWalk(shift, (1,), (shift.m + 2,))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gf2_reference import assemble_cuk, nullspace_rank
+from netgains.gains import KernelWalk
 from netgains.gf2 import BitMatrix
 from netgains.netgen import (
     DEPTH_INF,
@@ -390,14 +391,18 @@ def test_walk_budget_lowered_mid_walk(sobol2d):
 
 
 def test_walk_validates_arguments(shift):
-    with pytest.raises(ValueError):
-        StackWalk(shift, (0, 2), (0, 0), 4, 4)
-    with pytest.raises(ValueError):
-        StackWalk(shift, (1, 5), (0, 0), 4, 4)
-    with pytest.raises(ValueError):
-        StackWalk(shift, (1, 2), (0,), 4, 4)
-    with pytest.raises(ValueError):
+    # u and the floor's length: test_both_walks_refuse_a_bad_u_or_floor_length
+    with pytest.raises(ValueError, match="cap must be"):
         StackWalk(shift, (1,), (0,), shift.m + 2, 4)
+
+
+@pytest.mark.parametrize("walk", [lambda *a: StackWalk(*a, 4, 4), KernelWalk], ids=["stack", "kernel"])
+def test_both_walks_refuse_a_bad_u_or_floor_length(shift, walk):
+    for u in ((), (0, 2), (1, 5)):
+        with pytest.raises(ValueError, match=r"u must be nonempty coordinates in 1\.\.4"):
+            walk(shift, u, (0,) * len(u))
+    with pytest.raises(ValueError, match="floor has 1 entries for 2 coordinates"):
+        walk(shift, (1, 2), (0,))
 
 
 # --- SubsetIndex validation -------------------------------------------------------

@@ -162,8 +162,31 @@ def test_evaluate_net_flags_exactly_the_cells_of_one_wrong_slab(monkeypatch):
     ]
 
 
+def reference_gain(gens, u, k):
+    """2^(m - rank) of C_{u,k} if the XOR of its next rows lies in its row space, else 0."""
+    rows = assemble_cuk(gens, SubsetIndex(u, k)).rows
+    rank = nullspace_rank(rows, gens.m)
+    nxt = 0
+    for j, kj in zip(u, k):
+        nxt ^= gens.row(j, kj + 1)
+    return 1 << (gens.m - rank) if nullspace_rank(rows + (nxt,), gens.m) == rank else 0
+
+
+def visited(u, k, full):
+    """Whether a walk that cuts at every full-rank stack reaches ``k``.
+
+    It skips ``k`` iff ``C_{u,k}`` contains the rows of an earlier stack of
+    full rank; the largest earlier stack it contains has one row fewer at
+    the deepest nonzero coordinate of ``k``.
+    """
+    if not any(k):
+        return True
+    i = max(pos for pos, kj in enumerate(k) if kj)
+    return not full[u, k[:i] + (k[i] - 1,) + k[i + 1 :]]
+
+
 class _SkippingKernelWalk(suites.KernelWalk):
-    """Drops the fourth count, so it falls one ``k`` ahead of the rank walk."""
+    """Drops the fourth count, and writes nothing at the ``k`` it belongs to."""
 
     def __iter__(self):
         for i, count in enumerate(super().__iter__()):
@@ -171,28 +194,85 @@ class _SkippingKernelWalk(suites.KernelWalk):
                 yield count
 
 
-class _ShortKernelWalk(suites.KernelWalk):
+class _SkippingStackWalk(suites.StackWalk):
+    """Drops the fourth stack, and writes nothing at its ``k``."""
+
     def __iter__(self):
-        counts = list(super().__iter__())
-        yield from counts[:-1]
+        for i, state in enumerate(super().__iter__()):
+            if i != 3:
+                yield state
+
+
+class _ShortKernelWalk(suites.KernelWalk):
+    """Stops after its fourth count."""
+
+    def __iter__(self):
+        yield from itertools.islice(super().__iter__(), 4)
 
 
 class _LongKernelWalk(suites.KernelWalk):
+    """Yields one count 0 past its end, at its last ``k``."""
+
     def __iter__(self):
         yield from super().__iter__()
         yield 0
 
 
-@pytest.mark.parametrize("broken", [_SkippingKernelWalk, _ShortKernelWalk, _LongKernelWalk])
+def out_of_step_cells(gens, broken):
+    """The cells a broken walk leaves wrong, in ``(|u|, u, k)`` order, with its value there."""
+    full = {(u, k): f for u, k, f in box(gens)}
+    cells = {}  # u -> its k in lex order
+    for u, k in full:
+        cells.setdefault(u, []).append(k)
+    # no walk cuts before its fifth k, so its first four k are the first four cells
+    assert not any(full[u, k] for u in cells for k in cells[u][:4])
+    if broken in (_SkippingKernelWalk, _SkippingStackWalk):
+        return [(u, ks[3], None) for u, ks in cells.items()]
+    if broken is _ShortKernelWalk:
+        return [(u, k, None) for u, ks in cells.items() for k in ks[4:]]
+    # past its end the walk writes 0 over the slab of its last k, or that one cell
+    out = []
+    for u, ks in cells.items():
+        last = max(k for k in ks if visited(u, k, full))
+        slab = [k for k in ks if k == last or full[u, last] and k > last]
+        out += [(u, k, 0) for k in slab if reference_gain(gens, u, k)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "broken", [_SkippingKernelWalk, _ShortKernelWalk, _LongKernelWalk, _SkippingStackWalk]
+)
 def test_evaluate_net_records_walks_out_of_step(monkeypatch, broken):
-    monkeypatch.setattr(suites, "KernelWalk", broken)
     gens = random_generator_set(random.Random(2), 2, 4)
+    flagged = out_of_step_cells(gens, broken)
+    rank_route = issubclass(broken, suites.StackWalk)
+    monkeypatch.setattr(suites, "StackWalk" if rank_route else "KernelWalk", broken)
     rec = evaluate_net(gens)  # must not raise
-    assert rec.oracle_mismatches == 3  # once per subset of {1, 2}
-    assert [f["kind"] for f in rec.failures] == ["oracle"] * 3
-    assert all("kernel_k" in f for f in rec.failures)
+    assert rec.oracle_mismatches == len(flagged) > 0
+    assert rec.triples == (gens.m + 3) ** gens.s - 1
+    want = []
+    for u, k, wrong in flagged[: suites._MAX_FAILURES]:
+        gain = reference_gain(gens, u, k)
+        fast, middle = (wrong, gain) if rank_route else (gain, wrong)
+        want.append({"kind": "oracle", "u": list(u), "k": list(k),
+                     "fast": fast, "brute": str(gain), "middle": middle})
+    assert rec.failures == want
     (suite,) = suites_from_records([rec], ["power-of-two"])
     assert not suite.passed
+
+
+def test_evaluate_net_flags_the_cells_no_walk_writes(monkeypatch):
+    # each route writes the cell where it cuts, not the rest of the slab
+    monkeypatch.setattr(suites, "_slab", lambda k, i: k)
+    gens = random_generator_set(random.Random(2), 3, 3)
+    full = {(u, k): f for u, k, f in box(gens)}
+    want = [(list(u), list(k)) for (u, k), f in full.items() if f and not visited(u, k, full)]
+    rec = evaluate_net(gens)
+    assert rec.oracle_mismatches == len(want) > suites._MAX_FAILURES
+    assert rec.triples == (gens.m + 3) ** gens.s - 1
+    assert [(f["u"], f["k"]) for f in rec.failures] == want[: suites._MAX_FAILURES]
+    assert all((f["kind"], f["fast"], f["brute"], f["middle"]) == ("oracle", None, "1", None)
+               for f in rec.failures)
 
 
 def test_evaluate_net_catches_one_flipped_point_bit(monkeypatch):
