@@ -10,24 +10,29 @@ its order or a count fails.  The records of a 300-net acceptance sweep are
 hashed as JSON, so a change to ``evaluate_net`` that moves one count fails,
 and so are the five sweep suites of a clean sweep and of one whose ``t`` is
 one too small, so a change that moves one verdict, count or failure note
-fails.
+fails.  ``analyze --json``, with and without ``--full``, and ``gain_bounds``
+at the ``max_gain`` witness are hashed on the shift net, the Joe-Kuo head and
+random nets, some with dependent first rows and some with ``s > m + 1``.
 """
 
 import hashlib
 import importlib
 import itertools
 import json
+import random
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from netgains.cli import EXIT_OK, main
-from netgains.netgen import DIRECTION_NUMBERS, generate_points, load_generators
+from netgains.gains import gain_bounds, max_gain
+from netgains.gf2 import BitMatrix
+from netgains.netgen import DIRECTION_NUMBERS, GeneratorSet, generate_points, load_generators
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, estimate, scramble
 from netgains import suites
-from netgains.suites import SWEEP_SUITES, suites_from_records, sweep_records
+from netgains.suites import SWEEP_SUITES, random_generator_set, suites_from_records, sweep_records
 
 NETS = {"shift": shift_net, "sobol_4_8": lambda: sobol_net(4, 8)}
 SEEDS = (0, 5, 2**63 + 12345)
@@ -80,6 +85,45 @@ SWEEP_DIGEST = "e50ed5455a707f756fa5850095c81d9c125118310a0f33a5491e459147be90a6
 SUITES_DIGESTS = {
     0: "e2909763eadd9c6e57b8deb664acea2ba15052c7192f533a7cf62358971cc7e0",
     1: "fb045fe8bd3fe8e6055c66a79c2b94b6f7f6d79d81e6ad308aaab3a86a937cde",
+}
+
+
+def _random_nets() -> list[GeneratorSet]:
+    rng = random.Random(20261018)
+    shapes = ((1, 1), (1, 5), (2, 3), (2, 6), (3, 2), (3, 5), (3, 6), (4, 4), (4, 7), (5, 3), (5, 6), (6, 5),
+              (7, 2), (9, 4), (18, 2), (22, 3))
+    nets = [random_generator_set(rng, s, m) for s, m in shapes]
+    # dependent first rows with s <= m: a repeated matrix, three rows that sum to
+    # zero, and a zero first row
+    a, b, c, d = (BitMatrix(4, (first,) + mat.rows[1:]) for first, mat in
+                  zip((0b1010, 0b0110, 0b1100, 0), random_generator_set(rng, 4, 4).matrices))
+    return nets + [GeneratorSet((a, b, a)), GeneratorSet((a, b, c)), GeneratorSet((d, a))]
+
+
+# the nets of each group; the Joe-Kuo head is read by the CLI from its table, the rest as raw text
+PINNED_NETS = {
+    "shift": lambda: [shift_net()],
+    "joe_kuo_m6": lambda: [sobol_net(dims, 6) for dims in range(1, 8)],
+    "joe_kuo_m10": lambda: [sobol_net(dims, 10) for dims in range(1, 8)],
+    "random": _random_nets,
+}
+
+ANALYZE_DIGESTS = {
+    ("shift", False): "ab4ffcda7b243b1a0c89ee0ba345497f9b1ef2ddf46438ed7a1b9254f0ce576c",
+    ("shift", True): "982a751257aac3ffda6ee5d449da1d3bebd4619871cfae120ef5f3fb33c8bb74",
+    ("joe_kuo_m6", False): "c9b6d21ed8f5dc13356a5f31f3c7267366aec4e707901b76ed2ffb9b5e8debca",
+    ("joe_kuo_m6", True): "f65a06f5de8df9f4f9f7efaeeba82b5f1c9b865f248fa04921c8ab9d956d5dd3",
+    ("joe_kuo_m10", False): "ed18cb9a82b7a73225af74e7fe08831ae204efa938ce8ebbfe0fde286843bf5e",
+    ("joe_kuo_m10", True): "cf407c653b0fd8000691e368ce87fec19f81ab42189f9fa37fbf9a3001799048",
+    ("random", False): "b4fee064910c81a99ee7cf32b5edc268a4a7ff31eb964423adb48f770e747e36",
+    ("random", True): "a7190b2caa2cdd44c4f4ca031773055989eedc32bc9068345375396c5aff970f",
+}
+
+BOUNDS_DIGESTS = {
+    "shift": "80cc8b69862f980e266eb9f2ec49384f69dcbd7a859521c7be3f303f1d733562",
+    "joe_kuo_m6": "315806891b9a2c074c0c706dc2a8c16e5b04c5acf9646af8d795eda2ed6d50ce",
+    "joe_kuo_m10": "62e39151de872f0ce1748bbe704aeebed3c962fcfd08c46e7f4c73b85d78fc73",
+    "random": "b2c5e7da7eeb2dd659b8ef737eee97579638846a98324fc4ec951c9fc966ee25",
 }
 
 
@@ -173,3 +217,35 @@ def test_sweep_suites_are_pinned(monkeypatch, lowered):
     results = suites_from_records(sweep_records(100, seed=20260811), list(SWEEP_SUITES))
     text = json.dumps([r.to_json_dict() for r in results])
     assert hashlib.sha256(text.encode()).hexdigest() == SUITES_DIGESTS[lowered]
+
+
+def _raw_text(gens: GeneratorSet) -> str:
+    blocks = ("\n".join(format(row, f"0{gens.m}b") for row in mat.rows) for mat in gens.matrices)
+    return f"{gens.s} {gens.m}\n" + "\n\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("group, full", list(ANALYZE_DIGESTS))
+def test_cli_analyze_is_pinned(data_dir, tmp_path, group, full):
+    h = hashlib.sha256()
+    for i, gens in enumerate(PINNED_NETS[group]()):
+        if group.startswith("joe_kuo"):
+            source = ["--dirnum", str(data_dir / "joe-kuo-head.txt"), "--dims", str(gens.s), "--m", str(gens.m)]
+        else:
+            path = tmp_path / f"net-{i}.txt"
+            path.write_text(_raw_text(gens))
+            source = ["--raw", str(path)]
+        out = tmp_path / f"analyze-{i}.json"
+        args = ["--json", "--out", str(out), "analyze", *source] + (["--full"] if full else [])
+        assert main(args) == EXIT_OK
+        h.update(out.read_bytes())
+    assert h.hexdigest() == ANALYZE_DIGESTS[group, full]
+
+
+@pytest.mark.parametrize("group", list(BOUNDS_DIGESTS))
+def test_gain_bounds_at_the_witness_are_pinned(group):
+    h = hashlib.sha256()
+    for gens in PINNED_NETS[group]():
+        gamma, witness = max_gain(gens)
+        entry = [gamma.log2, list(witness.u), list(witness.k), gain_bounds(gens, witness)]
+        h.update(json.dumps(entry).encode())
+    assert h.hexdigest() == BOUNDS_DIGESTS[group]
