@@ -183,21 +183,18 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     gens = _load(args)
-    full = tuple(range(1, gens.s + 1))
     gamma, witness = max_gain(gens)
     if args.full:
         report = quality.quality_report(gens, a_k_max=args.a_k_max)
         payload = report.to_json_dict()
         t = report.t
-        t_star_full = report.t_star_u[full]
     else:
         t = quality.t_value(gens)
-        t_star_full = quality.t_star_u(gens, full)
         payload = {"s": gens.s, "m": gens.m}
     payload.update(
         {
             "t": t,
-            "t_star_full": t_star_full,
+            "t_star_full": gamma.log2 - gens.s + 1,  # the maximal gain is 2^(t*_{1:s} + s - 1)
             "gamma_log2": gamma.log2,
             "gamma_u": list(witness.u),
             "gamma_k": list(witness.k),

@@ -41,14 +41,13 @@ from .netgen import (
     ResourceLimitError,
     StackWalk,
     SubsetIndex,
-    _check_walk,
-    _cut_level,
+    _Box,
     _match_depth,
     _subsets,
     _xor_span,
     stack_at,
 )
-from .quality import _box_counts, first_rank_deficient_k, t_star_u, t_u, t_value
+from .quality import _box_counts, first_rank_deficient_k, t_u, t_value
 
 NULLSPACE_LOG2_LIMIT = 24
 ENUMERATION_VISIT_LIMIT = 1 << 24
@@ -92,7 +91,6 @@ def gain_fast(gens: GeneratorSet, idx: SubsetIndex) -> GainValue:
     of the next row of each selected generator lies in its row space, and 0
     otherwise.
     """
-    gens.validate_index(idx)
     rank, in_span = stack_at(gens, idx.u, idx.k)
     return GainValue(gens.m - rank) if in_span else GainValue.zero()
 
@@ -180,59 +178,37 @@ def gain_representation(gens: GeneratorSet, idx: SubsetIndex) -> int:
     Raises :class:`ResourceLimitError` when the nullspace has more than
     ``2**NULLSPACE_LOG2_LIMIT`` elements; use :func:`gain_fast` there.
     """
-    gens.validate_index(idx)
     return next(iter(KernelWalk(gens, idx.u, [min(kj, gens.m + 1) for kj in idx.k])))
 
 
-class KernelWalk:
-    """Signed nullspace counts for the depth vectors ``k`` of one subset ``u``.
+class KernelWalk(_Box):
+    """Signed nullspace counts over the :class:`~netgains.netgen._Box` of ``u`` from ``floor``.
 
-    Visits every ``k`` with ``floor[j] <= k[j] <= m + 1`` in lexicographic
-    order.  It eliminates in the dual space and shares no elimination code
-    with the rank route, :class:`~netgains.netgen.StackWalk`: per
-    coordinate of ``u`` it keeps a basis of the nullspace of the rows
-    stacked up to it.  As ``N(C_{u,k+e_j})`` is
+    It eliminates in the dual space and shares no elimination code with the
+    rank route, :class:`~netgains.netgen.StackWalk`, only the box and its
+    cut: per coordinate of ``u`` it keeps a basis of the nullspace of the
+    rows stacked up to it.  As ``N(C_{u,k+e_j})`` is
     ``{v in N(C_{u,k}) : row_{k_j+1}(j) . v = 0}``, stepping ``k_j`` up is
     one :func:`_restrict`.
 
     Iterating yields, per ``k``, the sum over N(C_{u,k}) of -1 to the number
     of next rows (row ``k_j + 1`` of each ``j``) a vector trips.  Sign
     patterns are linear in the vector, so a Gray-code walk updates them in
-    O(1) per state; an empty basis yields 1 without a walk.  ``k``, a list
-    updated in place, and ``basis`` are the current ones.  Raises
-    :class:`ResourceLimitError` at a ``k`` whose nullspace has more than
-    ``2**NULLSPACE_LOG2_LIMIT`` elements.
-
-    :meth:`cut`, called after a yield, skips every ``k`` still to come
-    whose stack contains the current one's rows: those equal to ``k``
-    before level ``i`` and at least ``k[i]`` at it, where ``i`` is the
-    deepest coordinate above its floor (0 if none), as
-    :meth:`~netgains.netgen.StackWalk.cut` does.  Once the basis is empty,
-    every such ``k`` has the empty nullspace and the count 1.
+    O(1) per state; an empty basis yields 1 without a walk.  ``basis`` is
+    the current one.  Raises :class:`ResourceLimitError` at a ``k`` whose
+    nullspace has more than ``2**NULLSPACE_LOG2_LIMIT`` elements.  Once the
+    basis is empty, every ``k`` of the slab that :meth:`cut` skips has the
+    empty nullspace and the count 1.
     """
 
-    def __init__(self, gens: GeneratorSet, u, floor):
-        _check_walk(gens, u, floor)
-        if any(not 0 <= f <= gens.m + 1 for f in floor):
-            raise ValueError(f"floor entries must be in [0, {gens.m + 1}], got {tuple(floor)}")
-        self._rows = [gens._rows[j - 1] for j in u]  # zero from row m + 1 on
-        self._floor = tuple(floor)
-        self._m = gens.m
-        self.k = [0] * len(u)
-        self.basis: list[int] = []
-        self._cut: int | None = None
-
-    def cut(self) -> int:
-        """Skip the slab of the current ``k`` (see the class docstring); return its level ``i``."""
-        self._cut = _cut_level(self.k, self._floor)
-        return self._cut
+    basis: list[int]
 
     def __iter__(self):
-        rows, floor, cap, k = self._rows, self._floor, self._m + 1, self.k
+        rows, floor, cap, k = self._rows, self._floor, self._cap, self.k
         last = len(rows) - 1
         bases = [[]] * (last + 1)  # at i: the basis for the rows of coordinates 0..i
         nexts = [0] * (last + 1)  # row k_j + 1 of each coordinate
-        i, basis = -1, [1 << b for b in range(self._m)]  # the empty stack's: all m-bit vectors
+        i, basis = -1, [1 << b for b in range(cap - 1)]  # the empty stack's: all m-bit vectors
         self._cut = None
         while True:
             for j in range(i + 1, last + 1):  # the coordinates after i start at their floor
@@ -299,24 +275,25 @@ def _signed_count(basis: list[int], nexts: list[int]) -> int:
 def max_gain(gens: GeneratorSet) -> tuple[GainValue, SubsetIndex]:
     """Largest gain coefficient over all (u, k), with a witness attaining it.
 
-    If the first rows of the generators are linearly dependent the maximum
-    is ``2**m``, witnessed at depth zero by a minimal dependent subset.
-    Otherwise it is ``2**(t*_{1:s} + s - 1)``; the witness is rebuilt from
-    the vanishing row combination of the shallowest deficient full-subset
-    stack: drop the coordinates whose deepest row does not participate, and
-    step every surviving depth down by one.
+    It is ``2**(t*_{1:s} + s - 1) = 2**(m + s - |k*|)``, with ``k*`` the
+    :func:`~netgains.quality.first_rank_deficient_k` of all coordinates.
+    ``|k*| = s`` says that the first rows are dependent: the maximum is then
+    ``2**m``, witnessed at depth zero by a minimal dependent subset, the
+    smallest only up to 20 coordinates (:func:`_minimal_dependent_first_rows`).
+    Otherwise the witness is rebuilt from the vanishing row combination of
+    C_{1:s,k*}: drop the coordinates whose deepest row does not participate,
+    and step every surviving depth down by one.
     """
-    s, m = gens.s, gens.m
+    s = gens.s
     full = tuple(range(1, s + 1))
-    if stack_at(gens, full, (1,) * s)[0] < s:
-        u = _minimal_dependent_first_rows(gens)
-        return GainValue(m), SubsetIndex(u, (0,) * len(u))
-
     kstar = first_rank_deficient_k(gens, full)
+    gamma = GainValue(gens.m + s - sum(kstar))
+    if sum(kstar) == s:
+        u = _minimal_dependent_first_rows(gens)
+        return gamma, SubsetIndex(u, (0,) * len(u))
     v = _circuit(gens, full, kstar)
     assert v, "a minimal deficient stack always uses some deepest row"
-    witness = SubsetIndex(v, tuple(kstar[j - 1] - 1 for j in v))
-    return GainValue(m + s - sum(kstar)), witness
+    return gamma, SubsetIndex(v, tuple(kstar[j - 1] - 1 for j in v))
 
 
 def _circuit(gens: GeneratorSet, u: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
@@ -340,7 +317,11 @@ def _circuit(gens: GeneratorSet, u: tuple[int, ...], k: tuple[int, ...]) -> tupl
 
 
 def _minimal_dependent_first_rows(gens: GeneratorSet) -> tuple[int, ...]:
-    """Smallest (by size, then lex) subset whose first rows are dependent."""
+    """A minimal subset whose first rows are dependent: up to 20 coordinates the
+    smallest (by size, then lex).  Past 20, the circuit that closes the first
+    dependent prefix, which need not be smallest: with first rows e1, e2, e3,
+    e1^e2^e3 at 1-4 and one shared by 5 and 6, it is (1, 2, 3, 4), not (5, 6).
+    """
     s = gens.s
     if s <= 20:
         for u in _subsets(s):
@@ -360,19 +341,21 @@ def gain_bounds(gens: GeneratorSet, idx: SubsetIndex) -> dict[str, int]:
     when the one-row-per-coordinate stack over ``u`` has full rank, so it
     is omitted otherwise.
     """
-    gens.validate_index(idx)
+    stack_at(gens, idx.u, idx.k)  # its walk refuses an idx beyond the net before the t search
     return _bounds(gens, idx, t_value(gens))
 
 
 def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int) -> dict[str, int]:
-    u, order = idx.u, idx.order
+    u, order, m = idx.u, idx.order, gens.m
     out = {
-        "rank": 1 << (gens.m - stack_at(gens, u, idx.k)[0]),
+        "rank": 1 << (m - stack_at(gens, u, idx.k)[0]),
         "t": 1 << (t + order - 1),
         "t_u": 1 << (t_u(gens, u) + order - 1),
     }
-    if stack_at(gens, u, (1,) * order)[0] == order:
-        out["t_star_u"] = 1 << (t_star_u(gens, u) + order - 1)
+    # t*_u = m + 1 - |k*|, and |k*| = |u| iff the first rows of u are dependent
+    least = sum(first_rank_deficient_k(gens, u))
+    if least > order:
+        out["t_star_u"] = 1 << (m + order - least)
     return out
 
 
@@ -472,7 +455,7 @@ def enumerate_gains(
         gray += bytes([j]) + gray
     gray = b"\0" + gray
     rows = gens._rows
-    walk = StackWalk(gens, range(1, s + 1), (0,) * s, cap, max(max_depth, cap))
+    walk = StackWalk(gens, range(1, s + 1), (0,) * s, max(max_depth, cap))
     residual, k = walk.table.residual, walk.k
     least = cap + 1  # no deficient stack yet; some total <= m + 1 always is
     visited = 0

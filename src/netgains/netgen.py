@@ -134,10 +134,6 @@ class GeneratorSet:
         cols.flags.writeable = False
         return cols
 
-    def validate_index(self, idx: SubsetIndex) -> None:
-        if idx.u[-1] > self.s:
-            raise ValueError(f"subset {idx.u} exceeds dimension s={self.s}")
-
 
 class NetPoints:
     """All ``2**m`` points of a net as an (n, s) array of numerators."""
@@ -398,51 +394,68 @@ def generate_points(gens: GeneratorSet) -> NetPoints:
 
 # --- stacked matrices -------------------------------------------------------
 
-class StackWalk:
-    """Depth-first walk over the depth vectors ``k`` of one coordinate subset ``u``.
+class _Box:
+    """The depth vectors ``k`` with ``floor <= k <= m + 1`` over a coordinate subset ``u``.
 
-    Visits every ``k`` with ``floor[i] <= k[i] <= cap`` and ``sum(k) <=
-    budget`` in lexicographic order.  The stack C_{u,k} (the first ``k_j``
-    rows of matrix ``j``, for ``j`` in ``u`` in order) is eliminated in one
-    :class:`PivotTable`: stepping ``k[i]`` up pushes one row, and stepping
-    back undoes the pushes, so every ``k`` shares the elimination of its
-    common prefix with the ``k`` visited before it.  ``cap`` is at most
-    ``m + 1``; deeper rows are zero and change nothing.
+    :class:`StackWalk` and :class:`~netgains.gains.KernelWalk` visit it in
+    lexicographic order.  It checks ``u`` (nonempty, increasing, in ``1..s``)
+    and ``floor`` (one entry in ``[0, m + 1]`` per member), and holds the
+    current ``k``, a list updated in place.  :meth:`cut`, called after a
+    yield, skips every ``k`` still to come whose stack contains the current
+    one's rows: those equal to ``k`` before level ``i`` and at least ``k[i]``
+    at it, where ``i`` is the deepest coordinate above its floor (0 if none).
+    In lexicographic order they run from the current ``k`` to the end of the
+    level-``i`` loop, so the walk resumes past them.
+    """
+
+    def __init__(self, gens: GeneratorSet, u, floor):
+        u, floor, s, cap = tuple(u), tuple(floor), gens.s, gens.m + 1
+        if not u or u[0] < 1 or u[-1] > s or any(b <= a for a, b in zip(u, u[1:])):
+            raise ValueError(f"u must be nonempty coordinates in 1..{s}, increasing, got {u} for s={s}")
+        if len(floor) != len(u):
+            raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
+        if min(floor) < 0 or max(floor) > cap:
+            raise ValueError(f"floor entries must be in [0, {cap}], got {floor}")
+        self._rows = [gens._rows[j - 1] for j in u]  # zero from row m + 1 on
+        self._floor = floor
+        self._cap = cap
+        self.k = [0] * len(u)
+        self._cut: int | None = None
+
+    def cut(self) -> int:
+        """Skip the slab of the current ``k`` (see the class docstring); return its level ``i``."""
+        k, floor = self.k, self._floor
+        i = len(k) - 1
+        while i and k[i] == floor[i]:
+            i -= 1
+        self._cut = i
+        return i
+
+
+class StackWalk(_Box):
+    """Depth-first walk over the :class:`_Box` of ``u`` from ``floor``, where ``sum(k) <= budget``.
+
+    The stack C_{u,k} (the first ``k_j`` rows of matrix ``j``, for ``j`` in
+    ``u`` in order) is eliminated in one :class:`PivotTable`: stepping
+    ``k[i]`` up pushes one row, and stepping back undoes the pushes, so
+    every ``k`` shares the elimination of its common prefix with the ``k``
+    visited before it.
 
     Iterating yields ``(depth, rank, nxt)`` per visited ``k``: ``sum(k)``,
     the rank of C_{u,k}, and the XOR of the next rows (row ``k_j + 1`` of
     each ``j``).  ``table.residual(nxt) == 0`` says whether that XOR lies in
-    the row space.  ``k`` is the current vector, a list updated in place.
-    Lowering ``budget`` while iterating skips the deeper ``k`` from then on.
-
-    :meth:`cut`, called after a yield, skips every ``k`` still to come
-    whose stack contains the current one's rows: the slab of ``k'`` equal
-    to ``k`` before level ``i`` and at least ``k[i]`` at it, where ``i`` is
-    the deepest coordinate above its floor (0 if none).  In lexicographic
-    order they run from the current ``k`` to the end of the level-``i``
-    loop, so the walk resumes past them.
+    the row space.  Lowering ``budget`` while iterating skips the deeper
+    ``k`` from then on.
 
     A zero depth adds no rows, so with floor 0 the walk also visits the
     stack of every subset of ``u``: ``enumerate_gains`` and ``t_u`` walk
     once over all their coordinates rather than once per subset.
     """
 
-    def __init__(self, gens: GeneratorSet, u, floor, cap: int, budget: int):
-        _check_walk(gens, u, floor)
-        if not 0 <= cap <= gens.m + 1:
-            raise ValueError(f"cap must be in [0, {gens.m + 1}], got {cap}")
-        self._rows = [gens._rows[j - 1] for j in u]
-        self._floor = tuple(floor)
-        self._cap = cap
+    def __init__(self, gens: GeneratorSet, u, floor, budget: int):
+        super().__init__(gens, u, floor)
         self.budget = budget
         self.table = PivotTable(gens.m)
-        self.k = [0] * len(u)
-        self._cut: int | None = None
-
-    def cut(self) -> int:
-        """Skip the slab of the current ``k`` (see the class docstring); return its level ``i``."""
-        self._cut = _cut_level(self.k, self._floor)
-        return self._cut
 
     def __iter__(self):
         rows, floor, cap, k = self._rows, self._floor, self._cap, self.k
@@ -503,31 +516,14 @@ def _subsets(s: int):
         yield from itertools.combinations(range(1, s + 1), r)
 
 
-def _check_walk(gens: GeneratorSet, u, floor) -> None:
-    """Refuse a walk over coordinates ``u`` from ``floor`` that ``gens`` cannot take."""
-    if not u or any(not 1 <= j <= gens.s for j in u):
-        raise ValueError(f"u must be nonempty coordinates in 1..{gens.s}, got {tuple(u)}")
-    if len(floor) != len(u):
-        raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
-
-
-def _cut_level(k, floor) -> int:
-    """The deepest coordinate of ``k`` above its floor, 0 if none: the level a walk cuts at."""
-    i = len(k) - 1
-    while i and k[i] == floor[i]:
-        i -= 1
-    return i
-
-
 def stack_at(gens: GeneratorSet, u, k) -> tuple[int, bool]:
     """Rank of C_{u,k}, and whether the XOR of its next rows lies in its row space.
 
     A walk over the single vector ``k``; depths past ``m + 1`` are clamped
     there, which changes neither answer.
     """
-    cap = gens.m + 1
-    k = [min(kj, cap) for kj in k]
-    walk = StackWalk(gens, u, k, cap, sum(k))
+    k = [min(kj, gens.m + 1) for kj in k]
+    walk = StackWalk(gens, u, k, sum(k))
     _, rank, nxt = next(iter(walk))
     return rank, not walk.table.residual(nxt)
 

@@ -4,10 +4,11 @@ Two independent routes to the same quantities live here.  The algebraic
 route works on generator matrices: the t parameter is ``m + 1`` minus the
 smallest total depth at which some stacked row matrix goes rank deficient,
 and the subset-restricted variants ``t_u`` / ``t_star_u`` restrict which
-depth vectors compete.  Each is one :class:`~netgains.netgen.StackWalk`
-that lowers its budget below every deficient total it meets: ``t_star_u``
-walks ``k >= 1`` over ``u``, ``t_u`` walks ``k >= 0`` over ``u`` (a zero
-depth drops a coordinate, so that covers every subset of ``u``),
+depth vectors compete.  Each is one :class:`~netgains.netgen.StackWalk`,
+which refuses a bad ``u``, lowering its budget below every deficient total
+it meets: ``t_star_u`` walks ``k >= 1`` over ``u`` (the search that also
+gives :func:`~netgains.gains.max_gain`), ``t_u`` walks ``k >= 0`` over ``u``
+(a zero depth drops a coordinate, so that covers every subset of ``u``),
 ``t_value`` is ``t_u`` of all coordinates and ``t_d`` the largest ``t_u``
 over the subsets of size ``d``.  The combinatorial route counts points in
 dyadic boxes (:func:`verify_net_by_counting`, :func:`microstructure_A`)
@@ -67,25 +68,18 @@ def _ceil_log2(count: int) -> int:
 
 
 def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
-    """Minimal-total ``k >= 1`` (lex-first among minima) whose stack is deficient.
-
-    The search terminates: any stack with more than ``m`` rows is deficient,
-    and so is any stack containing the all-zero row ``m + 1``.
-    """
-    k = _least_deficient(gens, u, 1, max(len(u), gens.m + 1))
-    if k is None:
-        raise AssertionError("unreachable: depth m+1 stacks are always deficient")
-    return k
+    """Minimal-total ``k >= 1`` (lex-first among minima) whose stack is deficient."""
+    return _least_deficient(gens, u, 1)
 
 
-def _least_deficient(gens: GeneratorSet, u: Sequence[int], floor: int, budget: int) -> tuple[int, ...] | None:
-    """Lex-first ``k >= floor`` of least total ``<= budget`` with a deficient stack, if any.
+def _least_deficient(gens: GeneratorSet, u: Sequence[int], floor: int) -> tuple[int, ...]:
+    """Lex-first ``k >= floor`` of least total with a deficient stack.
 
     Each deficient ``k`` the walk meets lowers its budget below its own
-    total, so the last one met is the lex-first of the least total.
+    total, so the last one met is the lex-first of the least total.  The
+    first budget, ``max(floor * |u|, m + 1)``, reaches a stack of more than ``m`` rows.
     """
-    walk = StackWalk(gens, u, (floor,) * len(u), gens.m + 1, budget)
-    best = None
+    walk = StackWalk(gens, u, (floor,) * len(u), max(floor * len(u), gens.m + 1))
     for depth, rank, _ in walk:
         if rank < depth:
             best = tuple(walk.k)
@@ -99,7 +93,6 @@ def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
     Equals ``m + 1 - |u|`` when already the one-row-per-coordinate stack is
     deficient (which makes it negative once ``|u| > m + 1``).
     """
-    u = _checked_subset(gens, u)
     return gens.m + 1 - sum(first_rank_deficient_k(gens, u))
 
 
@@ -110,8 +103,7 @@ def t_u(gens: GeneratorSet, u: Sequence[int]) -> int:
     ``[0, m + 1]^u``, as a zero depth drops a coordinate: one walk with
     floor 0.  ``k = (m + 1, 0, ...)`` is always deficient.
     """
-    u = _checked_subset(gens, u)
-    return gens.m + 1 - sum(_least_deficient(gens, u, 0, gens.m + 1))
+    return gens.m + 1 - sum(_least_deficient(gens, u, 0))
 
 
 def t_d(gens: GeneratorSet, d: int) -> int:
@@ -120,15 +112,6 @@ def t_d(gens: GeneratorSet, d: int) -> int:
     if not 1 <= d <= gens.s:
         raise ValueError(f"d must be in [1, {gens.s}], got {d}")
     return max(t_u(gens, u) for u in itertools.combinations(range(1, gens.s + 1), d))
-
-
-def _checked_subset(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
-    u = tuple(u)
-    if not u:
-        raise ValueError("u must be nonempty")
-    if any(b <= a for a, b in zip(u, u[1:])) or u[0] < 1 or u[-1] > gens.s:
-        raise ValueError(f"u must be a sorted subset of 1..{gens.s}, got {u}")
-    return u
 
 
 def t_value(gens: GeneratorSet) -> int:

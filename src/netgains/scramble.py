@@ -370,8 +370,7 @@ def verify_gain_identity(
     nested-uniform diagnostic re-run, since the identity is only expected
     (not proven here) for the linear scramble.
     """
-    gens.validate_index(idx)
-    expected = gain_fast(gens, idx)
+    expected = gain_fast(gens, idx)  # its walk refuses an idx beyond the net before any scramble
     points = generate_points(gens)
     est = estimate(points, spec, HaarIntegrand(idx.u, idx.k), replicates)
 

@@ -90,6 +90,7 @@ def nullspace_rank(rows: Iterable[int], ncols: int) -> int:
 
 def assemble_cuk(gens: GeneratorSet, idx: SubsetIndex) -> BitMatrix:
     """Stack the first k_j rows of each selected generator matrix (zero past row m)."""
-    gens.validate_index(idx)
+    if idx.u[-1] > gens.s:
+        raise ValueError(f"subset {idx.u} exceeds dimension s={gens.s}")
     rows = tuple(gens.row(j, ell) for j, kj in zip(idx.u, idx.k) for ell in range(1, kj + 1))
     return BitMatrix(gens.m, rows)

@@ -53,3 +53,15 @@ def test_names_nothing_calls_are_deleted():
     assert not {"from_strings", "empty", "entry"} & set(vars(BitMatrix))
     assert "fractions" not in vars(NetPoints)
     assert inspect.signature(PivotTable).parameters["ncols"].default is inspect.Parameter.empty
+
+
+def test_both_walks_share_one_box_and_one_check():
+    from netgains import gains, netgen, quality
+
+    assert not {"_check_walk", "_cut_level"} & set(vars(netgen))
+    assert "_checked_subset" not in vars(quality)
+    assert not hasattr(netgen.GeneratorSet, "validate_index")
+    assert "cap" not in inspect.signature(netgen.StackWalk).parameters
+    for walk in (netgen.StackWalk, gains.KernelWalk):
+        assert issubclass(walk, netgen._Box)
+        assert "cut" not in vars(walk)

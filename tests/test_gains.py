@@ -369,7 +369,43 @@ def test_max_gain_witness_verified_on_random_nets():
         assert gain_fast(gens, witness) == value
 
 
+def test_max_gain_past_20_coordinates_takes_a_minimal_witness():
+    # first rows e1, e2, e3, e1^e2^e3 at 1-4, one row shared by 5 and 6, and e5
+    # from 7 on: past 20 coordinates the witness closes the first dependent
+    # prefix, (1, 2, 3, 4); up to 20 it is the smallest, (5, 6)
+    m, rng = 5, random.Random(47)
+    firsts = [0b10000, 0b01000, 0b00100, 0b11100, 0b00010, 0b00010] + [0b00001] * 15
+    gens = GeneratorSet(tuple(
+        BitMatrix(m, (first,) + tuple(rng.randrange(1 << m) for _ in range(m - 1))) for first in firsts
+    ))
+    assert gens.s == 21
+
+    def independent(u):
+        return nullspace_rank([gens.row(j, 1) for j in u], m) == len(u)
+
+    value, witness = max_gain(gens)
+    assert value == GainValue(m) == gain_fast(gens, witness)
+    assert witness == SubsetIndex((1, 2, 3, 4), (0, 0, 0, 0))
+    assert not independent(witness.u)
+    assert all(independent(witness.u[:i] + witness.u[i + 1 :]) for i in range(len(witness.u)))
+    assert not independent((5, 6))  # smaller, but the search past 20 does not look for it
+    assert max_gain(GeneratorSet(gens.matrices[:20])) == (GainValue(m), SubsetIndex((5, 6), (0, 0)))
+
+
 # --- gain_bounds ------------------------------------------------------------------------
+
+def test_an_index_beyond_the_net_is_refused_before_any_search(shift, monkeypatch):
+    from netgains import gains
+
+    def no_search(gens):
+        raise AssertionError("searched for t before checking the index")
+
+    monkeypatch.setattr(gains, "t_value", no_search)
+    bad = SubsetIndex((1, 5), (0, 0))
+    for route in (gain_bounds, gain_fast, gain_representation):
+        with pytest.raises(ValueError, match=r"\(1, 5\).*s=4"):
+            route(shift, bad)
+
 
 def test_shift_bounds_sixteen_and_eight(shift):
     bounds = gain_bounds(shift, SubsetIndex((1, 2, 3, 4), (1, 1, 1, 1)))

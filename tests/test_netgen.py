@@ -277,7 +277,7 @@ def test_cuk_pads_zero_rows(identity_net):
 
 
 def next_rows_xor(gens, u, k):
-    walk = StackWalk(gens, u, k, gens.m + 1, sum(k))
+    walk = StackWalk(gens, u, k, sum(k))
     visits = [nxt for _, _, nxt in walk]
     assert len(visits) == 1
     return visits[0]
@@ -320,9 +320,9 @@ def test_walk_matches_from_scratch_stacks():
         size = rng.randint(1, gens.s)
         u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
         floor = tuple(rng.randint(0, 2) for _ in u)
-        cap = rng.randint(0, gens.m + 1)
-        budget = rng.randint(0, size * (gens.m + 1))
-        walk = StackWalk(gens, u, floor, cap, budget)
+        cap = gens.m + 1  # the box is [floor, m + 1]
+        budget = rng.randint(0, size * cap)
+        walk = StackWalk(gens, u, floor, budget)
         seen = []
         for depth, rank_k, nxt in walk:
             k = tuple(walk.k)
@@ -353,11 +353,11 @@ def test_walk_cut_skips_exactly_its_slab():
         size = rng.randint(1, gens.s)
         u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
         floor = tuple(rng.randint(0, 2) for _ in u)
-        cap = rng.randint(0, gens.m + 1)
-        budget = rng.randint(0, size * (gens.m + 1))
-        uncut = StackWalk(gens, u, floor, cap, budget)
+        cap = gens.m + 1  # the box is [floor, m + 1]
+        budget = rng.randint(0, size * cap)
+        uncut = StackWalk(gens, u, floor, budget)
         full = {tuple(uncut.k): state for state in uncut}
-        walk = StackWalk(gens, u, floor, cap, budget)
+        walk = StackWalk(gens, u, floor, budget)
         seen = []
         for state in walk:
             k = tuple(walk.k)
@@ -378,7 +378,7 @@ def test_walk_cut_skips_exactly_its_slab():
 
 
 def test_walk_budget_lowered_mid_walk(sobol2d):
-    walk = StackWalk(sobol2d, (1, 2), (0, 0), 5, 6)
+    walk = StackWalk(sobol2d, (1, 2), (0, 0), 6)  # m = 4: the box is [0, 5]^2
     seen = []
     for depth, _, _ in walk:
         seen.append(tuple(walk.k))
@@ -391,18 +391,23 @@ def test_walk_budget_lowered_mid_walk(sobol2d):
 
 
 def test_walk_validates_arguments(shift):
-    # u and the floor's length: test_both_walks_refuse_a_bad_u_or_floor_length
-    with pytest.raises(ValueError, match="cap must be"):
-        StackWalk(shift, (1,), (0,), shift.m + 2, 4)
+    # u, the floor's length and an entry past m + 1: test_both_walks_refuse_a_bad_u_or_floor_length
+    for floor in ((-1,), (0, -1)):
+        with pytest.raises(ValueError, match=r"floor entries must be in \[0, 5\]"):
+            StackWalk(shift, (1, 2)[: len(floor)], floor, 4)
+    walk = StackWalk(shift, (1,), (5,), 5)  # a floor of m + 1 is the far corner of the box
+    assert [tuple(walk.k) for _ in walk] == [(5,)]
 
 
-@pytest.mark.parametrize("walk", [lambda *a: StackWalk(*a, 4, 4), KernelWalk], ids=["stack", "kernel"])
+@pytest.mark.parametrize("walk", [lambda *a: StackWalk(*a, 4), KernelWalk], ids=["stack", "kernel"])
 def test_both_walks_refuse_a_bad_u_or_floor_length(shift, walk):
-    for u in ((), (0, 2), (1, 5)):
+    for u in ((), (0, 2), (1, 5), (2, 1), (1, 3, 3)):
         with pytest.raises(ValueError, match=r"u must be nonempty coordinates in 1\.\.4"):
             walk(shift, u, (0,) * len(u))
     with pytest.raises(ValueError, match="floor has 1 entries for 2 coordinates"):
         walk(shift, (1, 2), (0,))
+    with pytest.raises(ValueError, match=r"floor entries must be in \[0, 5\], got \(0, 6\)"):
+        walk(shift, (1, 2), (0, shift.m + 2))
 
 
 # --- SubsetIndex validation -------------------------------------------------------
