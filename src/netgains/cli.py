@@ -59,13 +59,10 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 def _load(args) -> netgen.GeneratorSet:
     path = args.raw or args.dirnum
+    fmt = netgen.RAW if args.raw else netgen.DIRECTION_NUMBERS
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            if args.raw:
-                return load_generators(fh, netgen.RAW)
-            if args.dims is None or args.m is None:
-                raise CliError("--dirnum input needs --dims and --m", EXIT_INVALID)
-            return load_generators(fh, netgen.DIRECTION_NUMBERS, dims=args.dims, m=args.m)
+            return load_generators(fh, fmt, dims=args.dims, m=args.m)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
     except (ParseError, ValueError) as exc:

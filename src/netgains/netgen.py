@@ -224,11 +224,11 @@ def load_generators(
     lines = _as_lines(source)
     if fmt == RAW:
         if dims is not None or m is not None:
-            raise ValueError("dims/m overrides only apply to direction_numbers input")
+            raise ValueError(f"dims and m apply only to direction_numbers input, got dims={dims}, m={m}")
         return _parse_raw(lines)
     if fmt == DIRECTION_NUMBERS:
         if dims is None or m is None:
-            raise ValueError("direction_numbers input needs dims and m")
+            raise ValueError(f"direction_numbers input needs dims and m, got dims={dims}, m={m}")
         entries = parse_direction_numbers(lines)
         return sobol_generator_set(entries, dims, m)
     raise ValueError(f"unknown format {fmt!r}")

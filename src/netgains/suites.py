@@ -15,7 +15,8 @@ from its walk.  The tables are then compared cell by cell,
 and checked for the paper's properties, as whole arrays.  The per-net
 record carries everything the individual property suites assert about:
 exact agreement of the three routes, power-of-two values, bound
-domination, the forced-zero region, rank-derived t versus counting t, and
+domination, the forced-zero region, the rank t against the points' own t
+(read off the pairwise table by the zero region's converse), and
 attainment of the closed-form maximum by the enumerated maximum.
 """
 
@@ -39,7 +40,7 @@ from .gains import (
 )
 from .gf2 import BitMatrix
 from .netgen import MAX_M, GeneratorSet, StackWalk, SubsetIndex, _subsets, generate_points
-from .quality import minimal_counting_t, t_value, verify_net_by_counting
+from .quality import t_value, verify_net_by_counting
 from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
 
@@ -69,7 +70,7 @@ class NetRecord:
     s: int
     m: int
     t: int
-    counting_t: int
+    counting_t: int | None  # None when the pairwise table refuses the points
     closed_form_log2: int
     witness_ok: bool
     enum_max_log2: int | None
@@ -99,7 +100,7 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     count as one oracle mismatch, and so does every cell of the box where
     the routes disagree or one of them wrote nothing.  The triples are the
     cells of the box, failures come in ``(|u|, u, k)`` order, and at most
-    ``_MAX_FAILURES`` of them are kept.
+    ``_MAX_FAILURES`` of them are kept.  No box of points is counted.
     """
     s, m = gens.s, gens.m
     if (m + 3) ** s > PAIR_TABLE_CELL_LIMIT:
@@ -114,7 +115,6 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
         )
     points = generate_points(gens)
     t = t_value(gens)
-    counting = minimal_counting_t(points)
     cap = m + 1
 
     failures: list[dict] = []
@@ -165,6 +165,9 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     size, total = member, entry
     for _ in range(s - 1):
         size, total = np.add.outer(size, member), np.add.outer(total, entry)
+    # the points' t, by the zero region's converse: m + 1 less the least |u| + |k| of a nonzero gain
+    counting = None if pairs is None else m + 1 - int(
+        np.min(total, where=(pairs != 0) & (size > 0), initial=m + 1))
     non_power = agreed > m
     # nonzero gains obey 2^(m-rank) <= 2^(t+|u|-1) clamped at 2^m
     chain = (agreed - size >= t) | non_power

@@ -43,6 +43,22 @@ def test_gen_dirnum_van_der_corput(joekuo_file, capsys):
     assert values == [v / 8 for v in (0, 4, 2, 6, 1, 5, 3, 7)]
 
 
+@pytest.mark.parametrize("source, flags, message", [
+    ("--raw", ["--m", "2", "--dims", "9"], "dims and m apply only to direction_numbers input"),
+    ("--raw", ["--m", "2"], "dims and m apply only to direction_numbers input"),
+    ("--raw", ["--dims", "9"], "dims and m apply only to direction_numbers input"),
+    ("--dirnum", ["--m", "3"], "direction_numbers input needs dims and m"),
+    ("--dirnum", ["--dims", "1"], "direction_numbers input needs dims and m"),
+])
+def test_dims_and_m_go_with_a_direction_number_table_only(shiftnet_file, joekuo_file, source,
+                                                          flags, message, capsys):
+    # they select from a direction-number table; a raw file fixes s and m itself
+    path = shiftnet_file if source == "--raw" else joekuo_file
+    assert main(["--json", "gen", source, path, *flags]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_gen_binary_output(shiftnet_file, tmp_path):
     out = tmp_path / "points.bin"
     assert main(["--out", str(out), "gen", "--raw", shiftnet_file, "--format", "bin"]) == EXIT_OK

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gf2_reference import assemble_cuk, nullspace_of_rows, nullspace_rank, row_reduce
+from netgains import gains
 from netgains.gains import (
     GainValue,
     NullTable,
@@ -497,6 +498,32 @@ def test_enumerate_shift_depth_eight(shift):
     assert report.attained_theoretical
     assert not report.truncated
     assert not report.bound_violations
+
+
+class LateWalk(StackWalk):
+    """A walk that reports each deficient stack one level deeper than it is."""
+
+    def __iter__(self):
+        for depth, rank, nxt in super().__iter__():
+            yield depth + (rank < depth), rank, nxt
+
+
+def test_enumerate_records_the_gains_past_a_t_one_too_small(monkeypatch):
+    gens = sobol_net(3, 5)
+    t, m = t_value(gens), gens.m
+    depth = gens.s * (m + 1) + 1  # past every stack, so the later reports keep them all
+    report = enumerate_gains(gens, depth)
+    assert not report.bound_violations
+    attaining = [(ix, gv) for ix, gv in report.entries if gv.log2 == t + len(ix.u) - 1]
+    assert attaining  # the gains on the t bound, which a t one too small puts past it
+
+    monkeypatch.setattr(gains, "StackWalk", LateWalk)  # least deficient total one up: t - 1
+    late = enumerate_gains(gens, depth)
+    assert late.entries == report.entries
+    want = [{"u": list(ix.u), "k": list(ix.k), "log2_gain": gv.log2}
+            for ix, gv in report.entries if gv.log2 > min(t - 1 + len(ix.u) - 1, m)]
+    assert late.bound_violations == want
+    assert [[v["u"], v["k"]] for v in want] == [[list(ix.u), list(ix.k)] for ix, _ in attaining]
 
 
 def test_enumerate_below_zero_region_depth(shift):

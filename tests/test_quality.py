@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from gf2_reference import nullspace_rank
+from netgains import quality
+from netgains.gf2 import BitMatrix
 from netgains.netgen import GeneratorSet, NetPoints, ResourceLimitError, generate_points
 from netgains.quality import (
     compositions,
@@ -270,6 +273,24 @@ def test_balance_gives_exact_cell_log(shift, shift_points):
     for depth in range(0, m - t + 1):
         for k in compositions(depth, shift.s, lo=0, hi=depth):
             assert microstructure_A(shift_points, k) == m - depth
+
+
+def test_cell_counts_past_one_packed_key():
+    # k = (13,) * 5 needs 65 key bits, past one uint64: the cells are sorted as rows
+    rng = random.Random(47)
+    m = 13
+    # singular matrices with only their last two rows random: a cell sees two
+    # digits a coordinate, so it holds 2^3 points or more, and one digit
+    # fewer at each coordinate would merge cells
+    low = [BitMatrix(m, (0,) * (m - 2) + (rng.randrange(1 << m), rng.randrange(1 << m)))
+           for _ in range(5)]
+    points = generate_points(GeneratorSet(tuple(low)))
+    for k in ((13,) * 5, (13, 13, 13, 13, 12), (9, 13, 0, 13, 13)):
+        cells = Counter(tuple(int(x) >> (m - kj) for x, kj in zip(row, k))
+                        for row in points.coords)
+        assert sorted(quality._cell_counts(points, k)) == sorted(cells.values())
+        assert microstructure_A(points, k) == (max(cells.values()) - 1).bit_length() > 0
+    assert sum((13,) * 5) > quality._PACK_LIMIT >= sum((13, 13, 13, 13, 12))
 
 
 def test_shift_full_depth_cells_singletons(shift_points):

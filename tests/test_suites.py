@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from gf2_reference import assemble_cuk, nullspace_rank
-from netgains import suites
+from netgains import quality, suites
 from netgains.gains import NULLSPACE_LOG2_LIMIT, NullTable, ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix, PivotTable
-from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex
+from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
+from netgains.quality import minimal_counting_t
 from netgains.suites import (
     PAIR_TABLE_CELL_LIMIT,
     evaluate_net,
@@ -37,6 +38,45 @@ def test_evaluate_net_counts_full_box():
     rec = evaluate_net(gens)
     assert rec.triples == 3 + 2  # k in 0..m+1 for the single coordinate
     assert rec.oracles_agree and rec.attained and rec.witness_ok
+
+
+def counting_t_nets(count: int):
+    """Random nets with s in 1..4 and m in 1..9: fair bits in two of three,
+    sparse bits in the third, and every seventh with its last matrix a copy
+    of its first."""
+    rng = random.Random(61)
+    for i in range(count):
+        s, m = rng.randint(1, 4), rng.randint(1, 9)
+        density = (0.5, 0.5, 0.25)[i % 3]
+        mats = [BitMatrix(m, tuple(sum(1 << b for b in range(m) if rng.random() < density)
+                                   for _ in range(m)))
+                for _ in range(s)]
+        if i % 7 == 0:
+            mats[-1] = mats[0]
+        yield GeneratorSet(tuple(mats))
+
+
+def test_evaluate_net_counting_t_is_the_box_count_t():
+    seen = set()
+    for gens in counting_t_nets(520):
+        rec = evaluate_net(gens)
+        want = minimal_counting_t(generate_points(gens))
+        assert rec.counting_t == want == rec.t, gens
+        seen.add((rec.m, want))
+    assert any(t == 0 and m >= 6 for m, t in seen)
+    assert any(t == m >= 6 for m, t in seen)
+    assert len({t for _, t in seen}) == 10
+
+
+def test_evaluate_net_counts_no_boxes(monkeypatch):
+    def no_boxes(points, k):
+        raise AssertionError("a dyadic box counted")
+
+    monkeypatch.setattr(quality, "_cell_counts", no_boxes)
+    for gens in counting_t_nets(30):
+        rec = evaluate_net(gens)
+        assert rec.counting_t == rec.t
+        assert all(r.passed for r in suites_from_records([rec], list(suites.SWEEP_SUITES)))
 
 
 def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
@@ -312,6 +352,26 @@ def test_evaluate_net_catches_one_flipped_point_bit(monkeypatch):
     assert failure["u"] == [] and "not a digital net" in failure["brute"]
     (suite,) = suites_from_records([rec], ["power-of-two"])
     assert not suite.passed
+    # no pairwise table, so no points-only t to set against the rank t
+    assert rec.counting_t is None
+    (crossval,) = suites_from_records([rec], ["t-crossval"])
+    assert not crossval.passed
+    assert crossval.failures == [{"net": 0, "s": 2, "m": 4, "t": rec.t, "counting_t": None}]
+
+
+def test_evaluate_net_fails_a_witness_of_another_gain(monkeypatch):
+    gens = random_generator_set(random.Random(5), 3, 4)
+    closed, _ = suites.max_gain(gens)
+    box = [SubsetIndex(u, k) for r in (1, 2, 3) for u in itertools.combinations((1, 2, 3), r)
+           for k in itertools.product(range(gens.m + 2), repeat=r)]
+    wrong = next(idx for idx in box if gain_fast(gens, idx).log2 != closed.log2)
+    monkeypatch.setattr(suites, "max_gain", lambda g: (closed, wrong))
+    rec = evaluate_net(gens)
+    assert rec.attained and not rec.witness_ok
+    (suite,) = suites_from_records([rec], ["attainment"])
+    assert not suite.passed
+    assert suite.failures == [{"net": 0, "s": 3, "m": 4, "enum_max_log2": closed.log2,
+                               "closed_form_log2": closed.log2, "witness_ok": False}]
 
 
 def test_evaluate_net_refuses_an_oversized_table_up_front(monkeypatch):
