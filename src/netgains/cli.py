@@ -253,6 +253,8 @@ def _parse_coords(text: str | None, what: str) -> tuple[int, ...]:
 
 
 def cmd_integrate(args) -> int:
+    if args.reps < 2:
+        raise CliError(f"--reps must be >= 2, got {args.reps}", EXIT_INVALID)
     gens = _load(args)
     seed = _seed_of(args)
     points = netgen.generate_points(gens)

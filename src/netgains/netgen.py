@@ -374,21 +374,15 @@ def sobol_generator_set(entries: dict[int, DirectionEntry], dims: int, m: int) -
 
 # --- point generation -------------------------------------------------------
 
-def _refuse_points(m: int, s: int) -> None:
-    """Raise :class:`ResourceLimitError` when ``2**m`` points in ``s`` coordinates
-    exceed :data:`POINT_VALUE_LIMIT` values."""
-    if s << m > POINT_VALUE_LIMIT:
-        raise ResourceLimitError(
-            f"the points of a net with m={m}, s={s} are {s << m} values "
-            f"(limit {POINT_VALUE_LIMIT})"
-        )
-
-
 def generate_points(gens: GeneratorSet) -> NetPoints:
     """All ``2**m`` points in index order: point ``i`` is the XOR of the
     generator columns ``c`` picked by the bits ``c - 1`` of ``i``.  Raises
     :class:`ResourceLimitError`, before allocating, past :data:`POINT_VALUE_LIMIT`."""
-    _refuse_points(gens.m, gens.s)
+    m, s = gens.m, gens.s
+    if s << m > POINT_VALUE_LIMIT:
+        raise ResourceLimitError(
+            f"the points of a net with m={m}, s={s} are {s << m} values (limit {POINT_VALUE_LIMIT})"
+        )
     return NetPoints(_xor_span(gens._columns), gens.m, _owned=True)
 
 

@@ -10,8 +10,9 @@ it meets: ``t_star_u`` walks ``k >= 1`` over ``u`` (the search that also
 gives :func:`~netgains.gains.max_gain`), ``t_u`` walks ``k >= 0`` over ``u``
 (a zero depth drops a coordinate, so that covers every subset of ``u``),
 ``t_value`` is ``t_u`` of all coordinates and ``t_d`` the largest ``t_u``
-over the subsets of size ``d``.  The combinatorial route counts points in
-dyadic boxes (:func:`verify_net_by_counting`, :func:`microstructure_A`)
+over the subsets of size ``d``; the A_K table of :func:`quality_report` is
+read off the ranks of one more.  The combinatorial route counts points in
+dyadic boxes (:func:`verify_net_by_counting`, :func:`microstructure_AK`)
 and never touches a matrix, which makes it the oracle for the algebraic
 route.
 """
@@ -24,8 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, generate_points
-from .netgen import _refuse_points, _subsets
+from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, _subsets, stack_at
 
 _PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
 
@@ -205,7 +205,7 @@ def microstructure_AK(points: NetPoints, total: int) -> int:
 # --- report -------------------------------------------------------------------
 
 SUBSET_ENUMERATION_LIMIT = 16
-A_K_KEY_LIMIT = 1 << 28  # point keys the A_K table may sort, 2**m per box
+A_K_KEY_LIMIT = 1 << 24  # stacks the A_K walk may visit, plus its table entries
 
 
 @dataclass
@@ -241,21 +241,20 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
 
     Subset tables need 2**s searches, so for ``s > 16`` they are skipped;
     the full-set and singleton entries are always present.  ``a_k_max``
-    bounds the A_K table (default ``m``).  The table reads the points, so a
-    net past :data:`~netgains.netgen.POINT_VALUE_LIMIT` is refused first.
-    It sorts the ``2**m`` points once per box: each ``k`` in ``[0, m]^s``
-    with ``|k| <= a_k_max``, and ``s`` stand-ins for each total past ``m``.
-    More than :data:`A_K_KEY_LIMIT` sorted keys is refused before any search.
+    bounds the A_K table (default ``m``).  A digital net puts ``2**(m - rank C_k)``
+    points in each nonempty box of shape ``k``, so A_K is ``m`` less the least
+    rank at total ``K``: one floor-0 walk with budget ``a_k_max``, no points,
+    and past ``m`` the stand-ins of :func:`microstructure_AK`.  More than
+    :data:`A_K_KEY_LIMIT` stacks and table entries is refused before any search.
     """
     if a_k_max is not None and a_k_max < 0:
         raise ValueError(f"a_k_max must be >= 0, got {a_k_max}")
     s, m = gens.s, gens.m
-    _refuse_points(m, s)
     bound = m if a_k_max is None else a_k_max
-    keys = (_box_counts(s, m, bound)[s] + s * max(0, bound - m)) << m
-    if keys > A_K_KEY_LIMIT:
+    work = _box_counts(s, m + 1, bound)[s] + bound + 1
+    if work > A_K_KEY_LIMIT:
         raise ResourceLimitError(
-            f"a_k_max={bound} over m={m}, s={s} sorts {keys} point keys for the A_K table "
+            f"a_k_max={bound} over m={m}, s={s} walks {work} stacks and entries for the A_K table "
             f"(limit {A_K_KEY_LIMIT})"
         )
     full = tuple(range(1, s + 1))
@@ -292,8 +291,14 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
             tu[(j,)] = star[(j,)]
         td[s] = t
 
-    pts = generate_points(gens)
-    a_k = {kk: microstructure_AK(pts, kk) for kk in range(0, bound + 1)}
+    least = [m] * (bound + 1)  # the least rank of a stack at each total
+    walk = StackWalk(gens, full, (0,) * s, bound)
+    for depth, rank, _ in walk:
+        least[depth] = min(least[depth], rank)
+        if rank == m:  # and so has every stack of the slab
+            walk.cut()
+    single = min(stack_at(gens, (j,), (m,))[0] for j in full)
+    a_k = {kk: m - (least[kk] if kk <= m else min(least[kk], single)) for kk in range(bound + 1)}
 
     return QualityReport(
         s=s, m=m, t=t, t_d=td, t_u=tu, t_star_u=star, a_k=a_k,

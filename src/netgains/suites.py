@@ -103,16 +103,7 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     ``_MAX_FAILURES`` of them are kept.  No box of points is counted.
     """
     s, m = gens.s, gens.m
-    if (m + 3) ** s > PAIR_TABLE_CELL_LIMIT:
-        raise ResourceLimitError(
-            f"pairwise table of s={s}, m={m} has {m + 3}^{s} cells "
-            f"(limit {PAIR_TABLE_CELL_LIMIT})"
-        )
-    if ((1 << s) - 1) << m > 1 << NULLSPACE_LOG2_LIMIT:
-        raise ResourceLimitError(
-            f"the k = 0 triples of s={s}, m={m} walk (2^{s} - 1) * 2^{m} nullspace states "
-            f"(limit 2^{NULLSPACE_LOG2_LIMIT})"
-        )
+    _refuse_net(s, m, f"s={s}, m={m}")
     points = generate_points(gens)
     t = t_value(gens)
     cap = m + 1
@@ -200,6 +191,20 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     )
 
 
+def _refuse_net(s: int, m: int, sizes: str) -> None:
+    """Refuse a net past either ceiling of :func:`evaluate_net`, both growing with ``s`` and
+    ``m``; ``sizes`` names them.  23 factors ``m + 3 >= 2`` pass the first, so a huge ``s`` is cheap."""
+    if (m + 3) ** min(s, PAIR_TABLE_CELL_LIMIT.bit_length()) > PAIR_TABLE_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"pairwise table of {sizes} has {m + 3}^{s} cells (limit {PAIR_TABLE_CELL_LIMIT})"
+        )
+    if ((1 << s) - 1) << m > 1 << NULLSPACE_LOG2_LIMIT:
+        raise ResourceLimitError(
+            f"the k = 0 triples of {sizes} walk (2^{s} - 1) * 2^{m} nullspace states "
+            f"(limit 2^{NULLSPACE_LOG2_LIMIT})"
+        )
+
+
 # the cells a route has not reached: below every log2 (-1 for gain 0) and
 # below every signed count (-2^NULLSPACE_LOG2_LIMIT at least)
 _NO_LOG2 = -2
@@ -258,11 +263,12 @@ def sweep_records(
     min_m: int = 2,
     seed: int = 0,
 ) -> list[NetRecord]:
-    """Evaluate ``trials`` random nets drawn from the given size ranges."""
+    """Evaluate ``trials`` random nets from the size ranges, refused up front past the ceilings."""
     if max_s < 1:
         raise ValueError(f"max_s must be >= 1, got {max_s}")
     if min_m > max_m:
         raise ValueError(f"max_m must be >= min_m = {min_m}, got {max_m}")
+    _refuse_net(max_s, max_m, f"max_s={max_s}, max_m={max_m}")  # the largest net bounds every draw
     rng = random.Random(seed)
     records = []
     for _ in range(trials):

@@ -122,11 +122,13 @@ def test_analyze_full_refuses_an_unbounded_a_k_table(shiftnet_file, capsys):
 
 
 def test_analyze_full_refuses_a_deep_net_up_front(joekuo_file, capsys):
-    # 2^20 points fit, but sorting them once per box of total <= 20 does not
-    code = main(["analyze", "--dirnum", joekuo_file, "--dims", "7", "--m", "20", "--full"])
+    # the A_K walk over [0, 21]^7 up to total 40 would visit 59.5M stacks
+    code = main(
+        ["analyze", "--dirnum", joekuo_file, "--dims", "7", "--m", "20", "--full", "--a-k-max", "40"]
+    )
     assert code == EXIT_INVALID
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: a_k_max=20 over m=20, s=7 ")
+    assert captured.out == "" and captured.err.startswith("error: a_k_max=40 over m=20, s=7 ")
 
 
 def test_analyze_full_report(shiftnet_file, capsys):
@@ -187,6 +189,21 @@ def test_integrate_prod(shiftnet_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"mean", "variance_of_mean", "std_error", "replicates"}
     assert payload["replicates"] == 8
+
+
+def test_integrate_rejects_reps_below_two_up_front(monkeypatch, shiftnet_file, capsys):
+    from netgains import netgen
+
+    def no_points(gens):
+        raise AssertionError("points generated before the --reps check")
+
+    monkeypatch.setattr(netgen, "generate_points", no_points)
+    for reps in ("1", "0"):
+        code = main(["integrate", "--raw", shiftnet_file, "--reps", reps])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed:" not in captured.err
+        assert f"--reps must be >= 2, got {reps}" in captured.err
 
 
 def test_integrate_haar_needs_u_and_k(shiftnet_file, capsys):
@@ -269,6 +286,32 @@ def test_verify_oversized_sweep_net_exits_invalid(capsys):
     assert err.startswith("error: ") and "pairwise table" in err
 
 
+def test_verify_refuses_a_sweep_range_before_any_net(monkeypatch, capsys):
+    # 3 coordinates fit the pairwise table, but (2^3 - 1) * 2^24 nullspace states do not
+    from netgains import suites
+
+    def no_net(gens):
+        raise AssertionError("a net evaluated before the range check")
+
+    monkeypatch.setattr(suites, "evaluate_net", no_net)
+    code = main(
+        ["--seed", "0", "verify", "--suite", "power-of-two", "--trials", "200",
+         "--max-s", "3", "--max-m", "24"]
+    )
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the k = 0 triples of max_s=3, max_m=24 ")
+    # 5^(10^9) cells is refused without computing the power
+    start = time.perf_counter()
+    code = main(
+        ["--seed", "0", "verify", "--suite", "power-of-two", "--max-s", "1000000000", "--max-m", "2"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: pairwise table of max_s=1000000000, max_m=2 ")
+
+
 def test_verify_sweep_net_with_too_many_points_exits_invalid(monkeypatch, capsys):
     # seed 0 draws m = 26 for the one coordinate: a small table, but its
     # k = 0 triple alone would walk 2^26 nullspace states
@@ -343,7 +386,7 @@ def test_gains_refuses_an_unbounded_depth(joekuo_file, capsys):
     assert captured.out == "" and captured.err.startswith("error: max_depth=1000 ")
 
 
-@pytest.mark.parametrize("command", [["gen"], ["scramble"], ["integrate"], ["analyze", "--full"]])
+@pytest.mark.parametrize("command", [["gen"], ["scramble"], ["integrate"]])
 def test_points_past_the_limit_exit_invalid(command, joekuo_file, capsys):
     code = main([command[0], "--dirnum", joekuo_file, "--dims", "7", "--m", "32", *command[1:]])
     assert code == EXIT_INVALID

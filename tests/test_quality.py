@@ -24,6 +24,7 @@ from netgains.quality import (
     t_value,
     verify_net_by_counting,
 )
+from netgains.samples import sobol_net
 from netgains.suites import random_generator_set
 
 
@@ -353,16 +354,61 @@ def test_quality_report_refuses_an_a_k_table_past_the_limit(monkeypatch, shift):
     from netgains import quality
 
     m, s = shift.m, shift.s
-    # boxes in [0, m]^s up to total m + 1, and s stand-ins for the total past m
-    boxes = sum(sum(k) <= m + 1 for k in itertools.product(range(m + 1), repeat=s)) + s
-    monkeypatch.setattr(quality, "A_K_KEY_LIMIT", boxes << m)
+    # stacks in [0, m + 1]^s up to total m + 1, and the m + 2 entries of the table
+    work = sum(sum(k) <= m + 1 for k in itertools.product(range(m + 2), repeat=s)) + m + 2
+    monkeypatch.setattr(quality, "A_K_KEY_LIMIT", work)
     assert quality_report(shift, a_k_max=m + 1).a_k[m + 1] == microstructure_AK(
         generate_points(shift), m + 1
     )
-    monkeypatch.setattr(quality, "A_K_KEY_LIMIT", (boxes << m) - 1)
+    monkeypatch.setattr(quality, "A_K_KEY_LIMIT", work - 1)
     with pytest.raises(ResourceLimitError, match=f"a_k_max={m + 1} over m={m}, s={s} "):
         quality_report(shift, a_k_max=m + 1)
     assert quality_report(shift).a_k == {0: 4, 1: 3, 2: 2, 3: 1, 4: 1}
+
+
+def a_k_nets(count: int):
+    """Random nets with ``s <= 5`` and ``m <= 9 - s``, each with an ``a_k_max`` up to
+    past ``s(m + 1)``: dense, sparse, with a row zeroed or repeated, or with a matrix repeated."""
+    rng = random.Random(1729)
+    for i in range(count):
+        s = rng.randint(1, 5)
+        m = rng.randint(1, min(8, 9 - s))
+        mats = []
+        for _ in range(s):
+            if mats and i % 4 == 3:
+                mats.append(rng.choice(mats))
+                continue
+            rows = [rng.randrange(1 << m) for _ in range(m)]
+            if i % 4 == 1:
+                rows = [r & rng.randrange(1 << m) & rng.randrange(1 << m) for r in rows]
+            elif i % 4 == 2:
+                rows[rng.randrange(m)] = rng.choice([0, rows[rng.randrange(m)]])
+            mats.append(BitMatrix(m, tuple(rows)))
+        yield GeneratorSet(tuple(mats)), rng.randint(0, s * (m + 1) + 2)
+
+
+def test_quality_report_a_k_is_the_box_count():
+    deficient = 0
+    for gens, a in a_k_nets(300):
+        points = generate_points(gens)
+        want = {kk: microstructure_AK(points, kk) for kk in range(a + 1)}
+        assert quality_report(gens, a_k_max=a).a_k == want, (gens, a)
+        deficient += any(want[kk] > max(0, gens.m - kk) for kk in want)
+    assert deficient > 100
+
+
+def test_quality_report_reads_no_points(monkeypatch):
+    from netgains import netgen
+
+    gens = sobol_net(4, 6)
+    want = {kk: microstructure_AK(generate_points(gens), kk) for kk in range(4 * 7 + 2)}
+
+    def no_boxes(points, k):
+        raise AssertionError("a dyadic box counted")
+
+    monkeypatch.setattr(quality, "_cell_counts", no_boxes)
+    monkeypatch.setattr(netgen, "POINT_VALUE_LIMIT", 0)
+    assert quality_report(gens, a_k_max=4 * 7 + 1).a_k == want
 
 
 def test_quality_report_gating():
