@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +47,7 @@ from .netgen import (
     _xor_span,
     stack_at,
 )
-from .quality import _box_counts, first_rank_deficient_k, t_u, t_value
+from .quality import _box_counts, _least_gain_total, first_rank_deficient_k, t_u, t_value
 
 NULLSPACE_LOG2_LIMIT = 24
 ENUMERATION_VISIT_LIMIT = 1 << 24
@@ -378,10 +379,6 @@ class GainReport:
             stream.write(f"{' '.join(map(str, ix.u))},{' '.join(map(str, ix.k))},{gv.log2}\n")
 
 
-def _entry_key(idx: SubsetIndex) -> tuple:
-    return (idx.order, idx.u, idx.depth, idx.k)
-
-
 def enumerate_gains(
     gens: GeneratorSet, max_depth: int, *, max_visits: int | None = None
 ) -> GainReport:
@@ -390,27 +387,28 @@ def enumerate_gains(
     Depths are capped at ``m + 1`` per coordinate since the zero-row
     padding makes gains stationary from depth ``m`` on.  The stack of
     ``(u, k)`` is that of the all-coordinate ``k`` padded with zeros, so
-    one :class:`StackWalk` over coordinates ``1..s`` with floor 0 eliminates
-    every stack once.  At each stack it reduces the ``s`` next rows; the
-    residual is linear, so every ``u`` containing the support of ``k``
-    costs one XOR, the free coordinates taken in Gray-code order.  The
-    same walk finds the least deficient total, so ``t``, and the entries
-    are checked against the clamped t bound after it.
+    the one walk over coordinates ``1..s`` that finds ``t``
+    (:func:`~netgains.quality._least_gain_total`) eliminates every stack of
+    the table once.  It hands each the normal forms of the ``s`` next rows;
+    they are linear, so every ``u`` containing the support of ``k`` costs
+    one XOR, the free coordinates taken in Gray-code order.  The entries
+    are checked against the clamped t bound after the walk.
 
     Entries come in ``(|u|, u, k)`` order, ``k`` lexicographic.
     ``max_visits`` keeps the first that many ``(u, k)`` in that order (the
     report then carries ``truncated=True``); it trims the report but does
     not shorten the walk.  Raises :class:`ResourceLimitError`, before any
     walk, when there are more than :data:`ENUMERATION_VISIT_LIMIT` pairs
-    ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``.
+    ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``, and
+    from the walk when its ``t`` search passes
+    :data:`~netgains.quality.T_SEARCH_LIMIT`.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if max_visits is not None and max_visits < 0:
         raise ValueError(f"max_visits must be >= 0, got {max_visits}")
     s, m = gens.s, gens.m
-    cap = m + 1
-    counts = _box_counts(s, cap, max_depth)
+    counts = _box_counts(s, m + 1, max_depth)
     total = sum(math.comb(s, r) * counts[r] for r in range(1, s + 1))
     if total > ENUMERATION_VISIT_LIMIT:
         raise ResourceLimitError(
@@ -433,26 +431,18 @@ def enumerate_gains(
     for j in range(1, s + 1):
         gray += bytes([j]) + gray
     gray = b"\0" + gray
-    rows = gens._rows
-    walk = StackWalk(gens, range(1, s + 1), (0,) * s, max(max_depth, cap))
-    residual, k = walk.table.residual, walk.k
-    least = cap + 1  # no deficient stack yet; some total <= m + 1 always is
     visited = 0
-    for depth, rank, _ in walk:
-        if rank < depth < least:
-            least = depth
-            walk.budget = max(max_depth, least - 1)
-        if depth > max_depth:
-            continue
+
+    def record(k: list[int], rank: int, forms: list[int]) -> None:
+        nonlocal visited
         acc = u = 0
         free_rows, free_bits = [0], [0]
         for j in range(s):
-            reduced = residual(rows[j][k[j]]) if rank < m else 0  # a full stack spans all
             if k[j]:
-                acc ^= reduced
+                acc ^= forms[j]
                 u |= 1 << j
             else:
-                free_rows.append(reduced)
+                free_rows.append(forms[j])
                 free_bits.append(1 << j)
         stack = (*k, rank)
         for b in gray[: 1 << (len(free_rows) - 1)]:
@@ -464,7 +454,7 @@ def enumerate_gains(
                 if not acc:
                     found[u].append(stack)
 
-    t = m + 1 - least
+    t = m + 1 - _least_gain_total(gens, range(1, s + 1), max_depth, record)
     values = [GainValue(m - rank) for rank in range(m + 1)]
     entries: list[tuple[SubsetIndex, GainValue]] = []
     violations: list[dict] = []
@@ -478,11 +468,16 @@ def enumerate_gains(
             if m - rank > clamp:
                 violations.append({"u": list(u), "k": list(kk), "log2_gain": m - rank})
 
-    gamma = GainValue.zero()
-    attaining = None
-    for idx, gv in entries:
-        if gv > gamma or (gv == gamma and attaining is not None and _entry_key(idx) < _entry_key(attaining)):
-            gamma, attaining = gv, idx
+    # the largest gain has the least rank; its witness is the first entry at that rank
+    # by (|u|, u, |k|, k), and masks and found[mask] come in (|u|, u) and k order
+    gamma, attaining = GainValue.zero(), None
+    ranks = {mask: min(map(operator.itemgetter(-1), stacks)) for mask, stacks in found.items()}
+    if ranks:
+        low = min(ranks.values())
+        u, mask = next((u, mask) for u, mask in masks.items() if ranks.get(mask) == low)
+        members = [(mask >> j) & 1 for j in range(s)]
+        at_low = (tuple(itertools.compress(st, members)) for st in found[mask] if st[-1] == low)
+        gamma, attaining = values[low], SubsetIndex._trusted(u, min(at_low, key=lambda kk: (sum(kk), kk)))
 
     theoretical, _ = max_gain(gens)
     bounds = _bounds(gens, attaining, t) if attaining is not None else {}

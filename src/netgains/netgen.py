@@ -415,14 +415,12 @@ class StackWalk:
     the walk resumes past them.
 
     A zero depth adds no rows, so with floor 0 the walk also visits the
-    stack of every subset of ``u``: ``enumerate_gains`` and ``t_u`` walk
-    once over all their coordinates rather than once per subset.
+    stack of every subset of ``u``: the A_K table of ``quality_report``
+    walks once over all coordinates rather than once per subset.
     """
 
     def __init__(self, gens: GeneratorSet, u, floor, budget: int, table=None):
-        u, floor, s, cap = tuple(u), tuple(floor), gens.s, gens.m + 1
-        if not u or u[0] < 1 or u[-1] > s or any(b <= a for a, b in zip(u, u[1:])):
-            raise ValueError(f"u must be nonempty coordinates in 1..{s}, increasing, got {u} for s={s}")
+        u, floor, cap = _coordinates(gens, u), tuple(floor), gens.m + 1
         if len(floor) != len(u):
             raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
         if min(floor) < 0 or max(floor) > cap:
@@ -495,6 +493,14 @@ class StackWalk:
                 k[level] = kl
             undo(marks[level])
             level, entering = level - 1, False
+
+
+def _coordinates(gens: GeneratorSet, u) -> tuple[int, ...]:
+    """``u`` as a tuple, checked to be nonempty, increasing and in ``1..s``."""
+    u, s = tuple(u), gens.s
+    if not u or u[0] < 1 or u[-1] > s or any(b <= a for a, b in zip(u, u[1:])):
+        raise ValueError(f"u must be nonempty coordinates in 1..{s}, increasing, got {u} for s={s}")
+    return u
 
 
 def _subsets(s: int):

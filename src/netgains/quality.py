@@ -4,14 +4,17 @@ Two independent routes to the same quantities live here.  The algebraic
 route works on generator matrices: the t parameter is ``m + 1`` minus the
 smallest total depth at which some stacked row matrix goes rank deficient,
 and the subset-restricted variants ``t_u`` / ``t_star_u`` restrict which
-depth vectors compete.  Each is one :class:`~netgains.netgen.StackWalk`,
-which refuses a bad ``u``, lowering its budget below every deficient total
-it meets: ``t_star_u`` walks ``k >= 1`` over ``u`` (the search that also
-gives :func:`~netgains.gains.max_gain`), ``t_u`` walks ``k >= 0`` over ``u``
-(a zero depth drops a coordinate, so that covers every subset of ``u``),
-``t_value`` is ``t_u`` of all coordinates and ``t_d`` the largest ``t_u``
-over the subsets of size ``d``; the A_K table of :func:`quality_report` is
-read off the ranks of one more.  The combinatorial route counts points in
+depth vectors compete.  ``t_star_u`` walks ``k >= 1`` over ``u`` on a
+:class:`~netgains.netgen.StackWalk`, lowering its budget below every
+deficient total it meets (the search that also gives
+:func:`~netgains.gains.max_gain`).  ``t_u`` takes ``k >= 0`` over ``u``
+(so every subset of ``u``), where that total is the least ``|v| + |k|``
+of a nonzero gain: one walk over gain pairs finds it
+(:func:`_least_gain_total`, which also builds the tables of
+:func:`~netgains.gains.enumerate_gains`).  ``t_value`` is ``t_u`` of all
+coordinates and ``t_d`` the largest ``t_u`` over the subsets of size
+``d``; the A_K table of :func:`quality_report` is read off the ranks of
+one more ``StackWalk``.  The combinatorial route counts points in
 dyadic boxes (:func:`verify_net_by_counting`, :func:`microstructure_AK`)
 and never touches a matrix, which makes it the oracle for the algebraic
 route.
@@ -25,9 +28,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, _subsets, stack_at
+from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, _coordinates, _subsets, stack_at
 
 _PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
+T_SEARCH_LIMIT = 1 << 23  # stacks and free-set XORs a t search may test
 
 
 def compositions(total: int, parts: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -68,18 +72,13 @@ def _ceil_log2(count: int) -> int:
 
 
 def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
-    """Minimal-total ``k >= 1`` (lex-first among minima) whose stack is deficient."""
-    return _least_deficient(gens, u, 1)
-
-
-def _least_deficient(gens: GeneratorSet, u: Sequence[int], floor: int) -> tuple[int, ...]:
-    """Lex-first ``k >= floor`` of least total with a deficient stack.
+    """Minimal-total ``k >= 1`` (lex-first among minima) whose stack is deficient.
 
     Each deficient ``k`` the walk meets lowers its budget below its own
     total, so the last one met is the lex-first of the least total.  The
-    first budget, ``max(floor * |u|, m + 1)``, reaches a stack of more than ``m`` rows.
+    first budget, ``max(|u|, m + 1)``, reaches a stack of more than ``m`` rows.
     """
-    walk = StackWalk(gens, u, (floor,) * len(u), max(floor * len(u), gens.m + 1))
+    walk = StackWalk(gens, u, (1,) * len(u), max(len(u), gens.m + 1))
     for depth, rank, _ in walk:
         if rank < depth:
             best = tuple(walk.k)
@@ -100,10 +99,143 @@ def t_u(gens: GeneratorSet, u: Sequence[int]) -> int:
     """Quality parameter of the projection onto ``u``: the largest t*_v over ``v`` in ``u``.
 
     That is ``m + 1`` minus the least deficient total over every ``k`` in
-    ``[0, m + 1]^u``, as a zero depth drops a coordinate: one walk with
-    floor 0.  ``k = (m + 1, 0, ...)`` is always deficient.
+    ``[0, m + 1]^u``, as a zero depth drops a coordinate, and so ``m + 1``
+    minus the least ``|v| + |k|`` of a nonzero gain with ``v`` in ``u``
+    (:func:`_least_gain_total`).
     """
-    return gens.m + 1 - sum(_least_deficient(gens, u, 0))
+    return gens.m + 1 - _least_gain_total(gens, u)
+
+
+def _least_gain_total(gens: GeneratorSet, u: Sequence[int], table_depth: int = -1, visit=None) -> int:
+    """The least ``|v| + |k|`` of a nonzero gain ``G_{v,k}``, ``v`` a nonempty subset of ``u``.
+
+    It equals the least total of a deficient stack over ``u``.  A nonzero
+    ``G_{v,k}`` puts the XOR of the next rows of ``C_{v,k}`` in its row
+    space, so ``C_{v,k+1}`` is deficient, of total ``|v| + |k|``.
+    Conversely, take a deficient ``k'`` of least total, ``v`` its support:
+    a vanishing row combination that missed the deepest row of some ``j``
+    in ``v`` would leave ``k' - e_j`` deficient, so each uses them all, and
+    ``G_{v,k'-1}`` is nonzero.  ``G_{(j),(m)}`` is nonzero, since row
+    ``m + 1`` is zero, so the least is at most ``m + 1``.
+
+    One depth-first walk over ``k`` in ``[0, m + 1]^u``, in lexicographic
+    order.  It keeps the normal form (as :meth:`~netgains.gf2.PivotTable.residual`
+    has it) of each coordinate's next row under the pushed rows.  Pushing a
+    stored form ``p`` needs no reduction: ``p`` becomes the pivot at its
+    top bit, each stored form with that bit set XORs ``p``, and the
+    coordinate's new next row is reduced, one reduction per push.  A
+    stack's pivots are those at the bits of its ``held`` mask, so stepping
+    back needs no undo.  At a stack ``k`` the gain of ``v = supp(k) + F``
+    is nonzero iff the stored forms over ``v`` XOR to 0.  The walk goes to
+    every ``k`` with ``|k| + |supp k| <= least - 1``, and there tests each
+    set ``F`` of free coordinates with ``|F| <= least - 1 - |k| - |supp k|``,
+    so it tests every pair below the least found so far, which a nonzero
+    gain lowers.  It also goes to every ``k`` with ``|k| <= table_depth``
+    and calls ``visit(k, rank, forms)`` there, ``k`` a list updated in place.
+
+    Raises :class:`ResourceLimitError` once its tests pass
+    :data:`T_SEARCH_LIMIT`: one per stack with ``|k| + |supp k|`` below
+    the least, and one per XOR of free forms listed there (:func:`_fewest`).
+    """
+    u = _coordinates(gens, u)
+    m, n = gens.m, len(u)
+    cap, full = m + 1, (1 << m) - 1
+    rows = [gens._rows[j - 1] for j in u]
+    pivots = [0] * (m + 1)  # by leading bit; those of the bits set in a walk's ``held`` are its stack's
+    k = [0] * n
+    least = cap
+    tests = 0
+
+    def walk(first: int, forms: list[int], held: int, depth: int, cost: int) -> None:
+        """The stack at ``k``, zero past ``first``, then those that raise a later coordinate.
+
+        ``forms`` holds the next rows' normal forms, then that of their XOR
+        over ``supp(k)``; ``held`` has a bit set at each pivot's leading bit.
+        """
+        nonlocal least, tests
+        if depth <= table_depth:
+            visit(k, held.bit_count(), forms)
+        if not cost:  # the empty stack: v = F, the first rows before its last j XOR to j's
+            tests += 1
+            for j in range(n):
+                if not forms[j]:
+                    least = 1
+                    break
+                r, work = _fewest(forms[:j], forms[j], least - 2, T_SEARCH_LIMIT - tests)
+                tests += work
+                least = r + 1 if r else least
+        elif cost < least:
+            tests += 1
+            if not forms[n]:
+                least = cost
+            elif cost < least - 1:
+                free = [f for f, kj in zip(forms, k) if not kj]
+                r, work = _fewest(free, forms[n], least - 1 - cost, T_SEARCH_LIMIT - tests)
+                tests += work
+                least = cost + r if r else least
+        if tests > T_SEARCH_LIMIT:
+            raise ResourceLimitError(
+                f"t search over s={n} coordinates at m={m} made more than {T_SEARCH_LIMIT} "
+                f"tests of stacks and free sets"
+            )
+        if cost + 2 >= least and depth >= table_depth:
+            return  # no later coordinate can rise
+        for j in range(n - 1, first, -1):
+            row, cur, mask, kj = rows[j], forms, held, 0
+            while kj < cap and (depth + kj < table_depth or cost + kj + 2 < least):
+                p = cur[j]
+                if p:  # a normal form: its leading bit is no pivot's yet
+                    lead = p.bit_length()
+                    pivots[lead] = p
+                    top = 1 << (lead - 1)
+                    mask |= top
+                    cur = [f ^ p if f & top else f for f in cur]
+                else:
+                    cur = cur[:]
+                kj += 1
+                nxt = row[kj] if mask != full else 0  # a full stack spans all
+                hit = nxt & mask
+                while hit:
+                    nxt ^= pivots[hit.bit_length()]
+                    hit = nxt & mask
+                cur[j] = nxt
+                # the XOR over supp(k) trades row kj of j, now in the row space, for row kj + 1
+                cur[n] ^= nxt
+                k[j] = kj
+                walk(j, cur, mask, depth + kj, cost + kj + 1)
+            k[j] = 0
+
+    walk(-1, [row[0] for row in rows] + [0], 0, 0, 0)
+    return least
+
+
+def _fewest(forms: list[int], target: int, most: int, spare: int) -> tuple[int, int]:
+    """The least ``r`` in ``1..most`` with ``r`` of ``forms`` XORing to a nonzero ``target``.
+
+    Returns ``(r, work)``, ``r = 0`` if there is none, ``work`` the number
+    of XORs listed; past ``spare`` of them it stops and returns a larger
+    ``work``.  Meet in the middle: ``sums[h]`` holds the XORs of ``h``
+    forms, repeats allowed, and ``r`` is found iff ``target`` XOR some
+    member of ``sums[r // 2]`` lies in ``sums[r - r // 2]``.  A repeat
+    cancels in pairs, so it would leave ``r - 2`` or fewer forms, and
+    ``target`` nonzero, that a smaller ``r`` has already found.
+    """
+    if most < 1:
+        return 0, 0
+    if target in forms:
+        return 1, 0
+    sums = [{0}, set(forms)]
+    work = len(forms)
+    for r in range(2, min(most, len(forms)) + 1):
+        half = r // 2
+        if len(sums) == r - half:
+            work += len(sums[-1]) * len(forms)
+            if work > spare:
+                return 0, work
+            sums.append({x ^ f for x in sums[-1] for f in forms})
+        if not sums[r - half].isdisjoint([target ^ x for x in sums[half]]):
+            return r, work
+    return 0, work
 
 
 def t_d(gens: GeneratorSet, d: int) -> int:
@@ -321,4 +453,5 @@ __all__ = [
     "quality_report",
     "SUBSET_ENUMERATION_LIMIT",
     "A_K_KEY_LIMIT",
+    "T_SEARCH_LIMIT",
 ]

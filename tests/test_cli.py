@@ -313,8 +313,9 @@ def test_verify_refuses_a_sweep_range_before_any_net(monkeypatch, capsys):
 
 
 def test_verify_sweep_net_with_too_many_points_exits_invalid(monkeypatch, capsys):
-    # seed 0 draws m = 26 for the one coordinate: a small table, but its
-    # k = 0 triple alone would walk 2^26 nullspace states
+    # the range is refused before any net is drawn: its largest net, s = 1 and
+    # m = 32, has a small pairwise table, but its k = 0 triple alone would walk
+    # 2^32 nullspace states
     from netgains import suites
 
     def no_points(gens):
@@ -384,6 +385,18 @@ def test_gains_refuses_an_unbounded_depth(joekuo_file, capsys):
     assert code == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: max_depth=1000 ")
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["gains", "--depth", "1"]])
+def test_t_search_past_its_ceiling_exits_invalid(command, monkeypatch, joekuo_file, capsys):
+    from netgains import quality
+
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 867)  # sobol_net(5, 10) needs 868
+    code = main([command[0], "--dirnum", joekuo_file, "--dims", "5", "--m", "10", *command[1:]])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t search over s=5 coordinates at m=10 made more than 867 ")
 
 
 @pytest.mark.parametrize("command", [["gen"], ["scramble"], ["integrate"]])

@@ -500,14 +500,6 @@ def test_enumerate_shift_depth_eight(shift):
     assert not report.bound_violations
 
 
-class LateWalk(StackWalk):
-    """A walk that reports each deficient stack one level deeper than it is."""
-
-    def __iter__(self):
-        for depth, rank, nxt in super().__iter__():
-            yield depth + (rank < depth), rank, nxt
-
-
 def test_enumerate_records_the_gains_past_a_t_one_too_small(monkeypatch):
     gens = sobol_net(3, 5)
     t, m = t_value(gens), gens.m
@@ -517,7 +509,9 @@ def test_enumerate_records_the_gains_past_a_t_one_too_small(monkeypatch):
     attaining = [(ix, gv) for ix, gv in report.entries if gv.log2 == t + len(ix.u) - 1]
     assert attaining  # the gains on the t bound, which a t one too small puts past it
 
-    monkeypatch.setattr(gains, "StackWalk", LateWalk)  # least deficient total one up: t - 1
+    walk = gains._least_gain_total  # the walk that builds the table and finds t
+    # the same table, and a least |u| + |k| of a nonzero gain one up: t - 1
+    monkeypatch.setattr(gains, "_least_gain_total", lambda *args: walk(*args) + 1)
     late = enumerate_gains(gens, depth)
     assert late.entries == report.entries
     want = [{"u": list(ix.u), "k": list(ix.k), "log2_gain": gv.log2}
@@ -643,7 +637,7 @@ def test_enumerate_refuses_oversized_boxes_before_walking(monkeypatch, shift):
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk started before the refusal")
 
-    monkeypatch.setattr(module, "StackWalk", no_walk)
+    monkeypatch.setattr(module, "_least_gain_total", no_walk)
     with pytest.raises(ResourceLimitError, match=r"max_depth=1000 "):
         enumerate_gains(sobol_net(7, 10), 1000, max_visits=5)
     monkeypatch.setattr(module, "ENUMERATION_VISIT_LIMIT", visits - 1)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from gf2_reference import nullspace_rank
 from netgains import quality
 from netgains.gf2 import BitMatrix
-from netgains.netgen import GeneratorSet, NetPoints, ResourceLimitError, generate_points
+from netgains.netgen import MAX_M, GeneratorSet, NetPoints, ResourceLimitError, StackWalk, generate_points
 from netgains.quality import (
     compositions,
     first_rank_deficient_k,
@@ -108,6 +109,117 @@ def test_t_u_matches_direct_definition():
         for size in range(1, gens.s + 1):
             for u in itertools.combinations(coords, size):
                 assert t_u(gens, u) == brute_t_u(gens, u)
+
+
+def walk_t_u(gens: GeneratorSet, u: tuple[int, ...]) -> int:
+    """The rank route without gains: one floor-0 StackWalk over ``u``, each
+    deficient stack lowering the budget below its own total."""
+    walk = StackWalk(gens, u, (0,) * len(u), gens.m + 1)
+    for depth, rank, _ in walk:
+        if rank < depth:
+            least = depth
+            walk.budget = depth - 1
+    return gens.m + 1 - least
+
+
+def odd_nets(count: int):
+    """Random nets with ``s <= 7`` and ``(m + 3)^s <= 2^14``, each dense, sparse,
+    with a row zeroed or repeated, singular (only the last two rows random), or
+    with a matrix repeated."""
+    rng = random.Random(2718)
+    for i in range(count):
+        s = rng.randint(1, 7)
+        m = rng.randint(1, min(MAX_M, int(2 ** (14 / s)) - 3))
+        mats = []
+        for _ in range(s):
+            if mats and i % 5 == 4:
+                mats.append(rng.choice(mats))
+                continue
+            rows = [rng.randrange(1 << m) for _ in range(m)]
+            if i % 5 == 1:
+                rows = [r & rng.randrange(1 << m) & rng.randrange(1 << m) for r in rows]
+            elif i % 5 == 2:
+                rows[rng.randrange(m)] = rng.choice([0, rows[rng.randrange(m)]])
+            elif i % 5 == 3:
+                rows[: m - 2] = [0] * max(m - 2, 0)
+            mats.append(BitMatrix(m, tuple(rows)))
+        yield GeneratorSet(tuple(mats))
+
+
+def test_t_u_matches_the_stack_walk_and_the_definition():
+    shapes = set()
+    for gens in odd_nets(30):
+        shapes.add(gens.s)
+        for u in quality._subsets(gens.s):
+            want = brute_t_u(gens, u)
+            assert walk_t_u(gens, u) == want, (gens, u)
+            assert t_u(gens, u) == want, (gens, u)
+    assert shapes == set(range(1, 8))
+
+
+def test_t_value_matches_the_stack_walk_on_larger_nets():
+    # deeper searches, where a free set can reach the target only past the least found so far
+    rng = random.Random(3)
+    for i in range(200):
+        s, m = rng.randint(2, 7), rng.randint(4, 12)
+        mats = []
+        for _ in range(s):
+            rows = [rng.randrange(1 << m) for _ in range(m)]
+            if i % 2:
+                rows = [r & rng.randrange(1 << m) & rng.randrange(1 << m) for r in rows]
+            mats.append(BitMatrix(m, tuple(rows)))
+        gens = GeneratorSet(tuple(mats))
+        assert t_value(gens) == walk_t_u(gens, tuple(range(1, s + 1))), gens
+
+
+def fewest_by_definition(forms: list[int], target: int, most: int) -> int:
+    for r in range(1, min(most, len(forms)) + 1):
+        for picked in itertools.combinations(forms, r):
+            acc = 0
+            for f in picked:
+                acc ^= f
+            if acc == target:
+                return r
+    return 0
+
+
+def test_fewest_free_forms_to_a_target():
+    rng = random.Random(61)
+    for _ in range(400):
+        width = rng.randint(1, 6)
+        forms = [rng.randrange(1 << width) for _ in range(rng.randint(0, 9))]
+        target, most = rng.randrange(1, 1 << width), rng.randint(0, 10)
+        r, _ = quality._fewest(forms, target, most, 1 << 20)
+        assert r == fewest_by_definition(forms, target, most), (forms, target, most)
+    # twelve unit vectors need all twelve; the middle stops once a level would pass what is spare
+    forms = [1 << b for b in range(12)]
+    r, work = quality._fewest(forms, (1 << 12) - 1, 12, 1 << 20)
+    assert r == 12 and work > 1000
+    r, stopped = quality._fewest(forms, (1 << 12) - 1, 12, 1000)
+    assert r == 0 and 1000 < stopped < work
+
+
+def test_t_search_refuses_past_its_ceiling(monkeypatch):
+    from netgains.gains import enumerate_gains
+
+    gens = sobol_net(5, 10)  # its t search makes 868 tests, that over (1, 3) 59
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 868)
+    assert t_value(gens) == 3 and enumerate_gains(gens, 1).visited == 111
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 867)
+    for search in (t_value, lambda gens: t_d(gens, 5), lambda gens: enumerate_gains(gens, 1)):
+        with pytest.raises(ResourceLimitError, match=r"^t search over s=5 coordinates at m=10 made more than 867 "):
+            search(gens)
+    assert t_u(gens, (1, 3)) == 1
+
+    # the free forms of the empty stack alone would list more than 2^12 XORs
+    wide = random_generator_set(random.Random(5), 24, 32)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 1 << 12)
+    tracemalloc.start()
+    with pytest.raises(ResourceLimitError, match=r"^t search over s=24 coordinates at m=32 "):
+        t_value(wide)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_subset_identities(shift, sobol2d):
