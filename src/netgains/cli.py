@@ -20,12 +20,17 @@ import numpy as np
 from . import netgen, quality, suites
 from .gains import ResourceLimitError, enumerate_gains, max_gain
 from .netgen import ParseError, load_generators
-from .scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, _replicate_seeds, _scrambles, estimate
+from .scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, _ReplicateSeeds, _scrambles, estimate
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_SUITE = 3
+
+# Ceilings on counts that each hold memory, about 300 MB at the ceiling: an estimate
+# keeps about 63 B per replicate, and the sweep about 1.1 kB per trial's NetRecord.
+REPS_LIMIT = 1 << 22
+TRIALS_LIMIT = 1 << 18
 
 _KINDS = {
     "rls": ScrambleKind.RANDOM_LINEAR,
@@ -83,6 +88,13 @@ def _out_stream(path: str | None, binary: bool = False):
         yield fh
     finally:
         fh.close()
+
+
+def _check_count(flag: str, value: int, least: int, most: int | None = None, note: str = "") -> None:
+    if value < least:
+        raise CliError(f"{flag} must be >= {least}{note}, got {value}", EXIT_INVALID)
+    if most is not None and value > most:
+        raise CliError(f"{flag} must be <= {most}{note}, got {value}", EXIT_INVALID)
 
 
 def _seed_of(args) -> int:
@@ -214,14 +226,13 @@ def cmd_gains(args) -> int:
 
 
 def cmd_scramble(args) -> int:
-    if args.reps < 1:
-        raise CliError(f"--reps must be >= 1, got {args.reps}", EXIT_INVALID)
+    _check_count("--reps", args.reps, 1)
     gens = _load(args)
     seed = _seed_of(args)
     points = netgen.generate_points(gens)
     kind = _KINDS[args.kind]
     bits = args.output_bits if args.output_bits is not None else gens.m
-    scrambles = _scrambles(points, ScrambleSpec(kind, bits), _replicate_seeds(seed, args.reps))
+    scrambles = _scrambles(points, ScrambleSpec(kind, bits), _ReplicateSeeds(seed, args.reps))
     if args.json:
         # _emit's text, written one replicate at a time so that no more than one is held as ints
         head = json.dumps({"kind": kind.value, "output_bits": bits, "seed": seed, "numerators": []})
@@ -253,8 +264,7 @@ def _parse_coords(text: str | None, what: str) -> tuple[int, ...]:
 
 
 def cmd_integrate(args) -> int:
-    if args.reps < 2:
-        raise CliError(f"--reps must be >= 2, got {args.reps}", EXIT_INVALID)
+    _check_count("--reps", args.reps, 2, REPS_LIMIT)
     gens = _load(args)
     seed = _seed_of(args)
     points = netgen.generate_points(gens)
@@ -272,13 +282,12 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}", EXIT_INVALID)
+    _check_count("--trials", args.trials, 1, TRIALS_LIMIT)
     chosen = args.suite or ["all"]
     if "all" in chosen:
         chosen = list(suites.SWEEP_SUITES) + ["net-preservation", "gain-identity"]
-    if "gain-identity" in chosen and args.reps < 2:
-        raise CliError(f"--reps must be >= 2 for gain-identity, got {args.reps}", EXIT_INVALID)
+    if "gain-identity" in chosen:
+        _check_count("--reps", args.reps, 2, REPS_LIMIT, " for gain-identity")
     seed = _seed_of(args)
     results = []
     sweep_names = [name for name in chosen if name in suites.SWEEP_SUITES]

@@ -14,6 +14,14 @@ Scrambled points carry ``output_bits >= m`` digits; a uniform offset below
 the last digit makes each point exactly uniform on [0, 1).  All randomness
 comes from a splitmix-style hash, so results are reproducible across runs,
 platforms and chunk sizes.
+
+One engine scrambles a chunk of replicates at a time, with their seeds
+hashed per chunk.  It hashes the keys of all coordinates at once, and XORs
+the digital shift over the whole chunk.  The other two kinds build a table
+of every scrambled numerator and gather from it: for all coordinates
+together while the tables are small (``s * 2**m <= 2**14`` values per
+replicate), and one coordinate at a time past that, so that a large table
+stays in cache while it is gathered.
 """
 
 from __future__ import annotations
@@ -61,9 +69,19 @@ def replicate_seed(seed: int, r: int) -> int:
     return int(_derive(np.uint64(seed & _MASK64), _TAG_REPLICATE, r))
 
 
-def _replicate_seeds(seed: int, count: int) -> np.ndarray:
-    """``replicate_seed(seed, r)`` for ``r < count``."""
-    return _mix_np(np.arange(count, dtype=np.uint64) ^ _derive(np.uint64(seed & _MASK64), _TAG_REPLICATE))
+class _ReplicateSeeds:
+    """``replicate_seed(seed, r)`` for ``r < count``, hashed a slice at a time, so that
+    no more seeds are held than one chunk of scrambles takes."""
+
+    def __init__(self, seed: int, count: int):
+        self._key = _derive(np.uint64(seed & _MASK64), _TAG_REPLICATE)
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, rs: slice) -> np.ndarray:
+        return _mix_np(np.arange(*rs.indices(self._count), dtype=np.uint64) ^ self._key)
 
 
 class ScrambleKind(str, Enum):
@@ -129,44 +147,47 @@ def _reals(numerators: np.ndarray, bits: int, seeds: np.ndarray) -> np.ndarray:
     return out
 
 
-# Each scramble kind maps the m-digit numerators ``a`` of one coordinate to
-# ``d`` digits under every key of ``keys``: ``(n,)`` and ``(r,)`` to ``(r, n)``.
+# The table kinds map the keys ``(r, g)`` of a group of ``g`` coordinates to the
+# ``d``-digit scrambles of every m-digit numerator, ``(r, g * 2**m)``: per replicate,
+# the tables of the group's coordinates one after the other.
 
-def _scramble_linear(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:
+def _scramble_linear(m: int, d: int, keys: np.ndarray) -> np.ndarray:
     # draw i of a key's stream is _mix_np(key + i * gamma): m draws for the columns, one for the shift
-    words = _mix_np(keys[:, None] + np.arange(1, m + 2, dtype=np.uint64) * np.uint64(_GOLDEN))
+    words = _mix_np(keys[..., None] + np.arange(1, m + 2, dtype=np.uint64) * np.uint64(_GOLDEN))
     # column c has its leading one at digit c and d - c random digits below it
     below = np.uint64(d) - np.arange(1, m + 1, dtype=np.uint64)
-    cols = (np.uint64(1) << below) | (words[:, :m] >> (np.uint64(64) - below))
-    shift = words[:, m] >> np.uint64(64 - d)
-    # bit m - c of a picks column c, so the span of the reversed columns is indexed by a
-    return _xor_span(cols[:, ::-1].T)[a].T ^ shift[:, None]
+    cols = (np.uint64(1) << below) | (words[..., :m] >> (np.uint64(64) - below))
+    # bit m - c of a numerator picks column c, so the span of the reversed columns is indexed by it
+    span = _xor_span(np.moveaxis(cols[..., ::-1], -1, 0))
+    span ^= words[..., m] >> np.uint64(64 - d)
+    return np.moveaxis(span, 0, -1).reshape(len(keys), -1)
 
 
-def _scramble_nested(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:
-    table = np.zeros((len(keys), 1), dtype=np.uint64)
+def _scramble_nested(m: int, d: int, keys: np.ndarray) -> np.ndarray:
+    table = np.zeros(keys.shape + (1,), dtype=np.uint64)
     for r in range(1, d + 1):
         # digit r flips by the hash of its node: an (r - 1)-digit prefix, or past m a numerator and zeros
-        nodes = np.arange(table.shape[1], dtype=np.uint64) << np.uint64(max(r - 1 - m, 0))
-        table |= (_mix_np(nodes ^ _derive(keys, r)[:, None]) & np.uint64(1)) << np.uint64(d - r)
+        nodes = np.arange(table.shape[-1], dtype=np.uint64) << np.uint64(max(r - 1 - m, 0))
+        table |= (_mix_np(nodes ^ _derive(keys, r)[..., None]) & np.uint64(1)) << np.uint64(d - r)
         if r <= m:  # prefix p becomes 2p and 2p + 1, the second with digit r flipped once more
-            table = np.stack((table, table ^ (np.uint64(1) << np.uint64(d - r))), axis=2).reshape(len(keys), -1)
-    return table[:, a]
-
-
-def _scramble_shift(a: np.ndarray, m: int, d: int, keys: np.ndarray) -> np.ndarray:
-    shift = _mix_np(keys + np.uint64(_GOLDEN)) >> np.uint64(64 - d)  # the stream's first draw
-    return (a << np.uint64(d - m)) ^ shift[:, None]
+            flipped = table ^ (np.uint64(1) << np.uint64(d - r))
+            table = np.stack((table, flipped), axis=-1).reshape(keys.shape + (-1,))
+    return table.reshape(len(keys), -1)
 
 
 _KIND_TAG_FN = {
     ScrambleKind.RANDOM_LINEAR: (0x11, _scramble_linear),
     ScrambleKind.NESTED_UNIFORM: (0x22, _scramble_nested),
-    ScrambleKind.DIGITAL_SHIFT_ONLY: (0x33, _scramble_shift),
+    ScrambleKind.DIGITAL_SHIFT_ONLY: (0x33, None),
 }
 
 # Scrambled values per chunk of seeds; a chunk holds at least one scramble.
 _CHUNK_VALUES = 1 << 18
+# Table values per replicate (128 KiB) up to which all coordinates share one table
+# build and gather; larger tables are built and gathered one coordinate at a time,
+# so that each stays in cache.  Grouping up to 2^16 (s = 7 at m = 12) bought no
+# throughput in the rqmc-points benchmark and raised its peak RSS by 1.8 MiB.
+_GROUP_VALUES = 1 << 14
 
 
 def _output_bits(m: int, output_bits: int | None) -> int:
@@ -176,26 +197,40 @@ def _output_bits(m: int, output_bits: int | None) -> int:
     return d
 
 
-def _scramble_chunks(points: NetPoints, kind: ScrambleKind, d: int, seeds: np.ndarray):
-    """Yield ``(start, numerators)``: the scrambles ``(r, n, s)`` of ``points`` at ``d``
-    digits under ``seeds[start:start + r]``, about ``_CHUNK_VALUES`` values at a time."""
-    tag, fn = _KIND_TAG_FN[ScrambleKind(kind)]
-    n, s = points.n, points.s
+def _scramble_chunks(points: NetPoints, kind: ScrambleKind, d: int, seeds: np.ndarray | _ReplicateSeeds):
+    """Yield ``(start, chunk, numerators)``: the scrambles ``(r, n, s)`` of ``points`` at
+    ``d`` digits under the seeds ``chunk = seeds[start:start + r]``, about
+    ``_CHUNK_VALUES`` values at a time."""
+    tag, table_fn = _KIND_TAG_FN[ScrambleKind(kind)]
+    n, s, m = points.n, points.s, points.m
     step = max(1, _CHUNK_VALUES // (n * s))
+    group = s if s << m <= _GROUP_VALUES else 1
+    index = points.coords
+    if group > 1:  # coordinate j reads its table at offset j * 2^m of the group's tables
+        index = index + (np.arange(s, dtype=np.uint64) << np.uint64(m))
     for start in range(0, len(seeds), step):
-        keys = seeds[start : start + step]
-        numerators = np.empty((len(keys), n, s), dtype=np.uint64)
-        for j in range(1, s + 1):
-            numerators[:, :, j - 1] = fn(points.coords[:, j - 1], points.m, d, _derive(keys, tag, j))
-        yield start, numerators
+        chunk = seeds[start : start + step]
+        # key of coordinate j: _derive(seed, tag, j), for all j in one hash
+        keys = _mix_np(_derive(chunk, tag)[:, None] ^ np.arange(1, s + 1, dtype=np.uint64))
+        numerators = np.empty((len(chunk), n, s), dtype=np.uint64)
+        if table_fn is None:  # the digital shift: each key stream's first draw
+            np.left_shift(points.coords, np.uint64(d - m), out=numerators)
+            numerators ^= (_mix_np(keys + np.uint64(_GOLDEN)) >> np.uint64(64 - d))[:, None, :]
+        else:
+            for j in range(0, s, group):  # no table outlives its gather
+                cols = slice(j, j + group)
+                numerators[:, :, cols] = table_fn(m, d, keys[:, cols])[:, index[:, cols]]
+        yield start, chunk, numerators
 
 
-def _scrambles(points: NetPoints, spec: ScrambleSpec, seeds: np.ndarray) -> Iterator[ScrambledPoints]:
+def _scrambles(
+    points: NetPoints, spec: ScrambleSpec, seeds: np.ndarray | _ReplicateSeeds
+) -> Iterator[ScrambledPoints]:
     """The scrambles of ``points`` under ``spec`` with each of ``seeds`` in turn."""
     d = _output_bits(points.m, spec.output_bits)
     return (
-        ScrambledPoints(numerators[i], d, int(seeds[start + i]))
-        for start, numerators in _scramble_chunks(points, spec.kind, d, seeds)
+        ScrambledPoints(numerators[i], d, int(chunk[i]))
+        for _, chunk, numerators in _scramble_chunks(points, spec.kind, d, seeds)
         for i in range(len(numerators))
     )
 
@@ -303,14 +338,14 @@ def estimate(
         if integrand.needed_bits > 64:
             raise ValueError(f"haar integrand at k={integrand.k} needs more than 64 digits")
         d = max(d, integrand.needed_bits)
-    seeds = _replicate_seeds(spec.seed, replicates)
+    seeds = _ReplicateSeeds(spec.seed, replicates)
     means = np.empty(replicates)
-    for start, numerators in _scramble_chunks(points, spec.kind, d, seeds):
+    for start, chunk, numerators in _scramble_chunks(points, spec.kind, d, seeds):
         r, n, s = numerators.shape
         if haar:
             values = integrand.values_from_cells(numerators, d)
         else:
-            x = _reals(numerators, d, seeds[start : start + r]).reshape(r * n, s)
+            x = _reals(numerators, d, chunk).reshape(r * n, s)
             values = np.asarray(integrand(x), dtype=np.float64).reshape(r, n)
         if not np.isfinite(values).all():
             rep, bad = divmod(int(np.flatnonzero(~np.isfinite(values))[0]), n)

@@ -366,6 +366,38 @@ def test_verify_rejects_gain_identity_reps_below_two_up_front(reps, monkeypatch,
     assert code == EXIT_OK
 
 
+def test_reps_and_trials_past_their_ceilings_refused_up_front(monkeypatch, shiftnet_file, capsys):
+    from netgains import cli, suites
+
+    monkeypatch.setattr(cli, "REPS_LIMIT", 4)
+    monkeypatch.setattr(cli, "TRIALS_LIMIT", 3)
+    # at the ceilings the counts pass
+    assert main(["--json", "--seed", "1", "integrate", "--raw", shiftnet_file, "--reps", "4"]) == EXIT_OK
+    code = main(["--json", "--seed", "1", "verify", "--suite", "power-of-two", "--trials", "3",
+                 "--max-s", "2", "--max-m", "3"])
+    assert code == EXIT_OK
+    capsys.readouterr()
+
+    def nothing(*args, **kwargs):
+        raise AssertionError("work started before the ceiling check")
+
+    monkeypatch.setattr(cli, "_load", nothing)
+    for name in ("sweep_records", "net_preservation_suite", "gain_identity_suite"):
+        monkeypatch.setattr(suites, name, nothing)
+    identity_message = "--reps must be <= 4 for gain-identity, got 5"
+    cases = [
+        (["integrate", "--raw", shiftnet_file, "--reps", "5"], "--reps must be <= 4, got 5"),
+        (["verify", "--suite", "gain-identity", "--reps", "5", "--trials", "3"], identity_message),
+        (["verify", "--reps", "5", "--trials", "3"], identity_message),
+        (["verify", "--suite", "power-of-two", "--trials", "4"], "--trials must be <= 3, got 4"),
+        (["verify", "--suite", "gain-identity", "--trials", "4"], "--trials must be <= 3, got 4"),
+    ]
+    for argv, message in cases:
+        assert main(["--json", "--seed", "1", *argv]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+
+
 def test_scramble_rejects_reps_below_one(shiftnet_file, capsys):
     code = main(["--seed", "1", "scramble", "--raw", shiftnet_file, "--reps", "0"])
     assert code == EXIT_INVALID
@@ -464,14 +496,14 @@ def test_scramble_json_streams_the_text_of_one_payload(joekuo_file, kind, capsys
     from netgains.cli import _KINDS
     from netgains.netgen import generate_points
     from netgains.samples import sobol_net
-    from netgains.scramble import ScrambleSpec, _replicate_seeds, _scrambles
+    from netgains.scramble import ScrambleSpec, _ReplicateSeeds, _scrambles
 
     points = generate_points(sobol_net(3, 6))
     for bits, reps in ((6, 1), (64, 3)):
         code = main(["--json", "--seed", "8", "scramble", "--dirnum", joekuo_file, "--dims", "3", "--m", "6",
                      "--kind", kind, "--reps", str(reps), "--output-bits", str(bits)])
         assert code == EXIT_OK
-        scrambles = _scrambles(points, ScrambleSpec(_KINDS[kind], bits), _replicate_seeds(8, reps))
+        scrambles = _scrambles(points, ScrambleSpec(_KINDS[kind], bits), _ReplicateSeeds(8, reps))
         numerators = [[[int(v) for v in row] for row in sp.numerators] for sp in scrambles]
         payload = {"kind": _KINDS[kind].value, "output_bits": bits, "seed": 8, "numerators": numerators}
         assert capsys.readouterr().out == json.dumps(payload) + "\n"

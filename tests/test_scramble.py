@@ -1,6 +1,7 @@
 """Randomization: distributional properties, determinism, the variance law."""
 
 import importlib
+import itertools
 import math
 import warnings
 
@@ -447,11 +448,60 @@ def test_nested_hashes_each_tree_node_once(monkeypatch):
         return mix(x)
 
     monkeypatch.setattr(mod, "_mix_np", counting_mix)
-    m, s = 12, 2
-    points = generate_points(GeneratorSet((BitMatrix.identity(m),) * s))
-    for extra in (0, 5):
-        hashed.clear()
-        scramble(points, ScrambleSpec(ScrambleKind.NESTED_UNIFORM, m + extra, 7))
-        # 2^m - 1 tree nodes per coordinate and 2^m values per digit past m, plus the keys;
-        # hashing every point at every digit would be (m + extra) * 2^m per coordinate
-        assert sum(hashed) <= s * ((2 + extra) << m)
+    # the coordinates share one table build at m = 12 and 10, and go one at a time at 15
+    for m, s in ((12, 2), (10, 5), (15, 3)):
+        points = generate_points(GeneratorSet((BitMatrix.identity(m),) * s))
+        for extra in (0, 5):
+            hashed.clear()
+            scramble(points, ScrambleSpec(ScrambleKind.NESTED_UNIFORM, m + extra, 7))
+            # 2^m - 1 tree nodes per coordinate and 2^m values per digit past m, plus the keys;
+            # hashing every point at every digit would be (m + extra) * 2^m per coordinate
+            assert sum(hashed) <= s * ((2 + extra) << m)
+
+
+@pytest.mark.parametrize("s,m", [(1, 5), (3, 6), (5, 3), (8, 2), (8, 7)])
+def test_chunks_match_the_sequential_scramble_grouped_or_not(s, m, monkeypatch):
+    # the table kinds build and gather all coordinates at once when s * 2^m <= _GROUP_VALUES,
+    # and one at a time otherwise: both sides of that limit, three replicates to a chunk
+    import random
+
+    import scramble_reference as ref
+    from netgains.suites import random_generator_set
+
+    mod = importlib.import_module("netgains.scramble")
+    rng = random.Random(100 * s + m)
+    points = generate_points(random_generator_set(rng, s, m))
+    seeds = np.array([rng.getrandbits(64) for _ in range(7)], dtype=np.uint64)
+    rows = rng.sample(range(points.n), min(points.n, 4))
+    monkeypatch.setattr(mod, "_CHUNK_VALUES", 3 * points.n * s)
+    for kind in ALL_KINDS:
+        for d in (m, m + 1, 64):
+            want = [
+                [[ref.scramble_value(int(points.coords[i, j - 1]), m, d, kind.value,
+                                     ref.derive(int(seed), ref.TAGS[kind.value], j))
+                  for j in range(1, s + 1)] for i in rows]
+                for seed in seeds
+            ]
+            for limit in (s << m, (s << m) - 1):
+                monkeypatch.setattr(mod, "_GROUP_VALUES", limit)
+                got = []
+                for start, chunk, numerators in mod._scramble_chunks(points, kind, d, seeds):
+                    assert start == len(got) and len(numerators) == min(3, len(seeds) - start)
+                    assert chunk.tolist() == seeds[start : start + 3].tolist()
+                    got += numerators[:, rows].tolist()
+                assert got == want
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_replicate_seeds_are_hashed_a_chunk_at_a_time(shift_points, kind):
+    # a count no array could hold: only the slices that the chunks take are hashed
+    mod = importlib.import_module("netgains.scramble")
+    seeds = mod._ReplicateSeeds(9, 1 << 60)
+    assert len(seeds) == 1 << 60
+    assert seeds[5:8].tolist() == [replicate_seed(9, r) for r in range(5, 8)]
+    assert seeds[(1 << 60) - 1 :].tolist() == [replicate_seed(9, (1 << 60) - 1)]
+    first, second = itertools.islice(mod._scrambles(shift_points, ScrambleSpec(kind, 20), seeds), 2)
+    for r, got in enumerate((first, second)):
+        want = scramble(shift_points, ScrambleSpec(kind, 20, replicate_seed(9, r)))
+        assert got.numerators.tolist() == want.numerators.tolist()
+        assert got.reals.tolist() == want.reals.tolist()
