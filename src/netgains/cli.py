@@ -282,15 +282,16 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_count("--trials", args.trials, 1, TRIALS_LIMIT)
     chosen = args.suite or ["all"]
     if "all" in chosen:
         chosen = list(suites.SWEEP_SUITES) + ["net-preservation", "gain-identity"]
+    sweep_names = [name for name in chosen if name in suites.SWEEP_SUITES]
+    if sweep_names:
+        _check_count("--trials", args.trials, 1, TRIALS_LIMIT)
     if "gain-identity" in chosen:
         _check_count("--reps", args.reps, 2, REPS_LIMIT, " for gain-identity")
     seed = _seed_of(args)
     results = []
-    sweep_names = [name for name in chosen if name in suites.SWEEP_SUITES]
     if sweep_names:
         records = suites.sweep_records(
             args.trials, max_s=args.max_s, max_m=args.max_m, seed=seed

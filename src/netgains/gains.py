@@ -8,15 +8,16 @@ matrices every such coefficient is 0 or a power of two, and which of the
 two cases holds is a row-space membership question, so the value can be
 read off one GF(2) elimination (:func:`gain_fast`).
 
-Three routes of increasing speed compute the same number:
+Three routes compute the same number:
 
 * :func:`gain_bruteforce` - the O(n^2) pairwise sum over the points, the
   definition itself; knows nothing about matrices.  :func:`gain_pair_table`
   gives the same sums for every ``(u, k)`` at once, in O(n * s), from the
   match depths of the points' XOR differences from point 0.
 * :func:`gain_representation` - a signed count over the nullspace of the
-  stacked matrix; middle ground.  A :class:`NullTable` keeps that nullspace
-  through every ``k`` of one :class:`~netgains.netgen.StackWalk`, row by row.
+  stacked matrix, read off its basis.  A :class:`NullTable`, the route's own
+  dual elimination, keeps that nullspace through every ``k`` of one
+  :class:`~netgains.netgen.StackWalk`, row by row.
 * :func:`gain_fast` - rank plus one membership test.
 
 They are kept deliberately separate so each can serve as an oracle for the
@@ -49,7 +50,6 @@ from .netgen import (
 )
 from .quality import _box_counts, _least_gain_total, first_rank_deficient_k, t_u, t_value
 
-NULLSPACE_LOG2_LIMIT = 24
 ENUMERATION_VISIT_LIMIT = 1 << 24
 _BRUTE_CHUNK = 512
 _PAIR_BLOCK_LOG2 = 16  # at most 2^16 rows of points per block of gain_pair_table
@@ -174,9 +174,8 @@ def gain_representation(gens: GeneratorSet, idx: SubsetIndex) -> int:
 
     The one-vector walk on a :class:`NullTable`: depths past ``m + 1`` are
     clamped there, which changes neither the nullspace nor the next rows.
-
-    Raises :class:`ResourceLimitError` when the nullspace has more than
-    ``2**NULLSPACE_LOG2_LIMIT`` elements; use :func:`gain_fast` there.
+    The count is read in one pass over the nullspace basis, so it has no
+    ceiling short of ``m = 32``.
     """
     k = [min(kj, gens.m + 1) for kj in idx.k]
     walk = StackWalk(gens, idx.u, k, sum(k), NullTable(gens.m))
@@ -229,21 +228,11 @@ def _signed_count(basis: list[int], nxt: int) -> int:
     """Sum over the span of ``basis`` of -1 to the parity of the vector's product with ``nxt``.
 
     With ``nxt`` the XOR of the next rows, that is the parity of the number
-    of next rows the vector trips.  It is linear in the vector, so one sign
-    bit per basis vector updates it in O(1) per state of a Gray-code walk.
+    of next rows the vector trips.  The sign is a character of the span, so
+    the sum is the span's size when every basis vector has even product with
+    ``nxt``, and 0 when one has odd product: adding it pairs opposite signs.
     """
-    dim = len(basis)
-    if dim > NULLSPACE_LOG2_LIMIT:
-        raise ResourceLimitError(
-            f"nullspace has 2^{dim} elements (limit 2^{NULLSPACE_LOG2_LIMIT})"
-        )
-    signs = [(vec & nxt).bit_count() & 1 for vec in basis]
-    total = 1  # the zero vector: sign +1
-    sign = 0
-    for step in range(1, 1 << dim):
-        sign ^= signs[(step & -step).bit_length() - 1]
-        total += 1 - 2 * sign
-    return total
+    return 0 if any((vec & nxt).bit_count() & 1 for vec in basis) else 1 << len(basis)
 
 
 def max_gain(gens: GeneratorSet) -> tuple[GainValue, SubsetIndex]:
@@ -496,7 +485,6 @@ def enumerate_gains(
 
 
 __all__ = [
-    "NULLSPACE_LOG2_LIMIT",
     "ENUMERATION_VISIT_LIMIT",
     "ResourceLimitError",
     "GainValue",

@@ -30,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .gains import (
-    NULLSPACE_LOG2_LIMIT,
     NullTable,
     ResourceLimitError,
     _signed_count,
@@ -51,6 +50,9 @@ _MAX_FAILURES = 20
 # bytes a cell (64 MiB) on top of it: no more than gain_pair_table's own
 # peak of about 24 bytes a cell while it builds the table.
 PAIR_TABLE_CELL_LIMIT = 1 << 22
+# Ceiling on (2^s - 1) * 2^m, the nullspace states of the k = 0 triples: it holds a net
+# to 2^24 points, so every signed count (2^m at most) fits the int32 nullspace table.
+NULLSPACE_LOG2_LIMIT = 24
 _IDENTITY_ENTRIES = 3  # nonzero gains of the shift net the gain-identity suite checks
 
 
@@ -94,9 +96,9 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
     """Run all three gain routes over the full depth box and tally failures.
 
     Raises :class:`ResourceLimitError` before any work when the pairwise
-    table would exceed :data:`PAIR_TABLE_CELL_LIMIT` cells, or when the
-    nullspace count would walk ``(2**s - 1) * 2**m > 2**NULLSPACE_LOG2_LIMIT``
-    states on the ``k = 0`` triples alone.  Points that are no digital net
+    table would exceed :data:`PAIR_TABLE_CELL_LIMIT` cells, or when
+    ``(2**s - 1) * 2**m > 2**NULLSPACE_LOG2_LIMIT``, which bounds the points
+    and the signed counts.  Points that are no digital net
     count as one oracle mismatch, and so does every cell of the box where
     the routes disagree or one of them wrote nothing.  The triples are the
     cells of the box, failures come in ``(|u|, u, k)`` order, and at most
@@ -192,21 +194,22 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
 
 
 def _refuse_net(s: int, m: int, sizes: str) -> None:
-    """Refuse a net past either ceiling of :func:`evaluate_net`, both growing with ``s`` and
-    ``m``; ``sizes`` names them.  23 factors ``m + 3 >= 2`` pass the first, so a huge ``s`` is cheap."""
+    """Refuse a net past either ceiling of :func:`evaluate_net`, on its pairwise table and on its
+    points (which bound its counts), both growing with ``s`` and ``m``; ``sizes`` names them.
+    23 factors ``m + 3 >= 2`` pass the first, so a huge ``s`` is cheap."""
     if (m + 3) ** min(s, PAIR_TABLE_CELL_LIMIT.bit_length()) > PAIR_TABLE_CELL_LIMIT:
         raise ResourceLimitError(
             f"pairwise table of {sizes} has {m + 3}^{s} cells (limit {PAIR_TABLE_CELL_LIMIT})"
         )
     if ((1 << s) - 1) << m > 1 << NULLSPACE_LOG2_LIMIT:
         raise ResourceLimitError(
-            f"the k = 0 triples of {sizes} walk (2^{s} - 1) * 2^{m} nullspace states "
-            f"(limit 2^{NULLSPACE_LOG2_LIMIT})"
+            f"the k = 0 triples of {sizes} have (2^{s} - 1) * 2^{m} nullspace states (limit "
+            f"2^{NULLSPACE_LOG2_LIMIT}, which bounds each net's points and its counts in the int32 table)"
         )
 
 
 # the cells a route has not reached: below every log2 (-1 for gain 0) and
-# below every signed count (-2^NULLSPACE_LOG2_LIMIT at least)
+# below every signed count (0 or a power of two)
 _NO_LOG2 = -2
 _NO_COUNT = np.iinfo(np.int32).min
 # the gain 2^e at index e; 0 at the indices -1 (gain 0) and _NO_LOG2
@@ -376,6 +379,7 @@ def _identity_entries(gens: GeneratorSet, count: int) -> list[SubsetIndex]:
 __all__ = [
     "SWEEP_SUITES",
     "PAIR_TABLE_CELL_LIMIT",
+    "NULLSPACE_LOG2_LIMIT",
     "random_generator_set",
     "NetRecord",
     "evaluate_net",

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
 import time
 
 import pytest
@@ -71,6 +72,39 @@ def test_gen_missing_file_exits_io(tmp_path, capsys):
     assert code == EXIT_IO
     assert not out.exists()  # no partial output
     assert "error" in capsys.readouterr().err
+
+
+def test_out_into_a_missing_directory_exits_io(shiftnet_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "points.csv"
+    assert main(["--out", str(out), "gen", "--raw", shiftnet_file]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_out_to_a_full_device_exits_io(shiftnet_file, capsys):
+    # the open succeeds and the write fails, so the error reaches main's OSError handler
+    assert main(["--out", "/dev/full", "gen", "--raw", shiftnet_file]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and "cannot write" not in err
+
+
+@pytest.mark.parametrize(
+    "text,flags",
+    [
+        ("0 2\n", ["--raw"]),
+        ("1 33\n", ["--raw"]),
+        ("hdr\n2 1 0\n", ["--dirnum", "--dims", "2", "--m", "4"]),
+        ("hdr\n2 0 0 1\n", ["--dirnum", "--dims", "2", "--m", "4"]),
+        ("\n\n", ["--dirnum", "--dims", "1", "--m", "4"]),
+        ("hdr\n2 1 0 1\n", ["--dirnum", "--dims", "0", "--m", "4"]),
+    ],
+)
+def test_generator_input_faults_exit_invalid(text, flags, tmp_path, capsys):
+    path = write(tmp_path, "net.txt", text)
+    assert main(["gen", flags[0], path, *flags[1:]]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: invalid generator input: ")
 
 
 def test_gen_parse_error_exits_invalid(tmp_path, capsys):
@@ -211,6 +245,22 @@ def test_integrate_haar_needs_u_and_k(shiftnet_file, capsys):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "u,k,message",
+    [
+        ("1,x", "1,1", "--u must be comma-separated integers"),
+        ("2,1", "1,1", "u must be strictly increasing, got (2, 1)"),
+        ("1", "1,2", "k has 2 entries for 1 coordinates"),
+    ],
+)
+def test_integrate_haar_rejects_a_bad_u_or_k(u, k, message, shiftnet_file, capsys):
+    code = main(["--seed", "5", "integrate", "--raw", shiftnet_file, "--integrand", "haar",
+                 "--u", u, "--k", k])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_integrate_haar(shiftnet_file, capsys):
     code = main(
         ["--json", "--seed", "5", "integrate", "--raw", shiftnet_file,
@@ -314,8 +364,8 @@ def test_verify_refuses_a_sweep_range_before_any_net(monkeypatch, capsys):
 
 def test_verify_sweep_net_with_too_many_points_exits_invalid(monkeypatch, capsys):
     # the range is refused before any net is drawn: its largest net, s = 1 and
-    # m = 32, has a small pairwise table, but its k = 0 triple alone would walk
-    # 2^32 nullspace states
+    # m = 32, has a small pairwise table, but 2^32 points, the nullspace states
+    # of its k = 0 triple
     from netgains import suites
 
     def no_points(gens):
@@ -344,6 +394,21 @@ def test_verify_rejects_trials_below_one(trials, capsys):
     assert code == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and "--trials must be >= 1" in captured.err
+
+
+def test_verify_reads_trials_only_for_the_sweep_suites(monkeypatch, capsys):
+    from netgains import suites
+
+    monkeypatch.setattr(suites, "net_preservation_suite",
+                        lambda **kw: suites.SuiteResult("net-preservation", True, 600))
+    for trials in ("0", "1000000000"):
+        code = main(["--json", "--seed", "1", "verify", "--suite", "net-preservation", "--trials", trials])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+    code = main(["--json", "--seed", "1", "verify", "--suite", "power-of-two", "--trials", "0"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: --trials must be >= 1, got 0" in captured.err
 
 
 @pytest.mark.parametrize("reps", ["1", "0"])
@@ -390,7 +455,7 @@ def test_reps_and_trials_past_their_ceilings_refused_up_front(monkeypatch, shift
         (["verify", "--suite", "gain-identity", "--reps", "5", "--trials", "3"], identity_message),
         (["verify", "--reps", "5", "--trials", "3"], identity_message),
         (["verify", "--suite", "power-of-two", "--trials", "4"], "--trials must be <= 3, got 4"),
-        (["verify", "--suite", "gain-identity", "--trials", "4"], "--trials must be <= 3, got 4"),
+        (["verify", "--trials", "4"], "--trials must be <= 3, got 4"),
     ]
     for argv, message in cases:
         assert main(["--json", "--seed", "1", *argv]) == EXIT_INVALID

@@ -217,10 +217,20 @@ def test_representation_cancels_on_full_rank(identity_net):
     assert gain_representation(gens, SubsetIndex((1,), (2,))) == 0
 
 
-def test_representation_resource_guard():
+def test_representation_has_no_nullspace_ceiling(identity_net):
+    # the zero net's nullspaces are whole, and its next rows zero: 2^26 terms, all +1
     wide = GeneratorSet((BitMatrix(26, (0,) * 26),))
-    with pytest.raises(ResourceLimitError):
-        gain_representation(wide, SubsetIndex((1,), (1,)))
+    idx = SubsetIndex((1,), (1,))
+    assert gain_representation(wide, idx) == 1 << 26 == gain_fast(wide, idx).as_int
+    # twin identities at equal depths: rank k and next rows that cancel, gain 2^(32 - k)
+    twin = identity_net(32, 2)
+    assert gain_representation(twin, SubsetIndex((1, 2), (1, 1))) == 1 << 31
+    rng = random.Random(41)
+    nets = [random_generator_set(rng, s, 32) for s in (1, 2, 3)] + [identity_net(32), twin]
+    for gens in nets:
+        for _ in range(20):
+            idx = random_index(rng, gens)
+            assert gain_representation(gens, idx) == gain_fast(gens, idx).as_int
 
 
 # --- the kernel walk: a StackWalk on a NullTable ------------------------------------
@@ -335,18 +345,20 @@ def test_kernel_walk_cut_skips_exactly_its_slab():
     assert min(cuts.values()) >= 20, cuts
 
 
-def test_kernel_walk_refuses_a_nullspace_past_the_limit(monkeypatch, identity_net):
-    from netgains import gains
-
-    monkeypatch.setattr(gains, "NULLSPACE_LOG2_LIMIT", 3)
+def test_kernel_walk_counts_a_nullspace_of_any_size(identity_net):
     gens = identity_net(5)
-    walk = kernel_walk(gens, (1,), (2,))
-    assert list(counts(walk)) == [0, 0, 0, 1, 1]  # nullspaces of dimension 3, 2, 1, 0, 0
-    with pytest.raises(ResourceLimitError, match="2\\^4 elements"):
-        list(counts(kernel_walk(gens, (1,), (1,))))
-    with pytest.raises(ResourceLimitError):
-        gain_representation(gens, SubsetIndex((1,), (1,)))
+    walk = kernel_walk(gens, (1,), (1,))
+    assert list(counts(walk)) == [0, 0, 0, 0, 1, 1]  # nullspaces of dimension 4, 3, 2, 1, 0, 0
+    assert gain_representation(gens, SubsetIndex((1,), (1,))) == 0
     assert gain_representation(gens, SubsetIndex((1,), (5 + 5,))) == 1
+    zero = GeneratorSet((BitMatrix(26, (0,) * 26),))
+    assert list(counts(kernel_walk(zero, (1,), (0,)))) == [1 << 26] * 28
+    # every k of twin identities at m = 32, against the rank route
+    twin = identity_net(32, 2)
+    walk = kernel_walk(twin, (1, 2), (0, 0))
+    want = [gain_fast(twin, SubsetIndex((1, 2), tuple(walk.k))).as_int for _ in walk]
+    assert list(counts(kernel_walk(twin, (1, 2), (0, 0)))) == want
+    assert want.count(1 << 31) == 1 and len(want) == 34 * 34
 
 
 def test_kernel_walk_validates_arguments(shift):

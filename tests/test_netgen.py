@@ -16,6 +16,7 @@ from netgains.netgen import (
     DIRECTION_NUMBERS,
     RAW,
     DirectionEntry,
+    GeneratorSet,
     NetPoints,
     POINT_VALUE_LIMIT,
     ParseError,
@@ -32,7 +33,7 @@ from netgains.netgen import (
 )
 from netgains.quality import compositions
 from netgains.suites import random_generator_set
-from netgains.samples import JOE_KUO_HEAD, SHIFT_NET_RAW, sobol_net
+from netgains.samples import JOE_KUO_HEAD, SHIFT_NET_RAW, shift_net, sobol_net
 
 # Pascal matrix mod 2: entry (r, c) = C(c-1, r-1) mod 2; derived by running
 # the direction-number recurrence by hand for a=0, m_1=1: m = 1,3,5,15.
@@ -130,6 +131,50 @@ def test_missing_dimension_reported():
 def test_direction_numbers_need_dims_and_m():
     with pytest.raises(ValueError):
         load_generators(JOE_KUO_HEAD, DIRECTION_NUMBERS)
+
+
+# --- input checks -----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: GeneratorSet(()), ValueError, "need at least one generator matrix"),
+        (lambda: GeneratorSet((BitMatrix.identity(2), BitMatrix(2, (1,)))), ValueError,
+         "matrix 2 is 1x2, expected 2x2"),
+        (lambda: GeneratorSet((BitMatrix.identity(33),)), ValueError,
+         "m must be in [1, 32] for point generation, got 33"),
+        (lambda: shift_net().row(5, 1), IndexError, "coordinate 5 out of range 1..4"),
+        (lambda: shift_net().row(1, 0), IndexError, "row index 0 out of range"),
+        (lambda: NetPoints(np.zeros(4), 2), ValueError, "coords must be 2-dimensional"),
+        (lambda: NetPoints(np.zeros((1, 1)), 0), ValueError, "m must be in [1, 32]"),
+        (lambda: NetPoints(np.zeros((3, 1)), 2), ValueError, "expected 4 points for m=2, got 3"),
+        (lambda: NetPoints(np.arange(4).reshape(4, 1) * 2, 2), ValueError,
+         "numerator out of range for m bits"),
+        (lambda: load_generators(SHIFT_NET_RAW, "xml"), ValueError, "unknown format 'xml'"),
+        (lambda: load_generators("0 2\n", RAW), ParseError, "line 1: dimension s must be >= 1, got 0"),
+        (lambda: load_generators("1 33\n", RAW), ParseError, "line 1: m must be in [1, 32], got 33"),
+        (lambda: parse_direction_numbers(["hdr", "2 1 0"]), ParseError,
+         "line 2: expected 'd s a m_1 ... m_s', got '2 1 0'"),
+        (lambda: parse_direction_numbers(["hdr", "2 0 0 1"]), ParseError,
+         "line 2: polynomial degree must be >= 1, got 0"),
+        (lambda: parse_direction_numbers(["", "  "]), ParseError, "line 1: empty direction-number input"),
+        (lambda: load_generators(JOE_KUO_HEAD, DIRECTION_NUMBERS, dims=0, m=4), ValueError,
+         "dims must be >= 1, got 0"),
+        (lambda: load_generators(JOE_KUO_HEAD, DIRECTION_NUMBERS, dims=1, m=33), ValueError,
+         "m must be in [1, 32], got 33"),
+    ],
+)
+def test_input_checks_name_the_fault(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert err.type is error and str(err.value) == message
+
+
+def test_blank_lines_parse():
+    raw = load_generators("1 2\n10\n\n01\n\n  \n\n", RAW)
+    assert raw.matrices == (BitMatrix(2, (0b10, 0b01)),)
+    table = load_generators("\nhdr\n\n2 1 0 1\n\n", DIRECTION_NUMBERS, dims=2, m=4)
+    assert table.matrices == (BitMatrix.identity(4), PASCAL_4)
 
 
 # --- point generation -----------------------------------------------------------

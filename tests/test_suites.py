@@ -8,11 +8,12 @@ import pytest
 
 from gf2_reference import assemble_cuk, nullspace_rank
 from netgains import quality, suites
-from netgains.gains import NULLSPACE_LOG2_LIMIT, NullTable, ResourceLimitError, gain_fast
+from netgains.gains import NullTable, ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix, PivotTable
 from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
 from netgains.quality import minimal_counting_t
 from netgains.suites import (
+    NULLSPACE_LOG2_LIMIT,
     PAIR_TABLE_CELL_LIMIT,
     evaluate_net,
     random_generator_set,
@@ -383,8 +384,8 @@ def test_evaluate_net_refuses_an_oversized_table_up_front(monkeypatch):
     assert (8 + 3) ** 8 > PAIR_TABLE_CELL_LIMIT
     with pytest.raises(ResourceLimitError, match="pairwise table"):
         evaluate_net(gens)
-    # one coordinate keeps the table small, but its k = 0 triple alone
-    # would walk 2^25 nullspace states
+    # one coordinate keeps the table small, but its 2^25 points, the nullspace
+    # states of its k = 0 triple, are past the ceiling
     wide = GeneratorSet((BitMatrix.identity(25),))
     assert 25 + 3 <= PAIR_TABLE_CELL_LIMIT and 25 > NULLSPACE_LOG2_LIMIT
     with pytest.raises(ResourceLimitError, match="nullspace states"):
