@@ -12,7 +12,13 @@ and so are the five sweep suites of a clean sweep and of one whose ``t`` is
 one too small, so a change that moves one verdict, count or failure note
 fails.  ``analyze --json``, with and without ``--full``, and ``gain_bounds``
 at the ``max_gain`` witness are hashed on the shift net, the Joe-Kuo head and
-random nets, some with dependent first rows and some with ``s > m + 1``.
+random nets, some with dependent first rows and some with ``s > m + 1``;
+``analyze --full`` also on the first one to seven Joe-Kuo dimensions at
+``m`` = 8, 12, 16 and 20 and on random nets of eight to twelve coordinates,
+and ``analyze`` alone at ``m`` = 24 and 28, so a change to the ``t`` and
+``t*`` searches that moves one value or one witness fails.
+``first_rank_deficient_k`` is hashed over every subset of nets with up to
+six coordinates.
 The nullspace route's ``gain_representation`` is hashed over every ``(u, k)``
 with depths up to ``m + 2`` on the shift net and small random nets, some
 with a zero row or a repeated matrix, and ``--json scramble --reps 3`` of
@@ -33,6 +39,7 @@ from netgains.cli import EXIT_OK, main
 from netgains.gains import gain_bounds, gain_representation, max_gain
 from netgains.gf2 import BitMatrix
 from netgains.netgen import DIRECTION_NUMBERS, GeneratorSet, SubsetIndex, _subsets, generate_points, load_generators
+from netgains.quality import first_rank_deficient_k
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, estimate, scramble
 from netgains import suites
@@ -104,12 +111,32 @@ def _random_nets() -> list[GeneratorSet]:
     return nets + [GeneratorSet((a, b, a)), GeneratorSet((a, b, c)), GeneratorSet((d, a))]
 
 
+def _wide_random_nets() -> list[GeneratorSet]:
+    rng = random.Random(20261021)
+    nets = [random_generator_set(rng, s, m) for s, m in ((8, 8), (9, 3), (10, 6), (11, 7), (12, 8))]
+    # sparse rows, where the least deficient stacks lie deeper
+    for s, m in ((8, 6), (10, 8)):
+        nets.append(GeneratorSet(tuple(
+            BitMatrix(m, tuple(rng.randrange(1 << m) & rng.randrange(1 << m) & rng.randrange(1 << m)
+                               for _ in range(m)))
+            for _ in range(s)
+        )))
+    # the first row of coordinate 3 is the XOR of those of 1 and 2
+    a, b, c, *rest = random_generator_set(rng, 10, 8).matrices
+    c = BitMatrix(8, (a.rows[0] ^ b.rows[0],) + c.rows[1:])
+    return nets + [GeneratorSet((a, b, c, *rest))]
+
+
+def _joe_kuo(m: int):
+    return lambda: [sobol_net(dims, m) for dims in range(1, 8)]
+
+
 # the nets of each group; the Joe-Kuo head is read by the CLI from its table, the rest as raw text
 PINNED_NETS = {
     "shift": lambda: [shift_net()],
-    "joe_kuo_m6": lambda: [sobol_net(dims, 6) for dims in range(1, 8)],
-    "joe_kuo_m10": lambda: [sobol_net(dims, 10) for dims in range(1, 8)],
+    **{f"joe_kuo_m{m}": _joe_kuo(m) for m in (6, 8, 10, 12, 16, 20, 24, 28)},
     "random": _random_nets,
+    "random_wide": _wide_random_nets,
 }
 
 ANALYZE_DIGESTS = {
@@ -121,7 +148,17 @@ ANALYZE_DIGESTS = {
     ("joe_kuo_m10", True): "cf407c653b0fd8000691e368ce87fec19f81ab42189f9fa37fbf9a3001799048",
     ("random", False): "b4fee064910c81a99ee7cf32b5edc268a4a7ff31eb964423adb48f770e747e36",
     ("random", True): "a7190b2caa2cdd44c4f4ca031773055989eedc32bc9068345375396c5aff970f",
+    ("joe_kuo_m8", True): "a6b3443ab2475d72bfbdb9c79c0fde8caf48632bdf7b569f746fc96ee3d6d4b4",
+    ("joe_kuo_m12", True): "f2fa84ffe0ebff8401b37f7fd731b2ae6aa63b1d4862beff0887d0c68d89803e",
+    ("joe_kuo_m16", True): "fada0462b2a75fcbc953c10792b1bfd4020fec7ef1657c7a1634954bf21a1777",
+    ("joe_kuo_m20", True): "1a5b9a7049e22c9c95aa0052214d6a56f686a391d50e5b11d19961467d026ac8",
+    ("joe_kuo_m24", False): "20df092e21508ada370f9bef8b3be55a85b91c7db8f86c711ff4db1ccff2b2f8",
+    ("joe_kuo_m28", False): "0984476894084c9f1cd6b74af42339469fbe556921cdd7e251d2ec3aa3afc69c",
+    ("random_wide", False): "559dcb590332eb7a106fb8223777a2c997a0c416065665239637099380f4d478",
+    ("random_wide", True): "826183d3c5aeec3003f5e6ef0d01be3300e50d8dc5c5a0547c49031b3d51f369",
 }
+
+FIRST_DEFICIENT_DIGEST = "0766602fec2aee8a4895da370d7e5a0d853952f1c31d37d5f910a3cb6f7eda88"
 
 BOUNDS_DIGESTS = {
     "shift": "80cc8b69862f980e266eb9f2ec49384f69dcbd7a859521c7be3f303f1d733562",
@@ -298,3 +335,17 @@ def test_gain_bounds_at_the_witness_are_pinned(group):
         entry = [gamma.log2, list(witness.u), list(witness.k), gain_bounds(gens, witness)]
         h.update(json.dumps(entry).encode())
     assert h.hexdigest() == BOUNDS_DIGESTS[group]
+
+
+def _narrow_nets() -> list[GeneratorSet]:
+    rng = random.Random(20261022)
+    nets = [shift_net()] + [sobol_net(6, m) for m in (6, 10, 14, 18)]
+    nets += [random_generator_set(rng, s, m) for s, m in ((2, 5), (3, 4), (4, 3), (5, 6), (6, 4), (6, 8))]
+    return nets + [gens for gens in _random_nets() if gens.s <= 6]
+
+
+def test_first_deficient_depths_are_pinned():
+    h = hashlib.sha256()
+    for gens in _narrow_nets():
+        h.update(json.dumps([list(first_rank_deficient_k(gens, u)) for u in _subsets(gens.s)]).encode())
+    assert h.hexdigest() == FIRST_DEFICIENT_DIGEST
