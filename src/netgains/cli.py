@@ -191,6 +191,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.a_k_max is not None and not args.full:
+        raise CliError("--a-k-max applies only with --full", EXIT_INVALID)
     gens = _load(args)
     gamma, witness = max_gain(gens)
     if args.full:
@@ -264,6 +266,8 @@ def _parse_coords(text: str | None, what: str) -> tuple[int, ...]:
 
 
 def cmd_integrate(args) -> int:
+    if args.integrand != "haar" and (args.u is not None or args.k is not None):
+        raise CliError("--u and --k apply only to --integrand haar", EXIT_INVALID)
     _check_count("--reps", args.reps, 2, REPS_LIMIT)
     gens = _load(args)
     seed = _seed_of(args)

@@ -239,7 +239,9 @@ def max_gain(gens: GeneratorSet) -> tuple[GainValue, SubsetIndex]:
     """Largest gain coefficient over all (u, k), with a witness attaining it.
 
     It is ``2**(t*_{1:s} + s - 1) = 2**(m + s - |k*|)``, with ``k*`` the
-    :func:`~netgains.quality.first_rank_deficient_k` of all coordinates.
+    :func:`~netgains.quality.first_rank_deficient_k` of all coordinates: the
+    least total of the floor-1 search, and the lex-first stack of that
+    total, found by a walk that goes no deeper.
     ``|k*| = s`` says that the first rows are dependent: the maximum is then
     ``2**m``, witnessed at depth zero by a minimal dependent subset, the
     smallest only up to 20 coordinates (:func:`_minimal_dependent_first_rows`).
@@ -321,8 +323,8 @@ def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int) -> dict[str, int]:
         "t": 1 << (t + order - 1),
         "t_u": 1 << (t_u(gens, u) + order - 1),
     }
-    # t*_u = m + 1 - |k*|, and |k*| = |u| iff the first rows of u are dependent
-    least = sum(first_rank_deficient_k(gens, u))
+    # t*_u = m + 1 - least, and least = |u| iff the first rows of u are dependent
+    least = _least_gain_total(gens, u, 1)
     if least > order:
         out["t_star_u"] = 1 << (m + order - least)
     return out
@@ -381,7 +383,9 @@ def enumerate_gains(
     the table once.  It hands each the normal forms of the ``s`` next rows;
     they are linear, so every ``u`` containing the support of ``k`` costs
     one XOR, the free coordinates taken in Gray-code order.  The entries
-    are checked against the clamped t bound after the walk.
+    are checked against the clamped t bound after the walk.  The maximal
+    gain they are held to is :func:`max_gain`'s value, read off the same
+    search from the first rows, with no witness.
 
     Entries come in ``(|u|, u, k)`` order, ``k`` lexicographic.
     ``max_visits`` keeps the first that many ``(u, k)`` in that order (the
@@ -389,8 +393,8 @@ def enumerate_gains(
     not shorten the walk.  Raises :class:`ResourceLimitError`, before any
     walk, when there are more than :data:`ENUMERATION_VISIT_LIMIT` pairs
     ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``, and
-    from the walk when its ``t`` search passes
-    :data:`~netgains.quality.T_SEARCH_LIMIT`.
+    from the walk when its ``t`` search, or the ``t*`` search of the
+    maximal gain and the bounds, passes :data:`~netgains.quality.T_SEARCH_LIMIT`.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -443,7 +447,7 @@ def enumerate_gains(
                 if not acc:
                     found[u].append(stack)
 
-    t = m + 1 - _least_gain_total(gens, range(1, s + 1), max_depth, record)
+    t = m + 1 - _least_gain_total(gens, range(1, s + 1), 0, max_depth, record)
     values = [GainValue(m - rank) for rank in range(m + 1)]
     entries: list[tuple[SubsetIndex, GainValue]] = []
     violations: list[dict] = []
@@ -468,7 +472,7 @@ def enumerate_gains(
         at_low = (tuple(itertools.compress(st, members)) for st in found[mask] if st[-1] == low)
         gamma, attaining = values[low], SubsetIndex._trusted(u, min(at_low, key=lambda kk: (sum(kk), kk)))
 
-    theoretical, _ = max_gain(gens)
+    theoretical = GainValue(m + s - _least_gain_total(gens, range(1, s + 1), 1))
     bounds = _bounds(gens, attaining, t) if attaining is not None else {}
     return GainReport(
         entries=entries,

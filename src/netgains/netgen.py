@@ -406,8 +406,7 @@ class StackWalk:
     Iterating yields ``(depth, rank, nxt)`` per visited ``k``: ``sum(k)``,
     the rank of C_{u,k}, and the XOR of the next rows (row ``k_j + 1`` of
     each ``j``), which lies in the row space iff ``PivotTable.residual`` is 0
-    on it.  Lowering ``budget`` while iterating skips the deeper ``k`` from
-    then on.  :meth:`cut`, called after a yield, skips every ``k`` still to
+    on it.  :meth:`cut`, called after a yield, skips every ``k`` still to
     come whose stack contains the current one's rows: those equal to ``k``
     before level ``i`` and at least ``k[i]`` at it, where ``i`` is the
     deepest coordinate above its floor (0 if none).  In lexicographic order
@@ -430,7 +429,7 @@ class StackWalk:
         self._cap = cap
         self.k = [0] * len(u)
         self._cut: int | None = None
-        self.budget = budget
+        self._budget = budget
         self.table = PivotTable(gens.m) if table is None else table
 
     def cut(self) -> int:
@@ -443,7 +442,7 @@ class StackWalk:
         return i
 
     def __iter__(self):
-        rows, floor, cap, k = self._rows, self._floor, self._cap, self.k
+        rows, floor, cap, budget, k = self._rows, self._floor, self._cap, self._budget, self.k
         push, undo, log = self.table.push, self.table.undo, self.table.log
         undo(0)  # a walk left early may have rows pushed
         self._cut = None
@@ -457,7 +456,7 @@ class StackWalk:
         level, entering = 0, True
         while level >= 0:
             row = rows[level]
-            hi = min(cap, self.budget - spent[level] - tail[level + 1])
+            hi = min(cap, budget - spent[level] - tail[level + 1])
             if entering:
                 kl = floor[level]
                 if kl > hi:
@@ -486,7 +485,7 @@ class StackWalk:
                 if self._cut is not None:  # leave the levels from the cut on
                     level, self._cut = self._cut, None
                     break
-                if kl >= hi or depth + kl >= self.budget:
+                if kl >= hi:
                     break
                 push(row[kl])
                 kl += 1

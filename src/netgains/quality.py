@@ -4,14 +4,16 @@ Two independent routes to the same quantities live here.  The algebraic
 route works on generator matrices: the t parameter is ``m + 1`` minus the
 smallest total depth at which some stacked row matrix goes rank deficient,
 and the subset-restricted variants ``t_u`` / ``t_star_u`` restrict which
-depth vectors compete.  ``t_star_u`` walks ``k >= 1`` over ``u`` on a
-:class:`~netgains.netgen.StackWalk`, lowering its budget below every
-deficient total it meets (the search that also gives
-:func:`~netgains.gains.max_gain`).  ``t_u`` takes ``k >= 0`` over ``u``
-(so every subset of ``u``), where that total is the least ``|v| + |k|``
-of a nonzero gain: one walk over gain pairs finds it
+depth vectors compete.  One search finds that least total for both
 (:func:`_least_gain_total`, which also builds the tables of
-:func:`~netgains.gains.enumerate_gains`).  ``t_value`` is ``t_u`` of all
+:func:`~netgains.gains.enumerate_gains`): ``t_u`` takes ``k >= 0`` over
+``u`` (so every subset of ``u``), where it is the least ``|v| + |k|`` of a
+nonzero gain, and ``t_star_u`` takes ``k >= 1``, the same walk started
+from the base of the first rows.  Both count their tests against
+:data:`T_SEARCH_LIMIT`.  :func:`first_rank_deficient_k` reads the
+lex-first ``k`` of the floor-1 least off a
+:class:`~netgains.netgen.StackWalk` of that fixed budget, the witness of
+:func:`~netgains.gains.max_gain`.  ``t_value`` is ``t_u`` of all
 coordinates and ``t_d`` the largest ``t_u`` over the subsets of size
 ``d``; the A_K table of :func:`quality_report` is read off the ranks of
 one more ``StackWalk``.  The combinatorial route counts points in
@@ -28,6 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .gf2 import PivotTable
 from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, _coordinates, _subsets, stack_at
 
 _PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
@@ -74,25 +77,24 @@ def _ceil_log2(count: int) -> int:
 def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
     """Minimal-total ``k >= 1`` (lex-first among minima) whose stack is deficient.
 
-    Each deficient ``k`` the walk meets lowers its budget below its own
-    total, so the last one met is the lex-first of the least total.  The
-    first budget, ``max(|u|, m + 1)``, reaches a stack of more than ``m`` rows.
+    :func:`_least_gain_total` at floor 1 gives the least total.  No stack
+    below it is deficient, so the first deficient ``k`` of a floor-1
+    :class:`~netgains.netgen.StackWalk` with that total as its budget is the
+    lex-first of that total.
     """
-    walk = StackWalk(gens, u, (1,) * len(u), max(len(u), gens.m + 1))
-    for depth, rank, _ in walk:
-        if rank < depth:
-            best = tuple(walk.k)
-            walk.budget = depth - 1
-    return best
+    walk = StackWalk(gens, u, (1,) * len(u), _least_gain_total(gens, u, 1))
+    return next(tuple(walk.k) for depth, rank, _ in walk if rank < depth)
 
 
 def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
     """Subset quality parameter restricted to depth vectors >= 1 componentwise.
 
-    Equals ``m + 1 - |u|`` when already the one-row-per-coordinate stack is
+    That is ``m + 1`` minus the least deficient total over every ``k`` in
+    ``[1, m + 1]^u`` (:func:`_least_gain_total` at floor 1).  Equals
+    ``m + 1 - |u|`` when already the one-row-per-coordinate stack is
     deficient (which makes it negative once ``|u| > m + 1``).
     """
-    return gens.m + 1 - sum(first_rank_deficient_k(gens, u))
+    return gens.m + 1 - _least_gain_total(gens, u, 1)
 
 
 def t_u(gens: GeneratorSet, u: Sequence[int]) -> int:
@@ -106,31 +108,37 @@ def t_u(gens: GeneratorSet, u: Sequence[int]) -> int:
     return gens.m + 1 - _least_gain_total(gens, u)
 
 
-def _least_gain_total(gens: GeneratorSet, u: Sequence[int], table_depth: int = -1, visit=None) -> int:
-    """The least ``|v| + |k|`` of a nonzero gain ``G_{v,k}``, ``v`` a nonempty subset of ``u``.
+def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, table_depth: int = -1,
+                      visit=None) -> int:
+    """The least total of a deficient stack ``C_{u,k}`` with ``floor <= k <= m + 1``, ``floor`` 0 or 1.
 
-    It equals the least total of a deficient stack over ``u``.  A nonzero
-    ``G_{v,k}`` puts the XOR of the next rows of ``C_{v,k}`` in its row
-    space, so ``C_{v,k+1}`` is deficient, of total ``|v| + |k|``.
-    Conversely, take a deficient ``k'`` of least total, ``v`` its support:
-    a vanishing row combination that missed the deepest row of some ``j``
-    in ``v`` would leave ``k' - e_j`` deficient, so each uses them all, and
-    ``G_{v,k'-1}`` is nonzero.  ``G_{(j),(m)}`` is nonzero, since row
-    ``m + 1`` is zero, so the least is at most ``m + 1``.
+    The first ``floor`` rows of each coordinate form a base, pushed first:
+    if they are dependent, that is the least, ``floor * |u|``.  Otherwise
+    the least past the base is the least ``|v| + |k|`` of a pair with ``v``
+    a nonempty subset of ``u``, ``k`` the rows past the base, and the XOR of
+    the next rows over ``v`` in the row space of the base and ``C_{u,k}``;
+    at floor 0 that is a nonzero gain ``G_{v,k}``.  Such a pair puts
+    ``C_{u,k+1_v}`` deficient, of total ``|v| + |k|`` past the base.
+    Conversely, take a deficient ``k'`` of least total, ``v`` the support
+    of the rows past the base: a vanishing row combination that missed the
+    deepest row of some ``j`` in ``v`` would leave ``k' - e_j`` deficient, so
+    each uses them all, and ``(v, k' - 1_v)`` is such a pair.  Any
+    ``m + 1`` rows are dependent, so past an independent base the least is
+    at most ``m + 1``.
 
-    One depth-first walk over ``k`` in ``[0, m + 1]^u``, in lexicographic
+    One depth-first walk over the rows past the base, in lexicographic
     order.  It keeps the normal form (as :meth:`~netgains.gf2.PivotTable.residual`
     has it) of each coordinate's next row under the pushed rows.  Pushing a
     stored form ``p`` needs no reduction: ``p`` becomes the pivot at its
     top bit, each stored form with that bit set XORs ``p``, and the
     coordinate's new next row is reduced, one reduction per push.  A
     stack's pivots are those at the bits of its ``held`` mask, so stepping
-    back needs no undo.  At a stack ``k`` the gain of ``v = supp(k) + F``
-    is nonzero iff the stored forms over ``v`` XOR to 0.  The walk goes to
+    back needs no undo.  At a stack ``k`` the pair of ``v = supp(k) + F``
+    qualifies iff the stored forms over ``v`` XOR to 0.  The walk goes to
     every ``k`` with ``|k| + |supp k| <= least - 1``, and there tests each
     set ``F`` of free coordinates with ``|F| <= least - 1 - |k| - |supp k|``,
-    so it tests every pair below the least found so far, which a nonzero
-    gain lowers.  It also goes to every ``k`` with ``|k| <= table_depth``
+    so it tests every pair below the least found so far, which a pair that
+    qualifies lowers.  It also goes to every ``k`` with ``|k| <= table_depth``
     and calls ``visit(k, rank, forms)`` there, ``k`` a list updated in place.
 
     Raises :class:`ResourceLimitError` once its tests pass
@@ -139,11 +147,14 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], table_depth: int = -
     """
     u = _coordinates(gens, u)
     m, n = gens.m, len(u)
-    cap, full = m + 1, (1 << m) - 1
-    rows = [gens._rows[j - 1] for j in u]
-    pivots = [0] * (m + 1)  # by leading bit; those of the bits set in a walk's ``held`` are its stack's
+    cap, full = m + 1 - floor, (1 << m) - 1
+    base = PivotTable(m)
+    if not all(base.push(row) for j in u for row in gens._rows[j - 1][:floor]):
+        return floor * n
+    pivots = base.pivots  # by leading bit; those of the bits set in a walk's ``held`` are its stack's
+    rows = [gens._rows[j - 1][floor:] for j in u]
     k = [0] * n
-    least = cap
+    least = m + 1 - floor * n
     tests = 0
 
     def walk(first: int, forms: list[int], held: int, depth: int, cost: int) -> None:
@@ -155,7 +166,7 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], table_depth: int = -
         nonlocal least, tests
         if depth <= table_depth:
             visit(k, held.bit_count(), forms)
-        if not cost:  # the empty stack: v = F, the first rows before its last j XOR to j's
+        if not cost:  # the base alone: v = F, the next rows before its last j XOR to j's
             tests += 1
             for j in range(n):
                 if not forms[j]:
@@ -175,7 +186,7 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], table_depth: int = -
                 least = cost + r if r else least
         if tests > T_SEARCH_LIMIT:
             raise ResourceLimitError(
-                f"t search over s={n} coordinates at m={m} made more than {T_SEARCH_LIMIT} "
+                f"{'t*' if floor else 't'} search over s={n} coordinates at m={m} made more than {T_SEARCH_LIMIT} "
                 f"tests of stacks and free sets"
             )
         if cost + 2 >= least and depth >= table_depth:
@@ -205,8 +216,8 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], table_depth: int = -
                 walk(j, cur, mask, depth + kj, cost + kj + 1)
             k[j] = 0
 
-    walk(-1, [row[0] for row in rows] + [0], 0, 0, 0)
-    return least
+    walk(-1, [base.residual(row[0]) for row in rows] + [0], sum(1 << (lead - 1) for lead in base.log), 0, 0)
+    return floor * n + least
 
 
 def _fewest(forms: list[int], target: int, most: int, spare: int) -> tuple[int, int]:

@@ -146,6 +146,19 @@ def test_analyze_rejects_negative_a_k_max(shiftnet_file, capsys):
     assert captured.out == "" and "a_k_max must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("a_k_max", ["3", "-1"])
+def test_analyze_refuses_a_k_max_without_full(a_k_max, monkeypatch, shiftnet_file, capsys):
+    from netgains import cli
+
+    def no_load(args):
+        raise AssertionError("input read before the --a-k-max check")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+    assert main(["--json", "analyze", "--raw", shiftnet_file, "--a-k-max", a_k_max]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --a-k-max applies only with --full\n"
+
+
 def test_analyze_full_refuses_an_unbounded_a_k_table(shiftnet_file, capsys):
     start = time.perf_counter()
     code = main(["analyze", "--raw", shiftnet_file, "--full", "--a-k-max", "1000000000"])
@@ -238,6 +251,14 @@ def test_integrate_rejects_reps_below_two_up_front(monkeypatch, shiftnet_file, c
         captured = capsys.readouterr()
         assert captured.out == "" and "seed:" not in captured.err
         assert f"--reps must be >= 2, got {reps}" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--u", "1", "--k", "2"], ["--u", "1"], ["--k", "2"]])
+def test_integrate_prod_refuses_u_and_k(flags, shiftnet_file, capsys):
+    code = main(["--seed", "5", "integrate", "--raw", shiftnet_file, "--integrand", "prod", *flags])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --u and --k apply only to --integrand haar\n"
 
 
 def test_integrate_haar_needs_u_and_k(shiftnet_file, capsys):
@@ -494,6 +515,17 @@ def test_t_search_past_its_ceiling_exits_invalid(command, monkeypatch, joekuo_fi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: t search over s=5 coordinates at m=10 made more than 867 ")
+
+
+def test_t_star_search_past_its_ceiling_exits_invalid(monkeypatch, joekuo_file, capsys):
+    from netgains import quality
+
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 846)  # sobol_net(7, 16) needs 847
+    code = main(["analyze", "--dirnum", joekuo_file, "--dims", "7", "--m", "16"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t* search over s=7 coordinates at m=16 made more than 846 ")
 
 
 @pytest.mark.parametrize("command", [["gen"], ["scramble"], ["integrate"]])

@@ -422,30 +422,6 @@ def test_walk_cut_skips_exactly_its_slab():
     assert min(cuts.values()) >= 20, cuts
 
 
-def test_walk_budget_lowered_mid_walk(sobol2d):
-    walk = StackWalk(sobol2d, (1, 2), (0, 0), 6)  # m = 4: the box is [0, 5]^2
-    seen = []
-    for depth, _, _ in walk:
-        seen.append(tuple(walk.k))
-        if walk.k == [1, 2]:
-            walk.budget = 2
-    assert seen[: seen.index((1, 2)) + 1] == [
-        k for k in itertools.product(range(6), repeat=2) if sum(k) <= 6 and k <= (1, 2)
-    ]
-    assert seen[seen.index((1, 2)) + 1 :] == [(2, 0)]
-
-
-def test_walk_budget_lowered_to_the_current_depth(sobol2d):
-    # the deeper k of the innermost level stop at once, not one step later
-    walk = StackWalk(sobol2d, (1, 2), (0, 0), 6)
-    seen = []
-    for _ in walk:
-        seen.append(tuple(walk.k))
-        if walk.k == [1, 2]:
-            walk.budget = 3
-    assert seen[seen.index((1, 2)) + 1 :] == [(2, 0), (2, 1), (3, 0)]
-
-
 def test_walk_validates_arguments(shift):
     # u, the floor's length and an entry past m + 1: test_both_walks_refuse_a_bad_u_or_floor_length
     for floor in ((-1,), (0, -1)):

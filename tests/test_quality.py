@@ -11,7 +11,7 @@ import pytest
 from gf2_reference import nullspace_rank
 from netgains import quality
 from netgains.gf2 import BitMatrix
-from netgains.netgen import MAX_M, GeneratorSet, NetPoints, ResourceLimitError, StackWalk, generate_points
+from netgains.netgen import MAX_M, GeneratorSet, NetPoints, ResourceLimitError, StackWalk, SubsetIndex, generate_points
 from netgains.quality import (
     compositions,
     first_rank_deficient_k,
@@ -111,15 +111,17 @@ def test_t_u_matches_direct_definition():
                 assert t_u(gens, u) == brute_t_u(gens, u)
 
 
+def walk_least(gens: GeneratorSet, u: tuple[int, ...], floor: int) -> int:
+    """The rank route without gains: the least budget whose StackWalk over
+    ``k >= floor`` meets a deficient stack."""
+    budget = floor * len(u)
+    while not any(rank < depth for depth, rank, _ in StackWalk(gens, u, (floor,) * len(u), budget)):
+        budget += 1
+    return budget
+
+
 def walk_t_u(gens: GeneratorSet, u: tuple[int, ...]) -> int:
-    """The rank route without gains: one floor-0 StackWalk over ``u``, each
-    deficient stack lowering the budget below its own total."""
-    walk = StackWalk(gens, u, (0,) * len(u), gens.m + 1)
-    for depth, rank, _ in walk:
-        if rank < depth:
-            least = depth
-            walk.budget = depth - 1
-    return gens.m + 1 - least
+    return gens.m + 1 - walk_least(gens, u, 0)
 
 
 def odd_nets(count: int):
@@ -172,6 +174,34 @@ def test_t_value_matches_the_stack_walk_on_larger_nets():
         assert t_value(gens) == walk_t_u(gens, tuple(range(1, s + 1))), gens
 
 
+def test_t_star_matches_the_stack_walk_on_larger_nets():
+    # dense, sparse, with the last first row the XOR of earlier ones, and with the last
+    # matrix a repeat, by i % 4; the last two make the full set trivial, not the rest
+    rng = random.Random(7)
+    trivial = 0
+    for i in range(240):
+        s = rng.randint(2, 7)
+        m = rng.randint(max(4, s + 1), 12)  # room for s independent first rows
+        mats = []
+        for _ in range(s):
+            rows = [rng.randrange(1 << m) for _ in range(m)]
+            if i % 4 == 1:  # past the first row, where the least lies deeper
+                rows[1:] = [r & rng.randrange(1 << m) & rng.randrange(1 << m) for r in rows[1:]]
+            mats.append(BitMatrix(m, tuple(rows)))
+        if i % 4 == 2:
+            first = 0
+            for mat in rng.sample(mats[:-1], rng.randint(1, s - 1)):
+                first ^= mat.rows[0]
+            mats[-1] = BitMatrix(m, (first,) + mats[-1].rows[1:])
+        elif i % 4 == 3:
+            mats[-1] = rng.choice(mats[:-1])
+        gens = GeneratorSet(tuple(mats))
+        for u in (tuple(range(1, s + 1)), tuple(range(1, s))):
+            assert t_star_u(gens, u) == m + 1 - walk_least(gens, u, 1), (gens, u)
+        trivial += t_star_u(gens, tuple(range(1, s + 1))) == m + 1 - s
+    assert trivial >= 120
+
+
 def fewest_by_definition(forms: list[int], target: int, most: int) -> int:
     for r in range(1, min(most, len(forms)) + 1):
         for picked in itertools.combinations(forms, r):
@@ -220,6 +250,29 @@ def test_t_search_refuses_past_its_ceiling(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_t_star_search_refuses_past_its_ceiling(monkeypatch):
+    from netgains import gains
+    from netgains.gains import GainValue, gain_bounds, max_gain
+
+    gens = sobol_net(7, 16)  # its t* search makes 847 tests, that over (1, 2, 3, 4) 945
+    full = tuple(range(1, 8))
+    t = t_value(gens)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 847)
+    assert t_star_u(gens, full) == 5 and max_gain(gens)[0] == GainValue(16 + 7 - 12)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 846)
+    message = r"^t\* search over s=7 coordinates at m=16 made more than 846 tests of stacks and free sets$"
+    for search in (lambda gens: t_star_u(gens, full), max_gain):
+        with pytest.raises(ResourceLimitError, match=message):
+            search(gens)
+    with pytest.raises(ResourceLimitError, match=r"^t\* search over s=4 coordinates at m=16 made more than 846 "):
+        quality_report(gens, a_k_max=0)
+    # with t and t_u given, the t* search is the one that refuses
+    monkeypatch.setattr(gains, "t_value", lambda gens: t)
+    monkeypatch.setattr(gains, "t_u", lambda gens, u: t)
+    with pytest.raises(ResourceLimitError, match=message):
+        gain_bounds(gens, SubsetIndex(full, (1,) * 7))
 
 
 def test_subset_identities(shift, sobol2d):
