@@ -312,16 +312,16 @@ def gain_bounds(gens: GeneratorSet, idx: SubsetIndex) -> dict[str, int]:
     when the one-row-per-coordinate stack over ``u`` has full rank, so it
     is omitted otherwise.
     """
-    stack_at(gens, idx.u, idx.k)  # its walk refuses an idx beyond the net before the t search
-    return _bounds(gens, idx, t_value(gens))
+    rank = stack_at(gens, idx.u, idx.k)[0]  # its walk refuses an idx beyond the net before the t search
+    return _bounds(gens, idx, t_value(gens), rank)
 
 
-def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int) -> dict[str, int]:
+def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int, rank: int) -> dict[str, int]:
     u, order, m = idx.u, idx.order, gens.m
     out = {
-        "rank": 1 << (m - stack_at(gens, u, idx.k)[0]),
+        "rank": 1 << (m - rank),
         "t": 1 << (t + order - 1),
-        "t_u": 1 << (t_u(gens, u) + order - 1),
+        "t_u": 1 << ((t if order == gens.s else t_u(gens, u)) + order - 1),
     }
     # t*_u = m + 1 - least, and least = |u| iff the first rows of u are dependent
     least = _least_gain_total(gens, u, 1)
@@ -382,10 +382,17 @@ def enumerate_gains(
     (:func:`~netgains.quality._least_gain_total`) eliminates every stack of
     the table once.  It hands each the normal forms of the ``s`` next rows;
     they are linear, so every ``u`` containing the support of ``k`` costs
-    one XOR, the free coordinates taken in Gray-code order.  The entries
-    are checked against the clamped t bound after the walk.  The maximal
-    gain they are held to is :func:`max_gain`'s value, read off the same
-    search from the first rows, with no witness.
+    one XOR, the free coordinates taken in Gray-code order; the walk takes
+    the least ``|u|`` of a gain there in place of its own test of the free
+    sets.  The entries are checked against the clamped t bound after the walk.
+
+    A complete table that holds a gain holds one of least ``|k|``, which
+    attains :func:`max_gain`'s Γ, and the bounds at the attaining
+    ``(u, k)`` are read off its entries over the subsets ``v`` of ``u``:
+    ``t*_u`` from their least ``|k|`` and ``t_u`` from their least
+    ``|v| + |k|``, exact at most ``max_depth + 2`` or at ``m + 1 - t`` (else
+    :func:`~netgains.quality.t_u` searches).  A truncated or empty table
+    takes Γ and the bounds from their own searches, as :func:`gain_bounds`.
 
     Entries come in ``(|u|, u, k)`` order, ``k`` lexicographic.
     ``max_visits`` keeps the first that many ``(u, k)`` in that order (the
@@ -393,8 +400,8 @@ def enumerate_gains(
     not shorten the walk.  Raises :class:`ResourceLimitError`, before any
     walk, when there are more than :data:`ENUMERATION_VISIT_LIMIT` pairs
     ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``, and
-    from the walk when its ``t`` search, or the ``t*`` search of the
-    maximal gain and the bounds, passes :data:`~netgains.quality.T_SEARCH_LIMIT`.
+    when its ``t`` search, or a search for Γ or the bounds, passes
+    :data:`~netgains.quality.T_SEARCH_LIMIT`.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -426,9 +433,11 @@ def enumerate_gains(
     gray = b"\0" + gray
     visited = 0
 
-    def record(k: list[int], rank: int, forms: list[int]) -> None:
+    def record(k: list[int], rank: int, forms: list[int]) -> int:
+        """Visit the quota's ``u`` containing ``supp(k)``; return the least ``|u| > 0`` with a gain, or 0."""
         nonlocal visited
         acc = u = 0
+        fewest = s + 1
         free_rows, free_bits = [0], [0]
         for j in range(s):
             if k[j]:
@@ -446,6 +455,9 @@ def enumerate_gains(
                 visited += 1
                 if not acc:
                     found[u].append(stack)
+            if not acc and u and u.bit_count() < fewest:
+                fewest = u.bit_count()
+        return fewest if fewest <= s else 0
 
     t = m + 1 - _least_gain_total(gens, range(1, s + 1), 0, max_depth, record)
     values = [GainValue(m - rank) for rank in range(m + 1)]
@@ -472,8 +484,19 @@ def enumerate_gains(
         at_low = (tuple(itertools.compress(st, members)) for st in found[mask] if st[-1] == low)
         gamma, attaining = values[low], SubsetIndex._trusted(u, min(at_low, key=lambda kk: (sum(kk), kk)))
 
-    theoretical = GainValue(m + s - _least_gain_total(gens, range(1, s + 1), 1))
-    bounds = _bounds(gens, attaining, t) if attaining is not None else {}
+    if attaining is None or truncated:
+        theoretical = GainValue(m + s - _least_gain_total(gens, range(1, s + 1), 1))
+        bounds = _bounds(gens, attaining, t, low) if attaining is not None else {}
+    else:
+        theoretical, umask, order = gamma, masks[attaining.u], len(attaining.u)
+        # the least |k| of an entry over each subset v of u, for t*_u; with |v| added, for t_u
+        shallow = {v: min(sum(st) - st[-1] for st in found[v]) for v in found if not v & ~umask}
+        least = min(v.bit_count() + depth for v, depth in shallow.items())
+        if least > max_depth + 2 and least != m + 1 - t:  # a gain past the table may have less
+            least = m + 1 - (t if umask == (1 << s) - 1 else t_u(gens, attaining.u))
+        bounds = {"rank": gamma.as_int, "t": 1 << (t + order - 1), "t_u": 1 << (m + order - least)}
+        if min(shallow.values()):
+            bounds["t_star_u"] = 1 << (m - min(shallow.values()))
     return GainReport(
         entries=entries,
         gamma_max=gamma,

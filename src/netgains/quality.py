@@ -10,10 +10,12 @@ depth vectors compete.  One search finds that least total for both
 ``u`` (so every subset of ``u``), where it is the least ``|v| + |k|`` of a
 nonzero gain, and ``t_star_u`` takes ``k >= 1``, the same walk started
 from the base of the first rows.  Both count their tests against
-:data:`T_SEARCH_LIMIT`.  :func:`first_rank_deficient_k` reads the
-lex-first ``k`` of the floor-1 least off a
-:class:`~netgains.netgen.StackWalk` of that fixed budget, the witness of
-:func:`~netgains.gains.max_gain`.  ``t_value`` is ``t_u`` of all
+:data:`T_SEARCH_LIMIT`; at the stacks of a gain table the table's own
+visit, which tries every free set, stands in for the search's test.
+:func:`first_rank_deficient_k` reads the lex-first ``k`` of the floor-1
+least off a :class:`~netgains.netgen.StackWalk` of that fixed budget, the
+witness of :func:`~netgains.gains.max_gain`, and counts the stacks of
+that scan against the same limit.  ``t_value`` is ``t_u`` of all
 coordinates and ``t_d`` the largest ``t_u`` over the subsets of size
 ``d``; the A_K table of :func:`quality_report` is read off the ranks of
 one more ``StackWalk``.  The combinatorial route counts points in
@@ -80,10 +82,19 @@ def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, .
     :func:`_least_gain_total` at floor 1 gives the least total.  No stack
     below it is deficient, so the first deficient ``k`` of a floor-1
     :class:`~netgains.netgen.StackWalk` with that total as its budget is the
-    lex-first of that total.
+    lex-first of that total.  That scan raises :class:`ResourceLimitError`
+    once it has walked more than :data:`T_SEARCH_LIMIT` stacks.
     """
-    walk = StackWalk(gens, u, (1,) * len(u), _least_gain_total(gens, u, 1))
-    return next(tuple(walk.k) for depth, rank, _ in walk if rank < depth)
+    least = _least_gain_total(gens, u, 1)
+    walk = StackWalk(gens, u, (1,) * len(u), least)
+    for walked, (depth, rank, _) in enumerate(walk, 1):
+        if walked > T_SEARCH_LIMIT:
+            raise ResourceLimitError(
+                f"witness scan at total {least} over s={len(walk.k)} coordinates at m={gens.m} walked more than "
+                f"{T_SEARCH_LIMIT} stacks"
+            )
+        if rank < depth:
+            return tuple(walk.k)
 
 
 def t_star_u(gens: GeneratorSet, u: Sequence[int]) -> int:
@@ -140,10 +151,15 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, tabl
     so it tests every pair below the least found so far, which a pair that
     qualifies lowers.  It also goes to every ``k`` with ``|k| <= table_depth``
     and calls ``visit(k, rank, forms)`` there, ``k`` a list updated in place.
+    The visit returns the least ``|v|`` of a nonempty ``v`` containing
+    ``supp(k)`` whose forms XOR to 0, or 0 if there is none: it has tried
+    every free set, so the walk lowers the least to ``|k|`` plus that and
+    tests nothing more there.
 
     Raises :class:`ResourceLimitError` once its tests pass
-    :data:`T_SEARCH_LIMIT`: one per stack with ``|k| + |supp k|`` below
-    the least, and one per XOR of free forms listed there (:func:`_fewest`).
+    :data:`T_SEARCH_LIMIT`: one per visit, one per other stack with
+    ``|k| + |supp k|`` below the least, and one per XOR of free forms
+    listed there (:func:`_fewest`).
     """
     u = _coordinates(gens, u)
     m, n = gens.m, len(u)
@@ -164,9 +180,11 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, tabl
         over ``supp(k)``; ``held`` has a bit set at each pivot's leading bit.
         """
         nonlocal least, tests
-        if depth <= table_depth:
-            visit(k, held.bit_count(), forms)
-        if not cost:  # the base alone: v = F, the next rows before its last j XOR to j's
+        if depth <= table_depth:  # the visit tries every v containing supp(k)
+            tests += 1
+            fewest = visit(k, held.bit_count(), forms)
+            least = min(least, depth + fewest) if fewest else least
+        elif not cost:  # the base alone: v = F, the next rows before its last j XOR to j's
             tests += 1
             for j in range(n):
                 if not forms[j]:

@@ -509,12 +509,13 @@ def test_gains_refuses_an_unbounded_depth(joekuo_file, capsys):
 def test_t_search_past_its_ceiling_exits_invalid(command, monkeypatch, joekuo_file, capsys):
     from netgains import quality
 
-    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 867)  # sobol_net(5, 10) needs 868
+    need = 868 if command[0] == "analyze" else 733  # sobol_net(5, 10)'s t search, and its depth-1 table's walk
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", need - 1)
     code = main([command[0], "--dirnum", joekuo_file, "--dims", "5", "--m", "10", *command[1:]])
     assert code == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: t search over s=5 coordinates at m=10 made more than 867 ")
+    assert captured.err.startswith(f"error: t search over s=5 coordinates at m=10 made more than {need - 1} ")
 
 
 def test_t_star_search_past_its_ceiling_exits_invalid(monkeypatch, joekuo_file, capsys):
@@ -526,6 +527,19 @@ def test_t_star_search_past_its_ceiling_exits_invalid(monkeypatch, joekuo_file, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: t* search over s=7 coordinates at m=16 made more than 846 ")
+
+
+def test_witness_scan_past_its_ceiling_exits_invalid(monkeypatch, joekuo_file, capsys):
+    from netgains import quality
+
+    # sobol_net(7, 16)'s witness scan walks 55 stacks; the t* search is stubbed to its total, 12
+    monkeypatch.setattr(quality, "_least_gain_total", lambda gens, u, floor=0: 12)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 54)
+    code = main(["analyze", "--dirnum", joekuo_file, "--dims", "7", "--m", "16"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: witness scan at total 12 over s=7 coordinates at m=16 walked more than 54 ")
 
 
 @pytest.mark.parametrize("command", [["gen"], ["scramble"], ["integrate"]])

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gf2_reference import assemble_cuk, nullspace_of_rows, nullspace_rank, row_reduce
-from netgains import gains
+from netgains import gains, quality
 from netgains.gains import (
     GainValue,
     NullTable,
@@ -24,7 +25,7 @@ from netgains.gains import (
     max_gain,
 )
 from netgains.gf2 import BitMatrix, PivotTable
-from netgains.netgen import GeneratorSet, NetPoints, StackWalk, SubsetIndex, generate_points
+from netgains.netgen import GeneratorSet, NetPoints, StackWalk, SubsetIndex, generate_points, stack_at
 from netgains.quality import t_value
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import ScrambleKind, ScrambleSpec, scramble
@@ -638,6 +639,84 @@ def test_enumerate_matches_scratch_loop_for_every_budget():
             assert report.gamma_max == (
                 GainValue.zero() if want["attaining"] is None else scratch_gain(gens, want["attaining"])
             )
+
+
+def searched_gamma_and_bounds(gens: GeneratorSet, attaining: SubsetIndex | None, t: int) -> tuple:
+    """Γ and the bounds at the witness as their own searches find them: the floor-1 search
+    over all coordinates, the rank of the witness's stack, and the t_u and t*_u searches of its u."""
+    s, m = gens.s, gens.m
+    theoretical = GainValue(m + s - quality._least_gain_total(gens, range(1, s + 1), 1))
+    if attaining is None:
+        return theoretical, {}
+    u, order = attaining.u, attaining.order
+    bounds = {
+        "rank": 1 << (m - stack_at(gens, u, attaining.k)[0]),
+        "t": 1 << (t + order - 1),
+        "t_u": 1 << (quality.t_u(gens, u) + order - 1),
+    }
+    least = quality._least_gain_total(gens, u, 1)
+    if least > order:
+        bounds["t_star_u"] = 1 << (m + order - least)
+    return theoretical, bounds
+
+
+def test_table_reads_gamma_and_bounds_as_the_searches_find_them(monkeypatch):
+    searched, asked = gains.t_u, []
+    monkeypatch.setattr(gains, "t_u", lambda gens, u: asked.append(u) or searched(gens, u))
+    rng = random.Random(2106)
+    seen = Counter()
+    for i in range(2400):
+        # dense, sparse, with a repeated matrix, or with the last first row a XOR of earlier ones, by i % 4
+        s, m = rng.randint(1, 7), rng.randint(2, 10)
+        mats = []
+        for _ in range(s):
+            rows = [rng.randrange(1 << m) for _ in range(m)]
+            if i % 4 == 1:
+                rows = [r & rng.randrange(1 << m) & rng.randrange(1 << m) for r in rows]
+            mats.append(BitMatrix(m, tuple(rows)))
+        if i % 4 == 2 and s > 1:
+            mats[-1] = rng.choice(mats[:-1])
+        elif i % 4 == 3 and s > 1:
+            first = 0
+            for mat in rng.sample(mats[:-1], rng.randint(1, s - 1)):
+                first ^= mat.rows[0]
+            mats[-1] = BitMatrix(m, (first,) + mats[-1].rows[1:])
+        gens = GeneratorSet(tuple(mats))
+        depth = rng.choice((0, 0, 1, 1, 2, 3))
+        max_visits = rng.choice((None, None, rng.randint(0, 60)))
+        t = t_value(gens)
+        asked.clear()
+        report = enumerate_gains(gens, depth, max_visits=max_visits)
+        theoretical, bounds = searched_gamma_and_bounds(gens, report.attaining, t)
+        assert (report.theoretical, report.bounds) == (theoretical, bounds), (gens, depth, max_visits)
+        assert report.attained_theoretical == (report.gamma_max == theoretical)
+        if report.attaining is None:
+            seen["empty"] += 1
+        elif report.truncated:
+            seen["truncated"] += 1
+        else:
+            seen["read off the table"] += 1
+            seen["t_u searched"] += bool(asked)
+            # no entry is of the least total, so the t search found it past the table
+            seen["t found past the table"] += all(ix.order + ix.depth > m + 1 - t for ix, _ in report.entries)
+    assert min(seen.values()) >= 15 and len(seen) == 5, seen
+
+
+def test_table_falls_back_to_the_t_u_search(monkeypatch):
+    searched, asked = gains.t_u, []
+    monkeypatch.setattr(gains, "t_u", lambda gens, u: asked.append(u) or searched(gens, u))
+    gens = sobol_net(5, 4)
+    witness = SubsetIndex((1, 3, 4, 5), (0, 0, 0, 0))
+    # at depth 0 the only gain over a subset of the witness's u is its own, of total 4; one
+    # of total 3 could have |k| = 1, past the table, so the t_u search decides (it finds one)
+    report = enumerate_gains(gens, 0)
+    assert report.attaining == witness and asked == [witness.u]
+    assert report.bounds["t_u"] == 1 << (2 + 3) and quality.t_u(gens, witness.u) == 2
+    # at depth 1 the table holds the gains of total 3, and a total of 2 + 1 is exact
+    asked.clear()
+    report = enumerate_gains(gens, 1)
+    assert report.attaining == witness and asked == []
+    assert report.bounds == searched_gamma_and_bounds(gens, witness, t_value(gens))[1]
 
 
 def test_enumerate_refuses_oversized_boxes_before_walking(monkeypatch, shift):

@@ -234,12 +234,18 @@ def test_t_search_refuses_past_its_ceiling(monkeypatch):
 
     gens = sobol_net(5, 10)  # its t search makes 868 tests, that over (1, 3) 59
     monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 868)
-    assert t_value(gens) == 3 and enumerate_gains(gens, 1).visited == 111
+    assert t_value(gens) == 3
     monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 867)
-    for search in (t_value, lambda gens: t_d(gens, 5), lambda gens: enumerate_gains(gens, 1)):
+    for search in (t_value, lambda gens: t_d(gens, 5)):
         with pytest.raises(ResourceLimitError, match=r"^t search over s=5 coordinates at m=10 made more than 867 "):
             search(gens)
     assert t_u(gens, (1, 3)) == 1
+    # the walk of the depth-1 table makes 733: at a table stack the visit's free sets stand in for its own
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 733)
+    assert enumerate_gains(gens, 1).visited == 111
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 732)
+    with pytest.raises(ResourceLimitError, match=r"^t search over s=5 coordinates at m=10 made more than 732 "):
+        enumerate_gains(gens, 1)
 
     # the free forms of the empty stack alone would list more than 2^12 XORs
     wide = random_generator_set(random.Random(5), 24, 32)
@@ -273,6 +279,23 @@ def test_t_star_search_refuses_past_its_ceiling(monkeypatch):
     monkeypatch.setattr(gains, "t_u", lambda gens, u: t)
     with pytest.raises(ResourceLimitError, match=message):
         gain_bounds(gens, SubsetIndex(full, (1,) * 7))
+
+
+def test_witness_scan_refuses_past_its_ceiling(monkeypatch):
+    from netgains.gains import GainValue, max_gain
+
+    gens = sobol_net(7, 16)  # its witness scan walks 55 stacks at total 12
+    full = tuple(range(1, 8))
+    least = quality._least_gain_total(gens, full, 1)
+    # the floor-1 search stubbed to the total it finds, so the scan is the only one that counts
+    monkeypatch.setattr(quality, "_least_gain_total", lambda gens, u, floor=0: least)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 55)
+    assert least == 12 and max_gain(gens)[0] == GainValue(16 + 7 - 12)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 54)
+    message = r"^witness scan at total 12 over s=7 coordinates at m=16 walked more than 54 stacks$"
+    for scan in (lambda gens: first_rank_deficient_k(gens, full), max_gain):
+        with pytest.raises(ResourceLimitError, match=message):
+            scan(gens)
 
 
 def test_subset_identities(shift, sobol2d):
