@@ -13,11 +13,7 @@ from .netgen import (
 )
 from .quality import (
     QualityReport,
-    microstructure_A,
-    microstructure_AK,
-    minimal_counting_t,
     quality_report,
-    t_d,
     t_star_u,
     t_u,
     t_value,
@@ -28,7 +24,6 @@ from .gains import (
     GainValue,
     ResourceLimitError,
     enumerate_gains,
-    gain_bounds,
     gain_bruteforce,
     gain_fast,
     gain_pair_table,
@@ -62,11 +57,7 @@ __all__ = [
     "t_value",
     "t_star_u",
     "t_u",
-    "t_d",
     "verify_net_by_counting",
-    "minimal_counting_t",
-    "microstructure_A",
-    "microstructure_AK",
     "GainValue",
     "GainReport",
     "ResourceLimitError",
@@ -75,7 +66,6 @@ __all__ = [
     "gain_pair_table",
     "gain_representation",
     "max_gain",
-    "gain_bounds",
     "enumerate_gains",
     "ScrambleKind",
     "ScrambleSpec",

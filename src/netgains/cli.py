@@ -14,6 +14,7 @@ import json
 import secrets
 import sys
 from contextlib import contextmanager
+from typing import Iterable
 
 import numpy as np
 
@@ -31,6 +32,8 @@ EXIT_SUITE = 3
 # keeps about 63 B per replicate, and the sweep about 1.1 kB per trial's NetRecord.
 REPS_LIMIT = 1 << 22
 TRIALS_LIMIT = 1 << 18
+# Rows of points that --json gen holds as Python ints at a time.
+_JSON_ROWS = 1 << 14
 
 _KINDS = {
     "rls": ScrambleKind.RANDOM_LINEAR,
@@ -112,6 +115,19 @@ def _emit(args, payload: dict) -> None:
         fh.write("\n")
 
 
+def _emit_json_list(args, payload: dict, parts: Iterable[str]) -> None:
+    """``--json`` text of ``payload`` whose last value, an empty list, gets the items
+    of ``parts``: JSON texts of one or more items each, written one at a time so that
+    no more than one part is held."""
+    head = json.dumps(payload)
+    with _out_stream(args.out) as fh:
+        fh.write(head[:-2])
+        for i, part in enumerate(parts):
+            fh.write(", " if i else "")
+            fh.write(part)
+        fh.write("]}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netgains",
@@ -173,14 +189,9 @@ def cmd_gen(args) -> int:
     gens = _load(args)
     points = netgen.generate_points(gens)
     if args.json:
-        _emit(
-            args,
-            {
-                "s": points.s,
-                "m": points.m,
-                "numerators": [[int(v) for v in row] for row in points.coords],
-            },
-        )
+        blocks = (points.coords[i : i + _JSON_ROWS] for i in range(0, points.n, _JSON_ROWS))
+        _emit_json_list(args, {"s": points.s, "m": points.m, "numerators": []},
+                        (json.dumps(block.tolist())[1:-1] for block in blocks))
     elif args.format == "csv":
         with _out_stream(args.out) as fh:
             netgen.write_points_csv(points.coords, points.m, fh)
@@ -236,14 +247,8 @@ def cmd_scramble(args) -> int:
     bits = args.output_bits if args.output_bits is not None else gens.m
     scrambles = _scrambles(points, ScrambleSpec(kind, bits), _ReplicateSeeds(seed, args.reps))
     if args.json:
-        # _emit's text, written one replicate at a time so that no more than one is held as ints
-        head = json.dumps({"kind": kind.value, "output_bits": bits, "seed": seed, "numerators": []})
-        with _out_stream(args.out) as fh:
-            fh.write(head[:-2])
-            for r, sp in enumerate(scrambles):
-                fh.write(", " if r else "")
-                fh.write(json.dumps(sp.numerators.tolist()))
-            fh.write("]}\n")
+        _emit_json_list(args, {"kind": kind.value, "output_bits": bits, "seed": seed, "numerators": []},
+                        (json.dumps(sp.numerators.tolist()) for sp in scrambles))
     elif args.format == "csv":
         with _out_stream(args.out) as fh:
             for sp in scrambles:

@@ -48,11 +48,14 @@ from .netgen import (
     _xor_span,
     stack_at,
 )
-from .quality import _box_counts, _least_gain_total, first_rank_deficient_k, t_u, t_value
+from .quality import _box_counts, _least_gain_total, first_rank_deficient_k, t_u
 
 ENUMERATION_VISIT_LIMIT = 1 << 24
 _BRUTE_CHUNK = 512
 _PAIR_BLOCK_LOG2 = 16  # at most 2^16 rows of points per block of gain_pair_table
+# Largest pairwise table, (m + 3)^s int64 cells (32 MiB); gain_pair_table peaks at
+# about 24 bytes a cell while it builds one.
+PAIR_TABLE_CELL_LIMIT = 1 << 22
 
 
 @total_ordering
@@ -139,9 +142,12 @@ def gain_pair_table(points: NetPoints) -> np.ndarray:
     along each axis with W below a leading all-ones row.  Both the check
     and the histogram run over blocks of at most an eighth of the rows
     (but 64 rows at least and ``2**16`` at most), so beyond the table
-    itself the temporaries stay below the size of the points.
+    itself the temporaries stay below the size of the points.  A table of
+    more than :data:`PAIR_TABLE_CELL_LIMIT` cells raises
+    :class:`ResourceLimitError` before any is allocated.
     """
     n, m, s = points.n, points.m, points.s
+    _refuse_pair_table(s, m, f"s={s}, m={m}")
     # y(q * 2^b + i) must be high[q] ^ low[i], checked and counted a block of 2^b rows at a time
     b = min(m, max(6, m - 3), _PAIR_BLOCK_LOG2)
     x0 = points.coords[0]
@@ -167,6 +173,15 @@ def gain_pair_table(points: NetPoints) -> np.ndarray:
         # contracts the leading depth axis and appends its (u, k) axis at the end
         table = np.tensordot(table, weight, axes=([0], [1]))
     return table
+
+
+def _refuse_pair_table(s: int, m: int, sizes: str) -> None:
+    """Refuse a pairwise table of ``(m + 3)^s`` cells past :data:`PAIR_TABLE_CELL_LIMIT`; ``sizes``
+    names ``s`` and ``m``.  23 factors ``m + 3 >= 2`` pass it, so a huge ``s`` is cheap."""
+    if (m + 3) ** min(s, PAIR_TABLE_CELL_LIMIT.bit_length()) > PAIR_TABLE_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"pairwise table of {sizes} has {m + 3}^{s} cells (limit {PAIR_TABLE_CELL_LIMIT})"
+        )
 
 
 def gain_representation(gens: GeneratorSet, idx: SubsetIndex) -> int:
@@ -304,19 +319,14 @@ def _minimal_dependent_first_rows(gens: GeneratorSet) -> tuple[int, ...]:
     return _circuit(gens, tuple(range(1, f + 1)), (1,) * f)
 
 
-def gain_bounds(gens: GeneratorSet, idx: SubsetIndex) -> dict[str, int]:
-    """Every applicable upper bound for the gain at ``idx``, by name.
-
-    "rank" is ``2**(m - rank)`` of the stacked matrix; "t", "t_u" and
-    "t_star_u" are ``2**(param + |u| - 1)``.  The t* bound only applies
-    when the one-row-per-coordinate stack over ``u`` has full rank, so it
-    is omitted otherwise.
-    """
-    rank = stack_at(gens, idx.u, idx.k)[0]  # its walk refuses an idx beyond the net before the t search
-    return _bounds(gens, idx, t_value(gens), rank)
-
-
 def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int, rank: int) -> dict[str, int]:
+    """Every applicable upper bound for the gain at ``idx``, by name, given ``t`` and the rank of its stack.
+
+    "rank" is ``2**(m - rank)``; "t", "t_u" and "t_star_u" are
+    ``2**(param + |u| - 1)``.  The t* bound only applies when the
+    one-row-per-coordinate stack over ``u`` has full rank, so it is omitted
+    otherwise.
+    """
     u, order, m = idx.u, idx.order, gens.m
     out = {
         "rank": 1 << (m - rank),
@@ -392,7 +402,7 @@ def enumerate_gains(
     ``t*_u`` from their least ``|k|`` and ``t_u`` from their least
     ``|v| + |k|``, exact at most ``max_depth + 2`` or at ``m + 1 - t`` (else
     :func:`~netgains.quality.t_u` searches).  A truncated or empty table
-    takes Γ and the bounds from their own searches, as :func:`gain_bounds`.
+    takes Γ and the bounds from their own searches (:func:`_bounds`).
 
     Entries come in ``(|u|, u, k)`` order, ``k`` lexicographic.
     ``max_visits`` keeps the first that many ``(u, k)`` in that order (the
@@ -513,6 +523,7 @@ def enumerate_gains(
 
 __all__ = [
     "ENUMERATION_VISIT_LIMIT",
+    "PAIR_TABLE_CELL_LIMIT",
     "ResourceLimitError",
     "GainValue",
     "GainReport",
@@ -522,6 +533,5 @@ __all__ = [
     "gain_representation",
     "NullTable",
     "max_gain",
-    "gain_bounds",
     "enumerate_gains",
 ]

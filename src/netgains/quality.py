@@ -1,10 +1,9 @@
 """Quality parameters of digital nets in base 2.
 
-Two independent routes to the same quantities live here.  The algebraic
-route works on generator matrices: the t parameter is ``m + 1`` minus the
-smallest total depth at which some stacked row matrix goes rank deficient,
-and the subset-restricted variants ``t_u`` / ``t_star_u`` restrict which
-depth vectors compete.  One search finds that least total for both
+The t parameter is ``m + 1`` minus the smallest total depth at which some
+stacked row matrix of the generators goes rank deficient, and the
+subset-restricted variants ``t_u`` / ``t_star_u`` restrict which depth
+vectors compete.  One search finds that least total for both
 (:func:`_least_gain_total`, which also builds the tables of
 :func:`~netgains.gains.enumerate_gains`): ``t_u`` takes ``k >= 0`` over
 ``u`` (so every subset of ``u``), where it is the least ``|v| + |k|`` of a
@@ -16,12 +15,12 @@ visit, which tries every free set, stands in for the search's test.
 least off a :class:`~netgains.netgen.StackWalk` of that fixed budget, the
 witness of :func:`~netgains.gains.max_gain`, and counts the stacks of
 that scan against the same limit.  ``t_value`` is ``t_u`` of all
-coordinates and ``t_d`` the largest ``t_u`` over the subsets of size
-``d``; the A_K table of :func:`quality_report` is read off the ranks of
-one more ``StackWalk``.  The combinatorial route counts points in
-dyadic boxes (:func:`verify_net_by_counting`, :func:`microstructure_AK`)
-and never touches a matrix, which makes it the oracle for the algebraic
-route.
+coordinates.  :func:`quality_report` takes its ``t_d`` table, the largest
+``t*_u`` over the subsets of at most ``d`` coordinates, from a subset DP,
+and reads its A_K table off the ranks of one more ``StackWalk``.
+:func:`verify_net_by_counting` checks the balance of a point set directly,
+counting points in the dyadic boxes of one total depth, and never touches
+a matrix; the sweeps run it on scrambled nets.
 """
 
 from __future__ import annotations
@@ -35,24 +34,20 @@ import numpy as np
 from .gf2 import PivotTable
 from .netgen import GeneratorSet, NetPoints, ResourceLimitError, StackWalk, _coordinates, _subsets, stack_at
 
-_PACK_LIMIT = 64  # total key bits that still fit one uint64 per point
 T_SEARCH_LIMIT = 1 << 23  # stacks and free-set XORs a t search may test
 
 
-def compositions(total: int, parts: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All ``parts``-tuples with entries in [lo, hi] summing to ``total``, lex order."""
-    if hi is None:
-        hi = total
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ``parts``-tuples of entries >= 0 summing to ``total``, lex order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
     if parts == 1:
-        if lo <= total <= hi:
-            yield (total,)
+        yield (total,)
         return
-    for head in range(lo, min(hi, total - lo * (parts - 1)) + 1):
-        for tail in compositions(total - head, parts - 1, lo, hi):
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
 
 
@@ -70,10 +65,6 @@ def _box_counts(s: int, cap: int, max_depth: int) -> list[int]:
         ways = [prefix[d + 1] - prefix[max(0, d - cap)] for d in range(top + 1)]
         counts.append(sum(ways))
     return counts
-
-
-def _ceil_log2(count: int) -> int:
-    return (count - 1).bit_length()
 
 
 def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
@@ -267,14 +258,6 @@ def _fewest(forms: list[int], target: int, most: int, spare: int) -> tuple[int, 
     return 0, work
 
 
-def t_d(gens: GeneratorSet, d: int) -> int:
-    """Worst t*_u over all subsets of at most ``d`` coordinates: the largest
-    :func:`t_u` over the subsets of exactly ``d``, which contain the rest."""
-    if not 1 <= d <= gens.s:
-        raise ValueError(f"d must be in [1, {gens.s}], got {d}")
-    return max(t_u(gens, u) for u in itertools.combinations(range(1, gens.s + 1), d))
-
-
 def t_value(gens: GeneratorSet) -> int:
     """The net's t parameter, from ranks of stacked generator rows.
 
@@ -288,18 +271,14 @@ def t_value(gens: GeneratorSet) -> int:
 # --- counting route ----------------------------------------------------------
 
 def _cell_counts(points: NetPoints, k: Sequence[int]) -> np.ndarray:
-    """Occupancy counts of the nonempty depth-``k`` dyadic cells."""
+    """Occupancy counts of the nonempty depth-``k`` dyadic cells, ``|k| <= m``, so that
+    a cell's ``|k|``-bit label fits one uint64 key."""
     m = points.m
-    depths = [min(int(kj), m) for kj in k]
-    if sum(depths) <= _PACK_LIMIT:
-        key = np.zeros(points.n, dtype=np.uint64)
-        for j, kj in enumerate(depths):
-            key <<= np.uint64(kj)
-            key |= points.coords[:, j] >> np.uint64(m - kj)
-        _, counts = np.unique(key, return_counts=True)
-    else:
-        shifted = points.coords >> np.array([m - kj for kj in depths], dtype=np.uint64)
-        _, counts = np.unique(shifted, axis=0, return_counts=True)
+    key = np.zeros(points.n, dtype=np.uint64)
+    for j, kj in enumerate(k):
+        key <<= np.uint64(kj)
+        key |= points.coords[:, j] >> np.uint64(m - kj)
+    _, counts = np.unique(key, return_counts=True)
     return counts
 
 
@@ -315,52 +294,6 @@ def verify_net_by_counting(points: NetPoints, t: int) -> bool:
         raise ValueError(f"t must be in [0, {m}], got {t}")
     counts = (_cell_counts(points, k) for k in compositions(m - t, points.s))
     return all(c.min() == c.max() == 1 << t for c in counts)
-
-
-def minimal_counting_t(points: NetPoints) -> int:
-    """Smallest t accepted by :func:`verify_net_by_counting` (m always is)."""
-    for t in range(points.m + 1):
-        if verify_net_by_counting(points, t):
-            return t
-    raise AssertionError("unreachable: t = m leaves a single box")
-
-
-def microstructure_A(points: NetPoints, k: Sequence[int]) -> int:
-    """Ceiling log2 of the fullest depth-``k`` dyadic cell."""
-    if points.n == 0:
-        raise ValueError("empty point set")
-    k = tuple(int(kj) for kj in k)
-    if len(k) != points.s:
-        raise ValueError(f"k must have {points.s} entries, got {len(k)}")
-    if any(kj < 0 for kj in k):
-        raise ValueError(f"negative depth in {k}")
-    return _ceil_log2(int(_cell_counts(points, k).max()))
-
-
-def microstructure_AK(points: NetPoints, total: int) -> int:
-    """Worst :func:`microstructure_A` over all depth vectors summing to ``total``.
-
-    Depths beyond ``m`` in one coordinate see no further digits, so vectors
-    with an oversized entry collapse onto clamped ones; past ``m`` the
-    single-coordinate vectors ``(0,..,m,..,0)`` dominate every collapsed
-    shape and stand in for all of them.
-    """
-    if total < 0:
-        raise ValueError(f"total depth must be >= 0, got {total}")
-    m, s = points.m, points.s
-    best = 0
-    seen = False
-    for k in compositions(total, s, lo=0, hi=min(total, m)):
-        best = max(best, microstructure_A(points, k))
-        seen = True
-    if total > m:
-        for j in range(s):
-            k = tuple(m if jj == j else 0 for jj in range(s))
-            best = max(best, microstructure_A(points, k))
-            seen = True
-    if not seen:
-        raise AssertionError("unreachable: some depth vector always exists")
-    return best
 
 
 # --- report -------------------------------------------------------------------
@@ -404,8 +337,10 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
     the full-set and singleton entries are always present.  ``a_k_max``
     bounds the A_K table (default ``m``).  A digital net puts ``2**(m - rank C_k)``
     points in each nonempty box of shape ``k``, so A_K is ``m`` less the least
-    rank at total ``K``: one floor-0 walk with budget ``a_k_max``, no points,
-    and past ``m`` the stand-ins of :func:`microstructure_AK`.  More than
+    rank at total ``K``: one floor-0 walk with budget ``a_k_max``, no points.
+    Depths past ``m`` in one coordinate see no further digits, so past ``m``
+    the single-coordinate shapes ``(0,..,m,..,0)`` stand in for every shape
+    with such an entry.  More than
     :data:`A_K_KEY_LIMIT` stacks and table entries is refused before any search.
     """
     if a_k_max is not None and a_k_max < 0:
@@ -473,11 +408,7 @@ __all__ = [
     "t_value",
     "t_star_u",
     "t_u",
-    "t_d",
     "verify_net_by_counting",
-    "minimal_counting_t",
-    "microstructure_A",
-    "microstructure_AK",
     "QualityReport",
     "quality_report",
     "SUBSET_ENUMERATION_LIMIT",

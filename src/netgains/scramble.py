@@ -250,8 +250,8 @@ class HaarIntegrand:
     The value at x is ``amplitude * prod_j sign(k_j-th-level half of x_j)``
     with +1 on the left half of each depth-``k_j`` dyadic cell and -1 on
     the right half.  Mean 0, variance amplitude^2, and constant on cells of
-    depth ``k_j + 1``, so evaluating on scrambled numerators with enough
-    digits is exact.
+    depth ``k_j + 1``, so it is evaluated exactly on scrambled numerators
+    with enough digits (:meth:`values_from_cells`), never on reals.
     """
 
     u: tuple[int, ...]
@@ -276,17 +276,6 @@ class HaarIntegrand:
         for j, kj in zip(self.u, self.k):
             bit = (numerators[..., j - 1] >> np.uint64(bits - (kj + 1))) & np.uint64(1)
             out *= 1.0 - 2.0 * bit.astype(np.float64)
-        return out
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Values at the reals ``x`` (one point per row).  A float carries 53
-        bits, so a wave needing more digits is refused: read it from cells."""
-        if self.needed_bits > 53:
-            raise ValueError(f"haar integrand at k={self.k} needs more than the 53 digits of a float")
-        out = np.full(x.shape[0], self.amplitude)
-        for j, kj in zip(self.u, self.k):
-            cell = np.floor(x[:, j - 1] * float(1 << (kj + 1))).astype(np.int64)
-            out *= 1.0 - 2.0 * (cell & 1).astype(np.float64)
         return out
 
 
@@ -325,8 +314,9 @@ def estimate(
     ``variance_of_mean`` is the unbiased sample variance of the replicate
     means divided by the replicate count.  ``integrand`` maps the rows of
     an array of points to one value each; it is called on the points of
-    many replicates at once.  A :class:`HaarIntegrand` is read from the
-    scrambled cells instead, at ``max(output bits, max(k) + 1)`` digits.
+    many replicates at once.  A :class:`HaarIntegrand` is not callable: it
+    is read from the scrambled cells, at ``max(output bits, max(k) + 1)``
+    digits.
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")

@@ -30,8 +30,10 @@ from fractions import Fraction
 import numpy as np
 
 from .gains import (
+    PAIR_TABLE_CELL_LIMIT,
     NullTable,
     ResourceLimitError,
+    _refuse_pair_table,
     _signed_count,
     enumerate_gains,
     gain_pair_table,
@@ -44,12 +46,11 @@ from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
 
 _MAX_FAILURES = 20
-# Largest pairwise table, (m + 3)^s int64 cells (32 MiB); the (m + 2)^s box
-# of such a net is far beyond what the oracles can walk anyway.  The rank
-# and nullspace tables (int8 and int32) and the checks' temporaries peak at 16
-# bytes a cell (64 MiB) on top of it: no more than gain_pair_table's own
-# peak of about 24 bytes a cell while it builds the table.
-PAIR_TABLE_CELL_LIMIT = 1 << 22
+# PAIR_TABLE_CELL_LIMIT also bounds the net: the (m + 2)^s box of the largest
+# table is far beyond what the oracles can walk anyway.  The rank and nullspace
+# tables (int8 and int32) and the checks' temporaries peak at 16 bytes a cell
+# (64 MiB) on top of the pairwise table: no more than gain_pair_table's own
+# peak of about 24 bytes a cell while it builds it.
 # Ceiling on (2^s - 1) * 2^m, the nullspace states of the k = 0 triples: it holds a net
 # to 2^24 points, so every signed count (2^m at most) fits the int32 nullspace table.
 NULLSPACE_LOG2_LIMIT = 24
@@ -195,12 +196,8 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
 
 def _refuse_net(s: int, m: int, sizes: str) -> None:
     """Refuse a net past either ceiling of :func:`evaluate_net`, on its pairwise table and on its
-    points (which bound its counts), both growing with ``s`` and ``m``; ``sizes`` names them.
-    23 factors ``m + 3 >= 2`` pass the first, so a huge ``s`` is cheap."""
-    if (m + 3) ** min(s, PAIR_TABLE_CELL_LIMIT.bit_length()) > PAIR_TABLE_CELL_LIMIT:
-        raise ResourceLimitError(
-            f"pairwise table of {sizes} has {m + 3}^{s} cells (limit {PAIR_TABLE_CELL_LIMIT})"
-        )
+    points (which bound its counts), both growing with ``s`` and ``m``; ``sizes`` names them."""
+    _refuse_pair_table(s, m, sizes)
     if ((1 << s) - 1) << m > 1 << NULLSPACE_LOG2_LIMIT:
         raise ResourceLimitError(
             f"the k = 0 triples of {sizes} have (2^{s} - 1) * 2^{m} nullspace states (limit "

@@ -10,16 +10,12 @@ import time
 
 import pytest
 
+from oracles import microstructure_AK, minimal_counting_t
 from netgains.cli import EXIT_OK, main
 from netgains.gains import gain_fast, max_gain
 from netgains.gf2 import BitMatrix
 from netgains.netgen import generate_points, load_generators
-from netgains.quality import (
-    microstructure_AK,
-    minimal_counting_t,
-    t_star_u,
-    t_value,
-)
+from netgains.quality import t_star_u, t_value
 from netgains.samples import JOE_KUO_HEAD, shift_net, sobol_net
 from netgains.scramble import ScrambleKind, ScrambleSpec, verify_gain_identity
 from netgains.suites import (

@@ -42,6 +42,20 @@ def test_from_scratch_references_live_in_the_tests():
     assert all(callable(getattr(gf2_reference, name)) for name in moved)
 
 
+def test_test_only_oracles_live_in_the_tests():
+    import oracles
+    from netgains import quality
+
+    moved = {"minimal_counting_t", "microstructure_A", "microstructure_AK", "_ceil_log2", "t_d", "gain_bounds"}
+    for mod in (netgains, *(importlib.import_module(f"netgains.{name}") for name in MODULES)):
+        assert not moved & set(vars(mod)), mod.__name__
+        assert not moved & set(getattr(mod, "__all__", ())), mod.__name__
+    assert all(callable(getattr(oracles, name)) for name in moved | {"haar_at_reals", "_cell_counts"})
+    assert not callable(netgains.HaarIntegrand((1,), (0,)))
+    assert not {"lo", "hi"} & set(inspect.signature(quality.compositions).parameters)
+    assert "_PACK_LIMIT" not in vars(quality)
+
+
 def test_names_nothing_calls_are_deleted():
     from netgains.gf2 import BitMatrix, PivotTable
     from netgains.netgen import NetPoints

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from gf2_reference import assemble_cuk, nullspace_of_rows, nullspace_rank, row_reduce
+from oracles import gain_bounds
 from netgains import gains, quality
 from netgains.gains import (
+    PAIR_TABLE_CELL_LIMIT,
     GainValue,
     NullTable,
     ResourceLimitError,
     _signed_count,
     enumerate_gains,
-    gain_bounds,
     gain_bruteforce,
     gain_fast,
     gain_pair_table,
@@ -191,6 +192,29 @@ def test_pair_table_temporaries_stay_below_the_points():
         tracemalloc.stop()
     assert pts.coords.nbytes == 8 << 20
     assert peak <= pts.coords.nbytes
+
+
+def test_pair_table_past_its_ceiling_is_refused_before_allocating(monkeypatch):
+    import tracemalloc
+
+    # 11^8 int64 cells, 1.7 GB before the contraction's temporaries
+    pts = generate_points(random_generator_set(random.Random(0), 8, 8))
+    assert (8 + 3) ** 8 > PAIR_TABLE_CELL_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"^pairwise table of s=8, m=8 has 11\^8 cells "):
+            gain_pair_table(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the ceiling is on the (m + 3)^s cells: 5^3 at s = 3, m = 2
+    small = generate_points(random_generator_set(random.Random(1), 3, 2))
+    monkeypatch.setattr(gains, "PAIR_TABLE_CELL_LIMIT", 5**3)
+    assert gain_pair_table(small).shape == (5, 5, 5)
+    monkeypatch.setattr(gains, "PAIR_TABLE_CELL_LIMIT", 5**3 - 1)
+    with pytest.raises(ResourceLimitError, match=r"5\^3 cells \(limit 124\)"):
+        gain_pair_table(small)
 
 
 # --- gain_representation -------------------------------------------------------------
@@ -458,12 +482,12 @@ def test_max_gain_past_20_coordinates_takes_a_minimal_witness():
 # --- gain_bounds ------------------------------------------------------------------------
 
 def test_an_index_beyond_the_net_is_refused_before_any_search(shift, monkeypatch):
-    from netgains import gains
+    import oracles
 
     def no_search(gens):
         raise AssertionError("searched for t before checking the index")
 
-    monkeypatch.setattr(gains, "t_value", no_search)
+    monkeypatch.setattr(oracles, "t_value", no_search)
     bad = SubsetIndex((1, 5), (0, 0))
     for route in (gain_bounds, gain_fast, gain_representation):
         with pytest.raises(ValueError, match=r"\(1, 5\).*s=4"):

@@ -292,7 +292,7 @@ def test_shift_net_balanced_to_depth_three(shift_points):
     # every dyadic box with total depth <= 3 holds exactly 2^(4-depth) points
     for depth in range(0, 4):
         want = 1 << (4 - depth)
-        for k in compositions(depth, 4, lo=0, hi=depth):
+        for k in compositions(depth, 4):
             shifts = np.array([4 - kj for kj in k], dtype=np.uint64)
             cells = shift_points.coords >> shifts
             _, counts = np.unique(cells, axis=0, return_counts=True)

@@ -22,7 +22,8 @@ six coordinates.
 The nullspace route's ``gain_representation`` is hashed over every ``(u, k)``
 with depths up to ``m + 2`` on the shift net and small random nets, some
 with a zero row or a repeated matrix, and ``--json scramble --reps 3`` of
-every kind on the Joe-Kuo head at ``m`` and 64 output bits.
+every kind on the Joe-Kuo head at ``m`` and 64 output bits.  ``--json gen``
+is hashed on seven Joe-Kuo dimensions at ``m`` = 4, 12 and 16.
 """
 
 import hashlib
@@ -36,7 +37,8 @@ import numpy as np
 import pytest
 
 from netgains.cli import EXIT_OK, main
-from netgains.gains import gain_bounds, gain_representation, max_gain
+from oracles import gain_bounds
+from netgains.gains import gain_representation, max_gain
 from netgains.gf2 import BitMatrix
 from netgains.netgen import DIRECTION_NUMBERS, GeneratorSet, SubsetIndex, _subsets, generate_points, load_generators
 from netgains.quality import first_rank_deficient_k
@@ -175,6 +177,8 @@ JSON_SCRAMBLE_DIGESTS = {
     "shift": "b0167e618a5cf874d6c0f635036f7a9f3a3f469b09440c8cc674a7626871453b",
 }
 
+JSON_GEN_DIGEST = "62617abb7a8b28014b90c366c3cb0e0ba813e1cc29ac0f1886c5f58f609578ad"
+
 
 def _representation_nets() -> list[GeneratorSet]:
     rng = random.Random(20261019)
@@ -211,6 +215,18 @@ def test_cli_json_scramble_replicates_are_pinned(data_dir, tmp_path, kind):
         assert main(args) == EXIT_OK
         h.update(out.read_bytes())
     assert h.hexdigest() == JSON_SCRAMBLE_DIGESTS[kind]
+
+
+def test_cli_json_gen_is_pinned(data_dir, tmp_path):
+    # 2^16 rows at m = 16 span several of the blocks that --json gen writes at a time
+    h = hashlib.sha256()
+    for m in ("4", "12", "16"):
+        out = tmp_path / f"gen-{m}.json"
+        args = ["--json", "--out", str(out), "gen", "--dirnum", str(data_dir / "joe-kuo-head.txt"), "--dims", "7",
+                "--m", m]
+        assert main(args) == EXIT_OK
+        h.update(out.read_bytes())
+    assert h.hexdigest() == JSON_GEN_DIGEST
 
 
 @pytest.fixture(scope="module")

@@ -8,18 +8,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from gf2_reference import nullspace_rank
+from oracles import microstructure_A, microstructure_AK, minimal_counting_t, t_d
 from netgains import quality
 from netgains.gf2 import BitMatrix
-from netgains.netgen import MAX_M, GeneratorSet, NetPoints, ResourceLimitError, StackWalk, SubsetIndex, generate_points
+from netgains.netgen import MAX_M, GeneratorSet, NetPoints, ResourceLimitError, StackWalk, SubsetIndex, generate_points, stack_at
 from netgains.quality import (
     compositions,
     first_rank_deficient_k,
-    microstructure_A,
-    microstructure_AK,
-    minimal_counting_t,
     quality_report,
-    t_d,
     t_star_u,
     t_u,
     t_value,
@@ -260,11 +258,11 @@ def test_t_search_refuses_past_its_ceiling(monkeypatch):
 
 def test_t_star_search_refuses_past_its_ceiling(monkeypatch):
     from netgains import gains
-    from netgains.gains import GainValue, gain_bounds, max_gain
+    from netgains.gains import GainValue, max_gain
 
     gens = sobol_net(7, 16)  # its t* search makes 847 tests, that over (1, 2, 3, 4) 945
     full = tuple(range(1, 8))
-    t = t_value(gens)
+    t, rank = t_value(gens), stack_at(gens, full, (1,) * 7)[0]
     monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 847)
     assert t_star_u(gens, full) == 5 and max_gain(gens)[0] == GainValue(16 + 7 - 12)
     monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 846)
@@ -274,11 +272,9 @@ def test_t_star_search_refuses_past_its_ceiling(monkeypatch):
             search(gens)
     with pytest.raises(ResourceLimitError, match=r"^t\* search over s=4 coordinates at m=16 made more than 846 "):
         quality_report(gens, a_k_max=0)
-    # with t and t_u given, the t* search is the one that refuses
-    monkeypatch.setattr(gains, "t_value", lambda gens: t)
-    monkeypatch.setattr(gains, "t_u", lambda gens, u: t)
+    # with t given, and t_u = t for all coordinates, the t* search is the one that refuses
     with pytest.raises(ResourceLimitError, match=message):
-        gain_bounds(gens, SubsetIndex(full, (1,) * 7))
+        gains._bounds(gens, SubsetIndex(full, (1,) * 7), t, rank)
 
 
 def test_witness_scan_refuses_past_its_ceiling(monkeypatch):
@@ -460,7 +456,7 @@ def test_balance_gives_exact_cell_log(shift, shift_points):
     t = t_value(shift)
     m = shift.m
     for depth in range(0, m - t + 1):
-        for k in compositions(depth, shift.s, lo=0, hi=depth):
+        for k in compositions(depth, shift.s):
             assert microstructure_A(shift_points, k) == m - depth
 
 
@@ -477,9 +473,9 @@ def test_cell_counts_past_one_packed_key():
     for k in ((13,) * 5, (13, 13, 13, 13, 12), (9, 13, 0, 13, 13)):
         cells = Counter(tuple(int(x) >> (m - kj) for x, kj in zip(row, k))
                         for row in points.coords)
-        assert sorted(quality._cell_counts(points, k)) == sorted(cells.values())
+        assert sorted(oracles._cell_counts(points, k)) == sorted(cells.values())
         assert microstructure_A(points, k) == (max(cells.values()) - 1).bit_length() > 0
-    assert sum((13,) * 5) > quality._PACK_LIMIT >= sum((13, 13, 13, 13, 12))
+    assert sum((13,) * 5) > oracles._PACK_LIMIT >= sum((13, 13, 13, 13, 12))
 
 
 def test_shift_full_depth_cells_singletons(shift_points):

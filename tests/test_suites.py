@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from gf2_reference import assemble_cuk, nullspace_rank
+from oracles import minimal_counting_t
 from netgains import quality, suites
 from netgains.gains import NullTable, ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix, PivotTable
 from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
-from netgains.quality import minimal_counting_t
 from netgains.suites import (
     NULLSPACE_LOG2_LIMIT,
     PAIR_TABLE_CELL_LIMIT,
