@@ -319,27 +319,6 @@ def _minimal_dependent_first_rows(gens: GeneratorSet) -> tuple[int, ...]:
     return _circuit(gens, tuple(range(1, f + 1)), (1,) * f)
 
 
-def _bounds(gens: GeneratorSet, idx: SubsetIndex, t: int, rank: int) -> dict[str, int]:
-    """Every applicable upper bound for the gain at ``idx``, by name, given ``t`` and the rank of its stack.
-
-    "rank" is ``2**(m - rank)``; "t", "t_u" and "t_star_u" are
-    ``2**(param + |u| - 1)``.  The t* bound only applies when the
-    one-row-per-coordinate stack over ``u`` has full rank, so it is omitted
-    otherwise.
-    """
-    u, order, m = idx.u, idx.order, gens.m
-    out = {
-        "rank": 1 << (m - rank),
-        "t": 1 << (t + order - 1),
-        "t_u": 1 << ((t if order == gens.s else t_u(gens, u)) + order - 1),
-    }
-    # t*_u = m + 1 - least, and least = |u| iff the first rows of u are dependent
-    least = _least_gain_total(gens, u, 1)
-    if least > order:
-        out["t_star_u"] = 1 << (m + order - least)
-    return out
-
-
 @dataclass
 class GainReport:
     """Result of an enumeration sweep over (u, k) pairs."""
@@ -396,13 +375,21 @@ def enumerate_gains(
     the least ``|u|`` of a gain there in place of its own test of the free
     sets.  The entries are checked against the clamped t bound after the walk.
 
-    A complete table that holds a gain holds one of least ``|k|``, which
-    attains :func:`max_gain`'s Γ, and the bounds at the attaining
-    ``(u, k)`` are read off its entries over the subsets ``v`` of ``u``:
-    ``t*_u`` from their least ``|k|`` and ``t_u`` from their least
-    ``|v| + |k|``, exact at most ``max_depth + 2`` or at ``m + 1 - t`` (else
-    :func:`~netgains.quality.t_u` searches).  A truncated or empty table
-    takes Γ and the bounds from their own searches (:func:`_bounds`).
+    The walk goes to every ``(u, k)`` of the table whatever ``max_visits``
+    keeps, so Γ and the bounds come off the least rank of a gain at each
+    ``u``.  A table that holds a gain holds one of least ``|k|``, which
+    attains :func:`max_gain`'s Γ: Γ is ``2**(m - least rank)``.  At the
+    attaining ``(u, k)``, ``t*_u`` comes from the least rank over the
+    subsets ``v`` of ``u`` and ``t_u`` from the least ``|v| + rank``.  Ranks
+    serve for ``|k|``: the projection onto ``v`` has
+    ``Γ_v = 2**(m - min_{w⊆v} g(w))``, ``g(w)`` the least ``|k|`` of a gain
+    at ``w``, so a gain at ``v`` has rank at least that minimum, and a gain
+    of least ``|k|`` has full rank and attains it; the same argument with
+    ``t_v`` covers ``|v| + rank``.  The ``t*_u`` minimum lies in the table,
+    as ``g(u)`` is at most the attaining ``|k|``; the ``t_u`` one is exact at
+    most ``max_depth + 2`` or at ``m + 1 - t``, else
+    :func:`~netgains.quality.t_u` searches.  A table with no gain takes Γ
+    from the floor-1 search.
 
     Entries come in ``(|u|, u, k)`` order, ``k`` lexicographic.
     ``max_visits`` keeps the first that many ``(u, k)`` in that order (the
@@ -410,8 +397,8 @@ def enumerate_gains(
     not shorten the walk.  Raises :class:`ResourceLimitError`, before any
     walk, when there are more than :data:`ENUMERATION_VISIT_LIMIT` pairs
     ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``, and
-    when its ``t`` search, or a search for Γ or the bounds, passes
-    :data:`~netgains.quality.T_SEARCH_LIMIT`.
+    when its ``t`` search, the floor-1 search of a table with no gain or a
+    ``t_u`` search passes :data:`~netgains.quality.T_SEARCH_LIMIT`.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -433,6 +420,9 @@ def enumerate_gains(
         quota[mask] = min(counts[len(u)], left)
         left -= quota[mask]
     truncated = max_visits is not None and max_visits < total
+    # least[mask]: the least rank of a gain at u that the quota left out; after the
+    # walk, of any gain at u
+    least: dict[int, int] = {}
 
     found: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # (*k, rank) per stack
     # gray[i]: the free coordinate, counted from 1, that step i of a Gray code over
@@ -465,6 +455,8 @@ def enumerate_gains(
                 visited += 1
                 if not acc:
                     found[u].append(stack)
+            elif not acc and u and rank < least.get(u, m + 1):
+                least[u] = rank
             if not acc and u and u.bit_count() < fewest:
                 fewest = u.bit_count()
         return fewest if fewest <= s else 0
@@ -485,7 +477,7 @@ def enumerate_gains(
 
     # the largest gain has the least rank; its witness is the first entry at that rank
     # by (|u|, u, |k|, k), and masks and found[mask] come in (|u|, u) and k order
-    gamma, attaining = GainValue.zero(), None
+    gamma, attaining, bounds = GainValue.zero(), None, {}
     ranks = {mask: min(map(operator.itemgetter(-1), stacks)) for mask, stacks in found.items()}
     if ranks:
         low = min(ranks.values())
@@ -493,20 +485,22 @@ def enumerate_gains(
         members = [(mask >> j) & 1 for j in range(s)]
         at_low = (tuple(itertools.compress(st, members)) for st in found[mask] if st[-1] == low)
         gamma, attaining = values[low], SubsetIndex._trusted(u, min(at_low, key=lambda kk: (sum(kk), kk)))
-
-    if attaining is None or truncated:
+    for mask, rank in ranks.items():
+        least[mask] = min(least.get(mask, rank), rank)
+    if least:
+        theoretical = values[min(least.values())]
+    else:  # no gain in the table
         theoretical = GainValue(m + s - _least_gain_total(gens, range(1, s + 1), 1))
-        bounds = _bounds(gens, attaining, t, low) if attaining is not None else {}
-    else:
-        theoretical, umask, order = gamma, masks[attaining.u], len(attaining.u)
-        # the least |k| of an entry over each subset v of u, for t*_u; with |v| added, for t_u
-        shallow = {v: min(sum(st) - st[-1] for st in found[v]) for v in found if not v & ~umask}
-        least = min(v.bit_count() + depth for v, depth in shallow.items())
-        if least > max_depth + 2 and least != m + 1 - t:  # a gain past the table may have less
-            least = m + 1 - (t if umask == (1 << s) - 1 else t_u(gens, attaining.u))
-        bounds = {"rank": gamma.as_int, "t": 1 << (t + order - 1), "t_u": 1 << (m + order - least)}
-        if min(shallow.values()):
-            bounds["t_star_u"] = 1 << (m - min(shallow.values()))
+    if attaining is not None:
+        umask, order = masks[attaining.u], len(attaining.u)
+        subsets = [v for v in least if not v & ~umask]
+        total = min(v.bit_count() + least[v] for v in subsets)
+        if total > max_depth + 2 and total != m + 1 - t:  # a gain past the table may have less
+            total = m + 1 - (t if umask == (1 << s) - 1 else t_u(gens, attaining.u))
+        bounds = {"rank": gamma.as_int, "t": 1 << (t + order - 1), "t_u": 1 << (m + order - total)}
+        star = min(least[v] for v in subsets)
+        if star:
+            bounds["t_star_u"] = 1 << (m - star)
     return GainReport(
         entries=entries,
         gamma_max=gamma,

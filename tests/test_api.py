@@ -60,7 +60,7 @@ def test_names_nothing_calls_are_deleted():
     from netgains.gf2 import BitMatrix, PivotTable
     from netgains.netgen import NetPoints
 
-    gone = {"BitVector", "rank", "rank_of_rows", "bounded_vectors"}
+    gone = {"BitVector", "rank", "rank_of_rows", "bounded_vectors", "_bounds"}
     for mod in (netgains, *(importlib.import_module(f"netgains.{name}") for name in MODULES)):
         assert not gone & set(vars(mod)), mod.__name__
         assert not gone & set(getattr(mod, "__all__", ())), mod.__name__

@@ -26,7 +26,7 @@ from netgains.gains import (
     max_gain,
 )
 from netgains.gf2 import BitMatrix, PivotTable
-from netgains.netgen import GeneratorSet, NetPoints, StackWalk, SubsetIndex, generate_points, stack_at
+from netgains.netgen import GeneratorSet, NetPoints, StackWalk, SubsetIndex, generate_points
 from netgains.quality import t_value
 from netgains.samples import shift_net, sobol_net
 from netgains.scramble import ScrambleKind, ScrambleSpec, scramble
@@ -665,28 +665,24 @@ def test_enumerate_matches_scratch_loop_for_every_budget():
             )
 
 
-def searched_gamma_and_bounds(gens: GeneratorSet, attaining: SubsetIndex | None, t: int) -> tuple:
+def searched_gamma_and_bounds(gens: GeneratorSet, attaining: SubsetIndex | None) -> tuple:
     """Γ and the bounds at the witness as their own searches find them: the floor-1 search
-    over all coordinates, the rank of the witness's stack, and the t_u and t*_u searches of its u."""
+    over all coordinates, and :func:`oracles.gain_bounds` at the witness."""
     s, m = gens.s, gens.m
     theoretical = GainValue(m + s - quality._least_gain_total(gens, range(1, s + 1), 1))
-    if attaining is None:
-        return theoretical, {}
-    u, order = attaining.u, attaining.order
-    bounds = {
-        "rank": 1 << (m - stack_at(gens, u, attaining.k)[0]),
-        "t": 1 << (t + order - 1),
-        "t_u": 1 << (quality.t_u(gens, u) + order - 1),
-    }
-    least = quality._least_gain_total(gens, u, 1)
-    if least > order:
-        bounds["t_star_u"] = 1 << (m + order - least)
-    return theoretical, bounds
+    return theoretical, {} if attaining is None else gain_bounds(gens, attaining)
 
 
 def test_table_reads_gamma_and_bounds_as_the_searches_find_them(monkeypatch):
     searched, asked = gains.t_u, []
     monkeypatch.setattr(gains, "t_u", lambda gens, u: asked.append(u) or searched(gens, u))
+    walk, floor_one = gains._least_gain_total, []  # per search of enumerate_gains: is it at floor 1
+
+    def counted(gens, u, floor=0, *rest):
+        floor_one.append(floor == 1)
+        return walk(gens, u, floor, *rest)
+
+    monkeypatch.setattr(gains, "_least_gain_total", counted)
     rng = random.Random(2106)
     seen = Counter()
     for i in range(2400):
@@ -709,11 +705,15 @@ def test_table_reads_gamma_and_bounds_as_the_searches_find_them(monkeypatch):
         depth = rng.choice((0, 0, 1, 1, 2, 3))
         max_visits = rng.choice((None, None, rng.randint(0, 60)))
         t = t_value(gens)
+        holds = bool(enumerate_gains(gens, depth).entries)  # whether the whole table holds a gain
         asked.clear()
+        floor_one.clear()
         report = enumerate_gains(gens, depth, max_visits=max_visits)
-        theoretical, bounds = searched_gamma_and_bounds(gens, report.attaining, t)
+        theoretical, bounds = searched_gamma_and_bounds(gens, report.attaining)
         assert (report.theoretical, report.bounds) == (theoretical, bounds), (gens, depth, max_visits)
         assert report.attained_theoretical == (report.gamma_max == theoretical)
+        # the t search, and the floor-1 search for Γ only when the table holds no gain
+        assert floor_one == ([False] if holds else [False, True]), (gens, depth, max_visits)
         if report.attaining is None:
             seen["empty"] += 1
         elif report.truncated:
@@ -723,7 +723,8 @@ def test_table_reads_gamma_and_bounds_as_the_searches_find_them(monkeypatch):
             seen["t_u searched"] += bool(asked)
             # no entry is of the least total, so the t search found it past the table
             seen["t found past the table"] += all(ix.order + ix.depth > m + 1 - t for ix, _ in report.entries)
-    assert min(seen.values()) >= 15 and len(seen) == 5, seen
+        seen["truncated, read off the table"] += report.truncated and holds
+    assert min(seen.values()) >= 15 and len(seen) == 6, seen
 
 
 def test_table_falls_back_to_the_t_u_search(monkeypatch):
@@ -740,7 +741,7 @@ def test_table_falls_back_to_the_t_u_search(monkeypatch):
     asked.clear()
     report = enumerate_gains(gens, 1)
     assert report.attaining == witness and asked == []
-    assert report.bounds == searched_gamma_and_bounds(gens, witness, t_value(gens))[1]
+    assert report.bounds == searched_gamma_and_bounds(gens, witness)[1]
 
 
 def test_enumerate_refuses_oversized_boxes_before_walking(monkeypatch, shift):

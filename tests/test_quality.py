@@ -13,7 +13,7 @@ from gf2_reference import nullspace_rank
 from oracles import microstructure_A, microstructure_AK, minimal_counting_t, t_d
 from netgains import quality
 from netgains.gf2 import BitMatrix
-from netgains.netgen import MAX_M, GeneratorSet, NetPoints, ResourceLimitError, StackWalk, SubsetIndex, generate_points, stack_at
+from netgains.netgen import MAX_M, GeneratorSet, NetPoints, ResourceLimitError, StackWalk, generate_points
 from netgains.quality import (
     compositions,
     first_rank_deficient_k,
@@ -257,12 +257,10 @@ def test_t_search_refuses_past_its_ceiling(monkeypatch):
 
 
 def test_t_star_search_refuses_past_its_ceiling(monkeypatch):
-    from netgains import gains
     from netgains.gains import GainValue, max_gain
 
     gens = sobol_net(7, 16)  # its t* search makes 847 tests, that over (1, 2, 3, 4) 945
     full = tuple(range(1, 8))
-    t, rank = t_value(gens), stack_at(gens, full, (1,) * 7)[0]
     monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 847)
     assert t_star_u(gens, full) == 5 and max_gain(gens)[0] == GainValue(16 + 7 - 12)
     monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 846)
@@ -272,9 +270,6 @@ def test_t_star_search_refuses_past_its_ceiling(monkeypatch):
             search(gens)
     with pytest.raises(ResourceLimitError, match=r"^t\* search over s=4 coordinates at m=16 made more than 846 "):
         quality_report(gens, a_k_max=0)
-    # with t given, and t_u = t for all coordinates, the t* search is the one that refuses
-    with pytest.raises(ResourceLimitError, match=message):
-        gains._bounds(gens, SubsetIndex(full, (1,) * 7), t, rank)
 
 
 def test_witness_scan_refuses_past_its_ceiling(monkeypatch):
