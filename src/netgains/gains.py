@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -376,9 +375,10 @@ def enumerate_gains(
     sets.  The entries are checked against the clamped t bound after the walk.
 
     The walk goes to every ``(u, k)`` of the table whatever ``max_visits``
-    keeps, so Γ and the bounds come off the least rank of a gain at each
-    ``u``.  A table that holds a gain holds one of least ``|k|``, which
-    attains :func:`max_gain`'s Γ: Γ is ``2**(m - least rank)``.  At the
+    keeps, and every gain it meets, kept or not, lowers the least rank of a
+    gain at its ``u``; Γ and the bounds come off those ranks.  A table that
+    holds a gain holds one of least ``|k|``, which attains
+    :func:`max_gain`'s Γ: Γ is ``2**(m - least rank)``.  At the
     attaining ``(u, k)``, ``t*_u`` comes from the least rank over the
     subsets ``v`` of ``u`` and ``t_u`` from the least ``|v| + rank``.  Ranks
     serve for ``|k|``: the projection onto ``v`` has
@@ -414,15 +414,12 @@ def enumerate_gains(
         )
     # quota[mask]: how many of the first (u, k) in lex order are still to visit
     quota = [0] * (1 << s)
-    left = total if max_visits is None else min(total, max_visits)
+    left = kept = total if max_visits is None else min(total, max_visits)
     masks = {u: sum(1 << (j - 1) for j in u) for u in _subsets(s)}
     for u, mask in masks.items():
         quota[mask] = min(counts[len(u)], left)
         left -= quota[mask]
-    truncated = max_visits is not None and max_visits < total
-    # least[mask]: the least rank of a gain at u that the quota left out; after the
-    # walk, of any gain at u
-    least: dict[int, int] = {}
+    least = [m + 1] * (1 << s)  # least[mask]: the least rank of a gain at u, kept or not
 
     found: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # (*k, rank) per stack
     # gray[i]: the free coordinate, counted from 1, that step i of a Gray code over
@@ -431,17 +428,19 @@ def enumerate_gains(
     for j in range(1, s + 1):
         gray += bytes([j]) + gray
     gray = b"\0" + gray
-    visited = 0
 
     def record(k: list[int], rank: int, forms: list[int]) -> int:
-        """Visit the quota's ``u`` containing ``supp(k)``; return the least ``|u| > 0`` with a gain, or 0."""
-        nonlocal visited
-        acc = u = 0
+        """Visit every ``u`` containing ``supp(k)``; return the least ``|u| > 0`` with a gain, or 0.
+
+        Each visit spends one of ``u``'s quota, if any is left, and a gain
+        there is an entry if it did; every gain lowers ``least[u]``.
+        ``forms[s]`` is the XOR of the forms over ``supp(k)``.
+        """
+        acc, u = forms[s], 0
         fewest = s + 1
         free_rows, free_bits = [0], [0]
         for j in range(s):
             if k[j]:
-                acc ^= forms[j]
                 u |= 1 << j
             else:
                 free_rows.append(forms[j])
@@ -452,19 +451,22 @@ def enumerate_gains(
             u ^= free_bits[b]
             if quota[u]:
                 quota[u] -= 1
-                visited += 1
                 if not acc:
                     found[u].append(stack)
-            elif not acc and u and rank < least.get(u, m + 1):
-                least[u] = rank
-            if not acc and u and u.bit_count() < fewest:
-                fewest = u.bit_count()
+            if not acc and u:
+                if rank < least[u]:
+                    least[u] = rank
+                if u.bit_count() < fewest:
+                    fewest = u.bit_count()
         return fewest if fewest <= s else 0
 
     t = m + 1 - _least_gain_total(gens, range(1, s + 1), 0, max_depth, record)
     values = [GainValue(m - rank) for rank in range(m + 1)]
     entries: list[tuple[SubsetIndex, GainValue]] = []
     violations: list[dict] = []
+    # the largest kept gain has the least rank; its witness is the first entry at that
+    # rank by (|u|, u, |k|, k), and masks and found[mask] come in (|u|, u) and k order
+    low, attaining = m + 1, None
     for u, mask in masks.items():
         clamp = min(t + len(u) - 1, m)
         members = [(mask >> j) & 1 for j in range(s)]
@@ -474,30 +476,21 @@ def enumerate_gains(
             entries.append((SubsetIndex._trusted(u, kk), values[rank]))
             if m - rank > clamp:
                 violations.append({"u": list(u), "k": list(kk), "log2_gain": m - rank})
+            if rank < low or rank == low and attaining.u == u and sum(kk) < sum(attaining.k):
+                low, attaining = rank, entries[-1][0]
 
-    # the largest gain has the least rank; its witness is the first entry at that rank
-    # by (|u|, u, |k|, k), and masks and found[mask] come in (|u|, u) and k order
-    gamma, attaining, bounds = GainValue.zero(), None, {}
-    ranks = {mask: min(map(operator.itemgetter(-1), stacks)) for mask, stacks in found.items()}
-    if ranks:
-        low = min(ranks.values())
-        u, mask = next((u, mask) for u, mask in masks.items() if ranks.get(mask) == low)
-        members = [(mask >> j) & 1 for j in range(s)]
-        at_low = (tuple(itertools.compress(st, members)) for st in found[mask] if st[-1] == low)
-        gamma, attaining = values[low], SubsetIndex._trusted(u, min(at_low, key=lambda kk: (sum(kk), kk)))
-    for mask, rank in ranks.items():
-        least[mask] = min(least.get(mask, rank), rank)
-    if least:
-        theoretical = values[min(least.values())]
+    gamma, bounds = GainValue.zero(), {}
+    if min(least) <= m:
+        theoretical = values[min(least)]
     else:  # no gain in the table
         theoretical = GainValue(m + s - _least_gain_total(gens, range(1, s + 1), 1))
     if attaining is not None:
-        umask, order = masks[attaining.u], len(attaining.u)
-        subsets = [v for v in least if not v & ~umask]
-        total = min(v.bit_count() + least[v] for v in subsets)
-        if total > max_depth + 2 and total != m + 1 - t:  # a gain past the table may have less
-            total = m + 1 - (t if umask == (1 << s) - 1 else t_u(gens, attaining.u))
-        bounds = {"rank": gamma.as_int, "t": 1 << (t + order - 1), "t_u": 1 << (m + order - total)}
+        gamma, umask, order = values[low], masks[attaining.u], len(attaining.u)
+        subsets = [v for v in range(1, umask + 1) if least[v] <= m and not v & ~umask]
+        low_total = min(v.bit_count() + least[v] for v in subsets)
+        if low_total > max_depth + 2 and low_total != m + 1 - t:  # a gain past the table may have less
+            low_total = m + 1 - (t if umask == (1 << s) - 1 else t_u(gens, attaining.u))
+        bounds = {"rank": gamma.as_int, "t": 1 << (t + order - 1), "t_u": 1 << (m + order - low_total)}
         star = min(least[v] for v in subsets)
         if star:
             bounds["t_star_u"] = 1 << (m - star)
@@ -508,8 +501,8 @@ def enumerate_gains(
         theoretical=theoretical,
         attained_theoretical=(gamma == theoretical),
         bounds=bounds,
-        visited=visited,
-        truncated=truncated,
+        visited=kept - sum(quota),  # what is left of the quotas was not visited
+        truncated=kept < total,
         max_depth=max_depth,
         bound_violations=violations,
     )

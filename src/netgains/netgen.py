@@ -531,9 +531,11 @@ def write_points_csv(numerators: np.ndarray, bits: int, stream: TextIO) -> None:
 
 
 def write_points_binary(numerators: np.ndarray, bits: int, stream: io.RawIOBase) -> None:
-    """Write numerators row-major as little-endian u32 (u64 past 32 bits)."""
+    """Write numerators row-major as little-endian u32 (u64 past 32 bits), 2**14 rows at a time."""
     dtype = "<u4" if bits <= 32 else "<u8"
-    stream.write(np.ascontiguousarray(numerators, dtype=np.uint64).astype(dtype).tobytes())
+    for i in range(0, len(numerators), 1 << 14):
+        block = np.ascontiguousarray(numerators[i : i + (1 << 14)], dtype=np.uint64)
+        stream.write(block.astype(dtype, copy=False).tobytes())
 
 
 __all__ = [

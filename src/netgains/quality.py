@@ -356,14 +356,8 @@ def quality_report(gens: GeneratorSet, *, a_k_max: int | None = None) -> Quality
     full = tuple(range(1, s + 1))
     all_subsets = s <= SUBSET_ENUMERATION_LIMIT
 
-    star: dict[tuple[int, ...], int] = {}
-    if all_subsets:
-        for u in _subsets(s):
-            star[u] = t_star_u(gens, u)
-    else:
-        for j in full:
-            star[(j,)] = t_star_u(gens, (j,))
-        star[full] = t_star_u(gens, full)
+    reported = _subsets(s) if all_subsets else [*((j,) for j in full), full]
+    star = {u: t_star_u(gens, u) for u in reported}
 
     tu: dict[tuple[int, ...], int] = {}
     td: dict[int, int] = {}

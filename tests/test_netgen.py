@@ -10,7 +10,7 @@ import pytest
 
 from gf2_reference import assemble_cuk, nullspace_rank
 from netgains.gains import NullTable
-from netgains.gf2 import BitMatrix
+from netgains.gf2 import BitMatrix, PivotTable
 from netgains.netgen import (
     DEPTH_INF,
     DIRECTION_NUMBERS,
@@ -422,6 +422,28 @@ def test_walk_cut_skips_exactly_its_slab():
     assert min(cuts.values()) >= 20, cuts
 
 
+def test_walk_pushes_only_the_rows_of_the_stacks_it_yields():
+    # a prefix k[:i + 1] costs floor[i] pushes on entering level i and 1 per step
+    # up, so the walk pushes exactly the rows of the tree of the k it yields
+    class Counting(PivotTable):
+        pushes = 0
+
+        def push(self, vec):
+            self.pushes += 1
+            return super().push(vec)
+
+    rng = random.Random(13)
+    for _ in range(300):
+        gens = random_generator_set(rng, rng.randint(1, 4), rng.randint(1, 6))
+        size = rng.randint(1, gens.s)
+        u = tuple(sorted(rng.sample(range(1, gens.s + 1), size)))
+        floor = tuple(rng.randint(0, 2) for _ in u)
+        table = Counting(gens.m)
+        walk = StackWalk(gens, u, floor, rng.randint(0, size * (gens.m + 1)), table)
+        prefixes = {tuple(walk.k[: i + 1]) for _ in walk for i in range(size)}
+        assert table.pushes == sum(floor[len(p) - 1] if p[-1] == floor[len(p) - 1] else 1 for p in prefixes)
+
+
 def test_walk_validates_arguments(shift):
     # u, the floor's length and an entry past m + 1: test_both_walks_refuse_a_bad_u_or_floor_length
     for floor in ((-1,), (0, -1)):
@@ -476,3 +498,24 @@ def test_binary_export_u32_roundtrip(shift_points):
     write_points_binary(shift_points.coords, shift_points.m, buf)
     back = np.frombuffer(buf.getvalue(), dtype="<u4").reshape(16, 4)
     assert np.array_equal(back, shift_points.coords.astype("<u4"))
+
+
+@pytest.mark.parametrize("bits", [20, 40])
+def test_binary_export_holds_no_copy_of_the_points(bits):
+    class Sink:
+        size = 0
+
+        def write(self, data):
+            self.size += len(data)
+            return len(data)
+
+    numerators = np.arange(1 << 21, dtype=np.uint64).reshape(-1, 8)  # 16 MiB
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_points_binary(numerators, bits, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == numerators.size * (4 if bits <= 32 else 8)
+    assert peak < numerators.nbytes // 8

@@ -6,7 +6,9 @@ scramble engine that moves one bit of one output fails.  The Haar
 integrands stay within the output bits, where estimates read cells.  Gain
 tables are hashed at shallow, middle and whole-box depths, whole and cut
 by ``--max-visits``, so a change to the enumeration that moves one entry,
-its order or a count fails.  The records of a 300-net acceptance sweep are
+its order or a count fails; ``enumerate_gains`` reports are also hashed as
+JSON over random, Sobol' and sparse nets with ``s`` 1-6 and ``m`` 1-10 at
+depths 0-4, whole, cut by ``max_visits`` and emptied by ``max_visits=0``.  The records of a 300-net acceptance sweep are
 hashed as JSON, so a change to ``evaluate_net`` that moves one count fails,
 and so are the five sweep suites of a clean sweep and of one whose ``t`` is
 one too small, so a change that moves one verdict, count or failure note
@@ -38,7 +40,7 @@ import pytest
 
 from netgains.cli import EXIT_OK, main
 from oracles import gain_bounds
-from netgains.gains import gain_representation, max_gain
+from netgains.gains import enumerate_gains, gain_representation, max_gain
 from netgains.gf2 import BitMatrix
 from netgains.netgen import DIRECTION_NUMBERS, GeneratorSet, SubsetIndex, _subsets, generate_points, load_generators
 from netgains.quality import first_rank_deficient_k
@@ -92,6 +94,8 @@ GAINS_DIGESTS = {
     ("sobol_5_8", "csv"): "f8bcfa21f32666078179c815bbb85e350ef1f2150ee4bbdbbf68cacf82596685",
 }
 
+GAIN_TABLES_DIGEST = "f705a89917a7dbb85e331c44eb07cec59ae440043649e27f0cd4923009cdb595"
+
 SWEEP_DIGEST = "e50ed5455a707f756fa5850095c81d9c125118310a0f33a5491e459147be90a6"
 
 # t_value lowered by 0 and by 1: the second breaches bound-chain, zero-region and t-crossval
@@ -113,16 +117,19 @@ def _random_nets() -> list[GeneratorSet]:
     return nets + [GeneratorSet((a, b, a)), GeneratorSet((a, b, c)), GeneratorSet((d, a))]
 
 
+def _sparse_net(rng: random.Random, s: int, m: int) -> GeneratorSet:
+    """Random matrices whose rows are each the AND of three random ones."""
+    return GeneratorSet(tuple(
+        BitMatrix(m, tuple(rng.randrange(1 << m) & rng.randrange(1 << m) & rng.randrange(1 << m) for _ in range(m)))
+        for _ in range(s)
+    ))
+
+
 def _wide_random_nets() -> list[GeneratorSet]:
     rng = random.Random(20261021)
     nets = [random_generator_set(rng, s, m) for s, m in ((8, 8), (9, 3), (10, 6), (11, 7), (12, 8))]
     # sparse rows, where the least deficient stacks lie deeper
-    for s, m in ((8, 6), (10, 8)):
-        nets.append(GeneratorSet(tuple(
-            BitMatrix(m, tuple(rng.randrange(1 << m) & rng.randrange(1 << m) & rng.randrange(1 << m)
-                               for _ in range(m)))
-            for _ in range(s)
-        )))
+    nets += [_sparse_net(rng, s, m) for s, m in ((8, 6), (10, 8))]
     # the first row of coordinate 3 is the XOR of those of 1 and 2
     a, b, c, *rest = random_generator_set(rng, 10, 8).matrices
     c = BitMatrix(8, (a.rows[0] ^ b.rows[0],) + c.rows[1:])
@@ -295,6 +302,20 @@ def test_cli_gain_tables_are_pinned(data_dir, tmp_path, net, fmt):
             assert main(args) == EXIT_OK
             h.update(out.read_bytes())
     assert h.hexdigest() == GAINS_DIGESTS[net, fmt]
+
+
+def test_gain_tables_are_pinned():
+    rng = random.Random(20261023)
+    h = hashlib.sha256()
+    for s in range(1, 7):
+        for m in range(1, 11):
+            sparse = _sparse_net(rng, s, m)
+            for gens in (random_generator_set(rng, s, m), sobol_net(s, m), sparse):
+                for depth in range(5):
+                    for max_visits in (None, 0, 3, 17, rng.randrange(200)):
+                        report = enumerate_gains(gens, depth, max_visits=max_visits)
+                        h.update(json.dumps(report.to_json_dict()).encode())
+    assert h.hexdigest() == GAIN_TABLES_DIGEST
 
 
 def test_outputs_do_not_depend_on_the_chunk_size(net_points, data_dir, tmp_path, capsys, monkeypatch):
