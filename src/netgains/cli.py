@@ -14,7 +14,6 @@ import json
 import secrets
 import sys
 from contextlib import contextmanager
-from typing import Iterable
 
 import numpy as np
 
@@ -32,7 +31,7 @@ EXIT_SUITE = 3
 # keeps about 63 B per replicate, and the sweep about 1.1 kB per trial's NetRecord.
 REPS_LIMIT = 1 << 22
 TRIALS_LIMIT = 1 << 18
-# Rows of points that --json gen holds as Python ints at a time.
+# Rows of points that --json gen and --json scramble hold as Python ints at a time.
 _JSON_ROWS = 1 << 14
 
 _KINDS = {
@@ -115,17 +114,12 @@ def _emit(args, payload: dict) -> None:
         fh.write("\n")
 
 
-def _emit_json_list(args, payload: dict, parts: Iterable[str]) -> None:
-    """``--json`` text of ``payload`` whose last value, an empty list, gets the items
-    of ``parts``: JSON texts of one or more items each, written one at a time so that
-    no more than one part is held."""
-    head = json.dumps(payload)
-    with _out_stream(args.out) as fh:
-        fh.write(head[:-2])
-        for i, part in enumerate(parts):
-            fh.write(", " if i else "")
-            fh.write(part)
-        fh.write("]}\n")
+def _write_json_rows(fh, rows: np.ndarray) -> None:
+    """Write the JSON text of ``rows.tolist()``, ``_JSON_ROWS`` rows at a time."""
+    fh.write("[")
+    for i in range(0, len(rows), _JSON_ROWS):
+        fh.write((", " if i else "") + json.dumps(rows[i : i + _JSON_ROWS].tolist())[1:-1])
+    fh.write("]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("gen", "generate the net points")
     _add_input_args(p)
-    p.add_argument("--format", choices=["csv", "bin"], default="csv")
+    p.add_argument("--format", choices=["csv", "bin"], help="default csv")
 
     p = add_command("analyze", "quality parameters and the maximal gain")
     _add_input_args(p)
@@ -153,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("gains", "enumerate gain coefficients")
     _add_input_args(p)
     p.add_argument("--depth", type=int, required=True, help="largest total depth |k|")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--format", choices=["json", "csv"], help="default json")
     p.add_argument("--max-visits", type=int, help="truncate after this many (u, k) pairs")
 
     p = add_command("scramble", "randomize the net points")
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=sorted(_KINDS), default="nested")
     p.add_argument("--output-bits", type=int, help="digits of scrambled output (default m)")
     p.add_argument("--reps", type=int, default=1, help="independent scrambles to emit")
-    p.add_argument("--format", choices=["csv", "bin"], default="csv")
+    p.add_argument("--format", choices=["csv", "bin"], help="default csv")
 
     p = add_command("integrate", "RQMC estimate over scramble replicates")
     _add_input_args(p)
@@ -189,10 +183,11 @@ def cmd_gen(args) -> int:
     gens = _load(args)
     points = netgen.generate_points(gens)
     if args.json:
-        blocks = (points.coords[i : i + _JSON_ROWS] for i in range(0, points.n, _JSON_ROWS))
-        _emit_json_list(args, {"s": points.s, "m": points.m, "numerators": []},
-                        (json.dumps(block.tolist())[1:-1] for block in blocks))
-    elif args.format == "csv":
+        with _out_stream(args.out) as fh:
+            fh.write(json.dumps({"s": points.s, "m": points.m, "numerators": []})[:-3])
+            _write_json_rows(fh, points.coords)
+            fh.write("}\n")
+    elif args.format != "bin":
         with _out_stream(args.out) as fh:
             netgen.write_points_csv(points.coords, points.m, fh)
     else:
@@ -247,9 +242,13 @@ def cmd_scramble(args) -> int:
     bits = args.output_bits if args.output_bits is not None else gens.m
     scrambles = _scrambles(points, ScrambleSpec(kind, bits), _ReplicateSeeds(seed, args.reps))
     if args.json:
-        _emit_json_list(args, {"kind": kind.value, "output_bits": bits, "seed": seed, "numerators": []},
-                        (json.dumps(sp.numerators.tolist()) for sp in scrambles))
-    elif args.format == "csv":
+        with _out_stream(args.out) as fh:
+            fh.write(json.dumps({"kind": kind.value, "output_bits": bits, "seed": seed, "numerators": []})[:-2])
+            for i, sp in enumerate(scrambles):
+                fh.write(", " if i else "")
+                _write_json_rows(fh, sp.numerators)
+            fh.write("]}\n")
+    elif args.format != "bin":
         with _out_stream(args.out) as fh:
             for sp in scrambles:
                 for row in sp.reals:
@@ -328,6 +327,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.json and getattr(args, "format", None) not in (None, "json"):
+            raise CliError(f"--json conflicts with --format {args.format}", EXIT_INVALID)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

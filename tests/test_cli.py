@@ -583,6 +583,32 @@ def test_gen_supports_json(shiftnet_file, capsys):
     assert payload["numerators"][0] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("command, fmt", [("gen", "bin"), ("gen", "csv"), ("scramble", "csv"),
+                                         ("scramble", "bin"), ("gains", "csv")])
+def test_json_with_another_format_is_refused_up_front(command, fmt, monkeypatch, shiftnet_file, capsys):
+    from netgains import cli
+
+    def no_load(args):
+        raise AssertionError("input read before the --json/--format check")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+    extra = ["--depth", "2"] if command == "gains" else []
+    for args in (["--json", command, "--raw", shiftnet_file, "--format", fmt, *extra],
+                 [command, "--raw", shiftnet_file, "--format", fmt, "--json", *extra]):
+        assert main(args) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --json conflicts with --format {fmt}\n"
+
+
+def test_gains_json_with_format_json_is_json(shiftnet_file, capsys):
+    outs = []
+    for flags in (["--json"], ["--format", "json"], ["--json", "--format", "json"]):
+        assert main(["gains", "--raw", shiftnet_file, "--depth", "4", *flags]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0]) == json.loads(outs[1]) == json.loads(outs[2])
+    assert outs[0] == outs[2]
+
+
 def test_scramble_replicates_of_nearby_seeds_differ(shiftnet_file, capsys):
     reps = []
     for seed in ("0", "1"):
@@ -603,7 +629,7 @@ def test_scramble_supports_json(shiftnet_file, capsys):
 
 @pytest.mark.parametrize("kind", ["rls", "nested", "shift"])
 def test_scramble_json_streams_the_text_of_one_payload(joekuo_file, kind, capsys):
-    # written a replicate at a time, the text is that of json.dumps of the whole payload
+    # written 2^14 rows at a time, the text is that of json.dumps of the whole payload
     from netgains.cli import _KINDS
     from netgains.netgen import generate_points
     from netgains.samples import sobol_net
@@ -618,3 +644,25 @@ def test_scramble_json_streams_the_text_of_one_payload(joekuo_file, kind, capsys
         numerators = [[[int(v) for v in row] for row in sp.numerators] for sp in scrambles]
         payload = {"kind": _KINDS[kind].value, "output_bits": bits, "seed": 8, "numerators": numerators}
         assert capsys.readouterr().out == json.dumps(payload) + "\n"
+
+
+def test_scramble_json_holds_no_replicate_as_python_ints(joekuo_file, tmp_path):
+    # 2^18 rows, sixteen of the blocks that --json writes at a time.  The replicate's
+    # numpy arrays take 2 MiB each; its tolist() alone, a list of one-int rows of
+    # distinct values, takes more than the 23 MiB of its row lists and ints.
+    import sys
+    import tracemalloc
+
+    n = 1 << 18
+    as_ints = n * (sys.getsizeof([0]) + sys.getsizeof(n - 1))
+    out = tmp_path / "reps.json"
+    args = ["--json", "--seed", "2", "--out", str(out), "scramble", "--dirnum", joekuo_file, "--dims", "1",
+            "--m", "18", "--kind", "shift"]
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(row for (row,) in json.loads(out.read_text())["numerators"][0]) == list(range(n))
+    assert peak < as_ints / 2

@@ -444,6 +444,25 @@ def test_walk_pushes_only_the_rows_of_the_stacks_it_yields():
         assert table.pushes == sum(floor[len(p) - 1] if p[-1] == floor[len(p) - 1] else 1 for p in prefixes)
 
 
+@pytest.mark.parametrize("table", [PivotTable, NullTable])
+def test_walk_started_again_after_an_early_exit_starts_afresh(table):
+    # left after 7 yields the table still holds pushed rows, and left right
+    # after a cut() the cut is still pending: a second walk drops both
+    gens, u, floor, budget = sobol_net(3, 5), (1, 2, 3), (0, 0, 0), 6
+    fresh = StackWalk(gens, u, floor, budget, table(gens.m))
+    want = [(tuple(fresh.k), state) for state in fresh]
+    assert len(want) == 84
+    for cut in (False, True):
+        walk = StackWalk(gens, u, floor, budget, table(gens.m))
+        for _ in itertools.islice(walk, 7):
+            pass
+        if cut:
+            walk.cut()
+        assert len(walk.table.log) > 0
+        assert [(tuple(walk.k), state) for state in walk] == want
+        assert len(walk.table.log) == 0  # the rank: every push undone
+
+
 def test_walk_validates_arguments(shift):
     # u, the floor's length and an entry past m + 1: test_both_walks_refuse_a_bad_u_or_floor_length
     for floor in ((-1,), (0, -1)):

@@ -184,6 +184,13 @@ JSON_SCRAMBLE_DIGESTS = {
     "shift": "b0167e618a5cf874d6c0f635036f7a9f3a3f469b09440c8cc674a7626871453b",
 }
 
+# --json scramble at m = 16: 2^16 rows, four of the blocks written at a time per replicate
+JSON_SCRAMBLE_BLOCK_DIGESTS = {
+    "rls": "9d29f65ac751c3ffbcdd512cc04cda8ec111c5de5360bdcfc7280f028d108a65",
+    "nested": "aebf139526b70fe12797b4bde803ef50802757ee20665a1f17d6980679670919",
+    "shift": "3d5a036f3f41860937de8249961253c42c0ce2c0a67ba32d7dbc19ce6da91d7c",
+}
+
 JSON_GEN_DIGEST = "62617abb7a8b28014b90c366c3cb0e0ba813e1cc29ac0f1886c5f58f609578ad"
 
 
@@ -222,6 +229,18 @@ def test_cli_json_scramble_replicates_are_pinned(data_dir, tmp_path, kind):
         assert main(args) == EXIT_OK
         h.update(out.read_bytes())
     assert h.hexdigest() == JSON_SCRAMBLE_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", list(JSON_SCRAMBLE_BLOCK_DIGESTS))
+def test_cli_json_scramble_blocks_are_pinned(data_dir, tmp_path, kind):
+    h = hashlib.sha256()
+    for bits in ([], ["--output-bits", "64"]):
+        out = tmp_path / "reps.json"
+        args = ["--json", "--seed", "5", "--out", str(out), "scramble", "--dirnum", str(data_dir / "joe-kuo-head.txt"),
+                "--dims", "4", "--m", "16", "--kind", kind, "--reps", "2", *bits]
+        assert main(args) == EXIT_OK
+        h.update(out.read_bytes())
+    assert h.hexdigest() == JSON_SCRAMBLE_BLOCK_DIGESTS[kind]
 
 
 def test_cli_json_gen_is_pinned(data_dir, tmp_path):
