@@ -25,7 +25,10 @@ The nullspace route's ``gain_representation`` is hashed over every ``(u, k)``
 with depths up to ``m + 2`` on the shift net and small random nets, some
 with a zero row or a repeated matrix, and ``--json scramble --reps 3`` of
 every kind on the Joe-Kuo head at ``m`` and 64 output bits.  ``--json gen``
-is hashed on seven Joe-Kuo dimensions at ``m`` = 4, 12 and 16.
+is hashed on seven Joe-Kuo dimensions at ``m`` = 4, 12 and 16, and ``gen`` as
+CSV and binary at ``m`` = 16, as is ``scramble --reps 2`` of every kind at
+``m`` = 16 with ``m`` and 64 output bits, so each writer is pinned over
+several of the blocks it writes at a time.
 """
 
 import hashlib
@@ -193,6 +196,21 @@ JSON_SCRAMBLE_BLOCK_DIGESTS = {
 
 JSON_GEN_DIGEST = "62617abb7a8b28014b90c366c3cb0e0ba813e1cc29ac0f1886c5f58f609578ad"
 
+# gen and scramble as csv and bin at m = 16: 2^16 rows, four of the blocks written at a time
+BLOCK_GEN_DIGESTS = {
+    "csv": "35e08d838f8c53fcfc967f1acbc452ed5f146c54e1f3fee227bd69f1393efb50",
+    "bin": "7ff9199d15df90c8534e9021b797c545bdc3c9120174629b95d746b7aa956247",
+}
+
+BLOCK_SCRAMBLE_DIGESTS = {
+    ("rls", "csv"): "e8957050fde8df1004d8122577ab412a3affc06b4ef575d39d837f83d220cec5",
+    ("rls", "bin"): "ae1fb3f3f1c7ff57cfaae5883908e9370ef9439032daa68e1002a0523fef50fe",
+    ("nested", "csv"): "1ac615d3e04af0fa105d6d08ae599918db65d5399e9c9e3435d91f76ae2560ad",
+    ("nested", "bin"): "a09188ebf05afb9ac9daade0a27e2cbcab031e4f75d88ddd8d240443b0c823bb",
+    ("shift", "csv"): "fb89b5109c1cba0f8580513f3f3f6c013c9b9ad927c6be9d7d4373a27022db04",
+    ("shift", "bin"): "d966990cfac7ca405c977d52a62ed2d023dcc6bf0dd9d45561b5c89b3fcb6972",
+}
+
 
 def _representation_nets() -> list[GeneratorSet]:
     rng = random.Random(20261019)
@@ -253,6 +271,27 @@ def test_cli_json_gen_is_pinned(data_dir, tmp_path):
         assert main(args) == EXIT_OK
         h.update(out.read_bytes())
     assert h.hexdigest() == JSON_GEN_DIGEST
+
+
+@pytest.mark.parametrize("fmt", list(BLOCK_GEN_DIGESTS))
+def test_cli_gen_blocks_are_pinned(data_dir, tmp_path, fmt):
+    out = tmp_path / f"gen.{fmt}"
+    args = ["--out", str(out), "gen", "--dirnum", str(data_dir / "joe-kuo-head.txt"), "--dims", "7", "--m", "16",
+            "--format", fmt]
+    assert main(args) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCK_GEN_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("kind, fmt", list(BLOCK_SCRAMBLE_DIGESTS))
+def test_cli_scramble_blocks_are_pinned(data_dir, tmp_path, kind, fmt):
+    h = hashlib.sha256()
+    for bits in ([], ["--output-bits", "64"]):
+        out = tmp_path / f"reps.{fmt}"
+        args = ["--seed", "5", "--out", str(out), "scramble", "--dirnum", str(data_dir / "joe-kuo-head.txt"),
+                "--dims", "4", "--m", "16", "--kind", kind, "--reps", "2", "--format", fmt, *bits]
+        assert main(args) == EXIT_OK
+        h.update(out.read_bytes())
+    assert h.hexdigest() == BLOCK_SCRAMBLE_DIGESTS[kind, fmt]
 
 
 @pytest.fixture(scope="module")
