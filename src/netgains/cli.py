@@ -31,8 +31,9 @@ EXIT_SUITE = 3
 # keeps about 63 B per replicate, and the sweep about 1.1 kB per trial's NetRecord.
 REPS_LIMIT = 1 << 22
 TRIALS_LIMIT = 1 << 18
-# Rows of points that --json gen and --json scramble hold as Python ints at a time.
-_JSON_ROWS = 1 << 14
+# Rows of points that each point writer converts at a time: to Python ints for
+# --json, to Python floats for CSV, to little-endian integers for --format bin.
+_BLOCK_ROWS = 1 << 14
 
 _KINDS = {
     "rls": ScrambleKind.RANDOM_LINEAR,
@@ -115,11 +116,26 @@ def _emit(args, payload: dict) -> None:
 
 
 def _write_json_rows(fh, rows: np.ndarray) -> None:
-    """Write the JSON text of ``rows.tolist()``, ``_JSON_ROWS`` rows at a time."""
+    """Write the JSON text of ``rows.tolist()``, ``_BLOCK_ROWS`` rows at a time."""
     fh.write("[")
-    for i in range(0, len(rows), _JSON_ROWS):
-        fh.write((", " if i else "") + json.dumps(rows[i : i + _JSON_ROWS].tolist())[1:-1])
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        fh.write((", " if i else "") + json.dumps(rows[i : i + _BLOCK_ROWS].tolist())[1:-1])
     fh.write("]")
+
+
+def _write_csv_rows(fh, rows: np.ndarray, bits: int) -> None:
+    """Write ``rows / 2**bits`` as decimal fractions, one point per line, ``_BLOCK_ROWS`` rows at a time."""
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        for row in (rows[i : i + _BLOCK_ROWS] * 2.0**-bits).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _write_binary_rows(fh, rows: np.ndarray, bits: int) -> None:
+    """Write ``rows`` row-major as little-endian u32 (u64 past 32 bits), ``_BLOCK_ROWS`` rows at a time."""
+    dtype = "<u4" if bits <= 32 else "<u8"
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        block = np.ascontiguousarray(rows[i : i + _BLOCK_ROWS], dtype=np.uint64)
+        fh.write(block.astype(dtype, copy=False).tobytes())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,10 +205,10 @@ def cmd_gen(args) -> int:
             fh.write("}\n")
     elif args.format != "bin":
         with _out_stream(args.out) as fh:
-            netgen.write_points_csv(points.coords, points.m, fh)
+            _write_csv_rows(fh, points.coords, points.m)
     else:
         with _out_stream(args.out, binary=True) as fh:
-            netgen.write_points_binary(points.coords, points.m, fh)
+            _write_binary_rows(fh, points.coords, points.m)
     return EXIT_OK
 
 
@@ -251,12 +267,11 @@ def cmd_scramble(args) -> int:
     elif args.format != "bin":
         with _out_stream(args.out) as fh:
             for sp in scrambles:
-                for row in sp.reals:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+                _write_csv_rows(fh, sp.reals, 0)
     else:
         with _out_stream(args.out, binary=True) as fh:
             for sp in scrambles:
-                netgen.write_points_binary(sp.numerators, bits, fh)
+                _write_binary_rows(fh, sp.numerators, bits)
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ stacked matrix and every gain coefficient well defined at arbitrary depth.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -520,24 +519,6 @@ def stack_at(gens: GeneratorSet, u, k) -> tuple[int, bool]:
     return rank, not walk.table.residual(nxt)
 
 
-# --- export -----------------------------------------------------------------
-
-def write_points_csv(numerators: np.ndarray, bits: int, stream: TextIO) -> None:
-    """Write points as decimal fractions, one point per line."""
-    scale = float(2**bits)
-    for row in numerators:
-        stream.write(",".join(repr(int(v) / scale) for v in row))
-        stream.write("\n")
-
-
-def write_points_binary(numerators: np.ndarray, bits: int, stream: io.RawIOBase) -> None:
-    """Write numerators row-major as little-endian u32 (u64 past 32 bits), 2**14 rows at a time."""
-    dtype = "<u4" if bits <= 32 else "<u8"
-    for i in range(0, len(numerators), 1 << 14):
-        block = np.ascontiguousarray(numerators[i : i + (1 << 14)], dtype=np.uint64)
-        stream.write(block.astype(dtype, copy=False).tobytes())
-
-
 __all__ = [
     "MAX_M",
     "POINT_VALUE_LIMIT",
@@ -556,6 +537,4 @@ __all__ = [
     "generate_points",
     "StackWalk",
     "stack_at",
-    "write_points_csv",
-    "write_points_binary",
 ]

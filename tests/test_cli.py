@@ -1,12 +1,26 @@
-"""Command-line behavior: outputs, exit codes, determinism."""
+"""Command-line behavior: outputs, exit codes, determinism, and the point writers."""
 
+import io
 import json
 import os
+import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from netgains.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_SUITE, main
+from netgains.cli import (
+    EXIT_INVALID,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_SUITE,
+    _write_binary_rows,
+    _write_csv_rows,
+    _write_json_rows,
+    main,
+)
+from netgains.netgen import generate_points
 
 IDENTITY_RAW = "1 4\n1000\n0100\n0010\n0001\n"
 TWIN_RAW = "2 3\n100\n010\n001\n\n100\n010\n001\n"
@@ -650,9 +664,6 @@ def test_scramble_json_holds_no_replicate_as_python_ints(joekuo_file, tmp_path):
     # 2^18 rows, sixteen of the blocks that --json writes at a time.  The replicate's
     # numpy arrays take 2 MiB each; its tolist() alone, a list of one-int rows of
     # distinct values, takes more than the 23 MiB of its row lists and ints.
-    import sys
-    import tracemalloc
-
     n = 1 << 18
     as_ints = n * (sys.getsizeof([0]) + sys.getsizeof(n - 1))
     out = tmp_path / "reps.json"
@@ -666,3 +677,59 @@ def test_scramble_json_holds_no_replicate_as_python_ints(joekuo_file, tmp_path):
         tracemalloc.stop()
     assert sorted(row for (row,) in json.loads(out.read_text())["numerators"][0]) == list(range(n))
     assert peak < as_ints / 2
+
+
+# --- point writers ----------------------------------------------------------------
+
+def test_csv_export_fractions(identity_net):
+    pts = generate_points(identity_net(3))
+    buf = io.StringIO()
+    _write_csv_rows(buf, pts.coords, pts.m)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 8
+    assert lines[0] == "0.0"
+    assert lines[1] == "0.5"
+
+
+def test_binary_export_u32_roundtrip(shift_points):
+    buf = io.BytesIO()
+    _write_binary_rows(buf, shift_points.coords, shift_points.m)
+    back = np.frombuffer(buf.getvalue(), dtype="<u4").reshape(16, 4)
+    assert np.array_equal(back, shift_points.coords.astype("<u4"))
+
+
+@pytest.mark.parametrize("writer, bits", [("bin", 20), ("bin", 40), ("csv", 20), ("csv", 0), ("json", None)],
+                         ids=["bin-20", "bin-40", "csv-20", "csv-0", "json"])
+def test_point_writers_hold_no_copy_of_the_points(writer, bits):
+    # 2^18 rows, sixteen of the blocks each writer converts at a time: 8 values a row
+    # (16 MiB) for bin, one for the text writers, since tracemalloc slows each of their
+    # allocations.  rows.tolist() would take a list per row and a Python object per
+    # value.  CSV at 0 bits writes reals, as scramble does.
+    class Sink:
+        size = lines = 0
+
+        def write(self, data):
+            self.size += len(data)
+            self.lines += data.count("\n" if isinstance(data, str) else b"\n")
+            return len(data)
+
+    cols = 8 if writer == "bin" else 1
+    numerators = np.arange((1 << 18) * cols, dtype=np.uint64).reshape(-1, cols)
+    rows = numerators * 2.0**-20 if bits == 0 else numerators
+    as_list = len(rows) * sys.getsizeof(rows[-1].tolist()) + rows.size * sys.getsizeof(rows[-1, -1].item())
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        if writer == "json":
+            _write_json_rows(sink, rows)
+        else:
+            (_write_csv_rows if writer == "csv" else _write_binary_rows)(sink, rows, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < as_list / 4
+    if writer == "bin":
+        assert sink.size == numerators.size * (4 if bits <= 32 else 8)
+        assert peak < numerators.nbytes // 8
+    elif writer == "csv":
+        assert sink.lines == len(rows)

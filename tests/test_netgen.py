@@ -1,4 +1,4 @@
-"""Construction: parsing, point generation, stacked matrices, export."""
+"""Construction: parsing, point generation, stacked matrices."""
 
 import io
 import itertools
@@ -28,8 +28,6 @@ from netgains.netgen import (
     generate_points,
     load_generators,
     parse_direction_numbers,
-    write_points_binary,
-    write_points_csv,
 )
 from netgains.quality import compositions
 from netgains.suites import random_generator_set
@@ -498,43 +496,3 @@ def test_subset_index_rejects_bad_shapes(u, k):
 def test_subset_index_out_of_dimension(shift):
     with pytest.raises(ValueError):
         assemble_cuk(shift, SubsetIndex((1, 5), (1, 1)))
-
-
-# --- export ----------------------------------------------------------------------
-
-def test_csv_export_fractions(identity_net):
-    pts = generate_points(identity_net(3))
-    buf = io.StringIO()
-    write_points_csv(pts.coords, pts.m, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 8
-    assert lines[0] == "0.0"
-    assert lines[1] == "0.5"
-
-
-def test_binary_export_u32_roundtrip(shift_points):
-    buf = io.BytesIO()
-    write_points_binary(shift_points.coords, shift_points.m, buf)
-    back = np.frombuffer(buf.getvalue(), dtype="<u4").reshape(16, 4)
-    assert np.array_equal(back, shift_points.coords.astype("<u4"))
-
-
-@pytest.mark.parametrize("bits", [20, 40])
-def test_binary_export_holds_no_copy_of_the_points(bits):
-    class Sink:
-        size = 0
-
-        def write(self, data):
-            self.size += len(data)
-            return len(data)
-
-    numerators = np.arange(1 << 21, dtype=np.uint64).reshape(-1, 8)  # 16 MiB
-    sink = Sink()
-    tracemalloc.start()
-    try:
-        write_points_binary(numerators, bits, sink)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sink.size == numerators.size * (4 if bits <= 32 else 8)
-    assert peak < numerators.nbytes // 8
