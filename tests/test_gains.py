@@ -106,6 +106,23 @@ def test_bruteforce_validates_subset(shift_points):
         gain_bruteforce(shift_points, SubsetIndex((5,), (0,)))
 
 
+def test_bruteforce_agrees_with_the_other_routes_past_m_plus_one():
+    # identical coordinates agree past every depth, so all three routes are
+    # stationary from m + 1 on, however deep k_j goes
+    rng = random.Random(61)
+    nets = [shift_net()] + [random_generator_set(rng, rng.randint(1, 3), rng.randint(1, 5)) for _ in range(6)]
+    for gens in nets:
+        pts = generate_points(gens)
+        for deep in (gens.m + 2, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 20_000):
+            for j in range(1, gens.s + 1):
+                u = tuple(sorted({j, rng.randint(1, gens.s)}))
+                k = tuple(deep if i == j else rng.randint(0, gens.m + 1) for i in u)
+                for idx in (SubsetIndex((j,), (deep,)), SubsetIndex(u, k)):
+                    want = gain_fast(gens, idx).as_int
+                    assert gain_representation(gens, idx) == want
+                    assert gain_bruteforce(pts, idx) == want, (gens.m, idx)
+
+
 def test_bruteforce_chunked_path_agrees():
     # n = 4096 spans eight row blocks of the pairwise sum
     rng = random.Random(8)

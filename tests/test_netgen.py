@@ -51,21 +51,30 @@ def test_parse_accepts_stream():
     assert gens.s == 4
 
 
-@pytest.mark.parametrize(
-    "text,line",
-    [
-        ("4\n", 1),
-        ("x 4\n", 1),
-        ("1 2\n01\n0x\n", 3),
-        ("1 2\n01\n011\n", 3),
-        ("1 2\n01\n", 2),  # truncated: error reported at last line
-        ("1 2\n01\n10\njunk\n", 4),
-    ],
-)
+# input -> (the line it reports, the message after "line N: ")
+RAW_FAULTS = {
+    "4\n": (1, "header must be 's m', got '4'"),
+    "x 4\n": (1, "header must be two integers, got 'x 4'"),
+    "1 2\n01\n0x\n": (3, "non-binary digit in row '0x'"),
+    "1 2\n01\n011\n": (3, "expected 2 binary digits, got 3"),
+    "1 2\n01\n": (2, "unexpected end of input"),  # truncated: error reported at last line
+    "1 2\n01\n10\njunk\n": (4, "unexpected content 'junk'"),
+    "": (0, "unexpected end of input"),
+    "\n\n": (2, "unexpected end of input"),
+    "1 2\n": (1, "unexpected end of input"),
+    "\n1 2\n01\n\n": (4, "unexpected end of input"),
+    "\n\n1 2\n\n01\n\n10\n\n\njunk\n": (10, "unexpected content 'junk'"),
+    "1 2\n\n01\n\n0x\n": (5, "non-binary digit in row '0x'"),
+    "2 1\n1\n\n": (3, "unexpected end of input"),
+}
+
+
+@pytest.mark.parametrize("text,line", [(text, line) for text, (line, _) in RAW_FAULTS.items()])
 def test_parse_raw_errors_carry_line(text, line):
     with pytest.raises(ParseError) as err:
         load_generators(text, RAW)
     assert err.value.line == line
+    assert str(err.value) == f"line {line}: {RAW_FAULTS[text][1]}"
 
 
 def test_parse_raw_rejects_overrides():
