@@ -292,10 +292,7 @@ def cmd_integrate(args) -> int:
     seed = _seed_of(args)
     points = netgen.generate_points(gens)
     if args.integrand == "haar":
-        try:
-            integrand = HaarIntegrand(_parse_coords(args.u, "u"), _parse_coords(args.k, "k"))
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_INVALID) from exc
+        integrand = HaarIntegrand(_parse_coords(args.u, "u"), _parse_coords(args.k, "k"))
     else:
         integrand = lambda x: np.prod(x, axis=1)  # noqa: E731
     spec = ScrambleSpec(kind=_KINDS[args.kind], seed=seed)

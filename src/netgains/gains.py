@@ -69,10 +69,6 @@ class GainValue:
         return cls(None)
 
     @property
-    def is_zero(self) -> bool:
-        return self.log2 is None
-
-    @property
     def as_int(self) -> int:
         return 0 if self.log2 is None else 1 << self.log2
 
@@ -104,16 +100,19 @@ def gain_bruteforce(points: NetPoints, idx: SubsetIndex) -> Fraction:
     +1 / -1 / 0 according to whether coordinates i and i' agree to more
     than, exactly, or fewer than ``k_j`` leading bits; the total is divided
     by n.  Exact integer arithmetic; O(n^2) time in blocks of rows, so
-    meant for modest nets.
+    meant for modest nets.  Depths past ``m + 1`` are clamped there, as the
+    other two routes do: distinct coordinates agree to at most ``m - 1``
+    bits, and identical ones past every depth.
     """
     if idx.u[-1] > points.s:
         raise ValueError(f"subset {idx.u} exceeds dimension s={points.s}")
     n, m = points.n, points.m
     cols = [points.coords[:, j - 1] for j in idx.u]
+    k = [min(kj, m + 1) for kj in idx.k]
     total = 0
     for start in range(0, n, _BRUTE_CHUNK):
         prod = None
-        for col, kj in zip(cols, idx.k):
+        for col, kj in zip(cols, k):
             depth = _match_depth(col[start : start + _BRUTE_CHUNK, None] ^ col[None, :], m)
             factor = (depth > kj).astype(np.int8) - (depth == kj).astype(np.int8)
             prod = factor if prod is None else prod * factor
@@ -134,8 +133,8 @@ def gain_pair_table(points: NetPoints) -> np.ndarray:
     ``i``; this is checked on the points (else :class:`ValueError`), so the
     pair XORs ``x(i) ^ x(i') = y(i ^ i')`` are ``n`` copies of ``y``.  The joint
     histogram H of the pairs' match depths over all coordinates is thus
-    ``n`` times that of ``y``; a depth is clamped to ``0..m + 1`` and
-    ``m + 2`` stands for "identical", which beats every ``k_j``.  A pair
+    ``n`` times that of ``y``; a depth is at most ``m - 1``, and ``m + 2``
+    stands for "identical", which beats every ``k_j``.  A pair
     adds ``W[k_j, d_j] = [d_j > k_j] - [d_j == k_j]`` per coordinate in
     ``u`` and 1 per coordinate outside it, so the table is H contracted
     along each axis with W below a leading all-ones row.  Both the check
@@ -161,7 +160,7 @@ def gain_pair_table(points: NetPoints) -> np.ndarray:
         code = np.zeros(len(diff), dtype=np.intp)
         for j in range(s):
             code *= side
-            code += np.minimum(_match_depth(diff[:, j], m), m + 2)
+            code += _match_depth(diff[:, j], m)
         hist += np.bincount(code, minlength=side**s)
     hist *= n
     d = np.arange(side)

@@ -171,16 +171,14 @@ class NetPoints:
         return self._coords.shape[1]
 
 
-DEPTH_INF = np.int16(2**14)  # "all digits match"; above every real depth
-
-
 def _match_depth(xor: np.ndarray, m: int) -> np.ndarray:
-    """Common-prefix length of m-bit values from their XOR (DEPTH_INF if equal).
+    """Common-prefix length of m-bit values from their XOR; ``m + 2`` if equal.
 
     ``m`` minus the bit length, which is the ``frexp`` exponent: exact below 2**53.
+    Equal values agree past every depth a gain reads, which stops at ``m + 1``.
     """
     out = (m - np.frexp(xor.astype(np.float64))[1]).astype(np.int16)
-    out[xor == 0] = DEPTH_INF
+    out[xor == 0] = m + 2
     return out
 
 
@@ -234,18 +232,10 @@ def load_generators(
 
 
 def _parse_raw(lines: list[str]) -> GeneratorSet:
-    pos = 0
-
-    def next_content() -> tuple[str, int]:
-        nonlocal pos
-        while pos < len(lines):
-            text = lines[pos].strip()
-            pos += 1
-            if text:
-                return text, pos
+    content = [(lineno, text) for lineno, line in enumerate(lines, start=1) if (text := line.strip())]
+    if not content:
         raise ParseError("unexpected end of input", len(lines))
-
-    header, lineno = next_content()
+    lineno, header = content[0]
     parts = header.split()
     if len(parts) != 2:
         raise ParseError(f"header must be 's m', got {header!r}", lineno)
@@ -258,22 +248,19 @@ def _parse_raw(lines: list[str]) -> GeneratorSet:
     if not 1 <= m <= MAX_M:
         raise ParseError(f"m must be in [1, {MAX_M}], got {m}", lineno)
 
-    matrices = []
-    for _ in range(s):
-        rows = []
-        for _ in range(m):
-            text, lineno = next_content()
-            if len(text) != m:
-                raise ParseError(f"expected {m} binary digits, got {len(text)}", lineno)
-            if set(text) - {"0", "1"}:
-                raise ParseError(f"non-binary digit in row {text!r}", lineno)
-            rows.append(int(text, 2))
-        matrices.append(BitMatrix(m, tuple(rows)))
-    while pos < len(lines):
-        if lines[pos].strip():
-            raise ParseError(f"unexpected content {lines[pos].strip()!r}", pos + 1)
-        pos += 1
-    return GeneratorSet(tuple(matrices))
+    rows = content[1 : 1 + s * m]
+    for lineno, text in rows:
+        if len(text) != m:
+            raise ParseError(f"expected {m} binary digits, got {len(text)}", lineno)
+        if set(text) - {"0", "1"}:
+            raise ParseError(f"non-binary digit in row {text!r}", lineno)
+    if len(rows) < s * m:
+        raise ParseError("unexpected end of input", len(lines))
+    if len(content) > 1 + s * m:
+        lineno, text = content[1 + s * m]
+        raise ParseError(f"unexpected content {text!r}", lineno)
+    values = [int(text, 2) for _, text in rows]
+    return GeneratorSet(tuple(BitMatrix(m, tuple(values[i : i + m])) for i in range(0, s * m, m)))
 
 
 @dataclass(frozen=True)

@@ -60,18 +60,13 @@ def _derive(keys: np.ndarray, *parts: int) -> np.ndarray:
     return keys
 
 
-def replicate_seed(seed: int, r: int) -> int:
-    """Seed of replicate ``r`` of a run with base seed ``seed``.
+class _ReplicateSeeds:
+    """The seeds of replicates ``r < count`` of a run with base seed ``seed``, hashed a
+    slice at a time, so that no more seeds are held than one chunk of scrambles takes.
 
     Hashed, so distinct base seeds give unrelated replicate sets; an XOR
     of ``seed`` and ``r`` would make seeds 1 and 2 share replicates 0..3.
     """
-    return int(_derive(np.uint64(seed & _MASK64), _TAG_REPLICATE, r))
-
-
-class _ReplicateSeeds:
-    """``replicate_seed(seed, r)`` for ``r < count``, hashed a slice at a time, so that
-    no more seeds are held than one chunk of scrambles takes."""
 
     def __init__(self, seed: int, count: int):
         self._key = _derive(np.uint64(seed & _MASK64), _TAG_REPLICATE)
@@ -309,7 +304,7 @@ def estimate(
 ) -> RqmcEstimate:
     """Mean of ``replicates`` independently scrambled estimates.
 
-    Replicate r reuses ``spec`` with seed ``replicate_seed(spec.seed, r)``,
+    Replicate r reuses ``spec`` with seed r of ``_ReplicateSeeds(spec.seed, ...)``,
     so replicates of different base seeds are independent; the reported
     ``variance_of_mean`` is the unbiased sample variance of the replicate
     means divided by the replicate count.  ``integrand`` maps the rows of
@@ -430,7 +425,6 @@ def verify_gain_identity(
 
 
 __all__ = [
-    "replicate_seed",
     "ScrambleKind",
     "ScrambleSpec",
     "ScrambledPoints",

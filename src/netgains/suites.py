@@ -85,10 +85,6 @@ class NetRecord:
     failures: list[dict] = field(default_factory=list)
 
     @property
-    def oracles_agree(self) -> bool:
-        return self.oracle_mismatches == 0 and self.non_power_values == 0
-
-    @property
     def attained(self) -> bool:
         return self.enum_max_log2 == self.closed_form_log2
 
@@ -281,9 +277,12 @@ def sweep_records(
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     checked: int
     failures: list[dict] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,13 +319,13 @@ def suites_from_records(records: list[NetRecord], names: list[str]) -> list[Suit
             raise ValueError(f"unknown sweep suite {name!r}")
         fails, adds, checks = _SWEEP[name]
         failures = [{"net": i, "s": r.s, "m": r.m, **adds(r)} for i, r in enumerate(records) if fails(r)]
-        out.append(SuiteResult(name, not failures, sum(checks(r) for r in records), failures))
+        out.append(SuiteResult(name, sum(checks(r) for r in records), failures))
     return out
 
 
 def net_preservation_suite(*, seed0: int = 0) -> SuiteResult:
     """Scrambling of either fixture under 100 seeds must keep every ball count intact."""
-    result = SuiteResult("net-preservation", True, 0)
+    result = SuiteResult("net-preservation", 0)
     for label, gens in (("shift_net", shift_net()), ("sobol_2d", sobol_net(2, 4))):
         points = generate_points(gens)
         t = t_value(gens)
@@ -337,7 +336,6 @@ def net_preservation_suite(*, seed0: int = 0) -> SuiteResult:
                 result.checked += 1
                 if not verify_net_by_counting(scrambled, t):
                     result.failures.append({"fixture": label, "kind": kind.value, "seed": seed})
-    result.passed = not result.failures
     return result
 
 
@@ -345,7 +343,7 @@ def gain_identity_suite(replicates: int = 10_000, *, seed: int = 0) -> SuiteResu
     """Empirical variance of the shift net against its first :data:`_IDENTITY_ENTRIES` nonzero gains."""
     gens = shift_net()
     picks = _identity_entries(gens, _IDENTITY_ENTRIES)
-    result = SuiteResult("gain-identity", True, 0)
+    result = SuiteResult("gain-identity", 0)
     for idx in picks:
         report = verify_gain_identity(
             gens,
@@ -356,7 +354,6 @@ def gain_identity_suite(replicates: int = 10_000, *, seed: int = 0) -> SuiteResu
         result.checked += 1
         if not report.passed:
             result.failures.append(report.to_json_dict())
-    result.passed = not result.failures
     return result
 
 

@@ -1,5 +1,6 @@
 """The public names, and the few names the benchmark reaches outside them."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -57,18 +58,27 @@ def test_test_only_oracles_live_in_the_tests():
 
 
 def test_names_nothing_calls_are_deleted():
+    from netgains.gains import GainValue
     from netgains.gf2 import BitMatrix, PivotTable
     from netgains.netgen import NetPoints
+    from netgains.suites import NetRecord, SuiteResult
 
-    # the point writers live in cli, its only caller, beside one rows-per-block constant
+    # the point writers live in cli, its only caller, beside one rows-per-block constant;
+    # _ReplicateSeeds hashes every replicate seed, and _match_depth gives identical values m + 2
     gone = {"BitVector", "rank", "rank_of_rows", "bounded_vectors", "_bounds", "write_points_csv",
-            "write_points_binary", "_JSON_ROWS"}
+            "write_points_binary", "_JSON_ROWS", "replicate_seed", "DEPTH_INF"}
     for mod in (netgains, *(importlib.import_module(f"netgains.{name}") for name in (*MODULES, "cli"))):
         assert not gone & set(vars(mod)), mod.__name__
         assert not gone & set(getattr(mod, "__all__", ())), mod.__name__
     assert not {"from_strings", "empty", "entry"} & set(vars(BitMatrix))
     assert "fractions" not in vars(NetPoints)
     assert inspect.signature(PivotTable).parameters["ncols"].default is inspect.Parameter.empty
+    # a gain is zero iff its log2 is None; the oracles agree iff the power-of-two suite passes;
+    # a suite passes iff it has no failures
+    assert "is_zero" not in vars(GainValue)
+    assert "oracles_agree" not in vars(NetRecord)
+    assert isinstance(vars(SuiteResult)["passed"], property)
+    assert "passed" not in {f.name for f in dataclasses.fields(SuiteResult)}
 
 
 def test_both_walks_share_one_box_and_one_check():

@@ -435,7 +435,7 @@ def test_verify_reads_trials_only_for_the_sweep_suites(monkeypatch, capsys):
     from netgains import suites
 
     monkeypatch.setattr(suites, "net_preservation_suite",
-                        lambda **kw: suites.SuiteResult("net-preservation", True, 600))
+                        lambda **kw: suites.SuiteResult("net-preservation", 600))
     for trials in ("0", "1000000000"):
         code = main(["--json", "--seed", "1", "verify", "--suite", "net-preservation", "--trials", trials])
         assert code == EXIT_OK

@@ -12,7 +12,6 @@ from gf2_reference import assemble_cuk, nullspace_rank
 from netgains.gains import NullTable
 from netgains.gf2 import BitMatrix, PivotTable
 from netgains.netgen import (
-    DEPTH_INF,
     DIRECTION_NUMBERS,
     RAW,
     DirectionEntry,
@@ -292,7 +291,7 @@ def test_match_depth_is_m_minus_bit_length():
     for b in range(1, 33):
         values += [(1 << b) - 1, rng.randrange(1 << (b - 1), 1 << b)]
     depth = _match_depth(np.array(values, dtype=np.uint64), 32)
-    assert [int(d) for d in depth] == [DEPTH_INF] + [32 - v.bit_length() for v in values[1:]]
+    assert [int(d) for d in depth] == [32 + 2] + [32 - v.bit_length() for v in values[1:]]
 
 
 def test_shift_net_balanced_to_depth_three(shift_points):

@@ -28,6 +28,12 @@ def test_sweep_is_deterministic():
     assert [(r.s, r.m, r.t, r.triples) for r in a] == [(r.s, r.m, r.t, r.triples) for r in b]
 
 
+def oracles_agree(rec) -> bool:
+    """The power-of-two suite's rule: no route disagrees and every value is a power of two."""
+    (suite,) = suites_from_records([rec], ["power-of-two"])
+    return suite.passed
+
+
 def test_random_generator_shapes():
     rng = random.Random(0)
     gens = random_generator_set(rng, 3, 5)
@@ -38,7 +44,7 @@ def test_evaluate_net_counts_full_box():
     gens = GeneratorSet((BitMatrix.identity(3),))
     rec = evaluate_net(gens)
     assert rec.triples == 3 + 2  # k in 0..m+1 for the single coordinate
-    assert rec.oracles_agree and rec.attained and rec.witness_ok
+    assert oracles_agree(rec) and rec.attained and rec.witness_ok
 
 
 def counting_t_nets(count: int):
@@ -91,7 +97,7 @@ def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
     monkeypatch.setattr(suites, "gain_pair_table", broken)
     gens = random_generator_set(random.Random(2), 2, 4)
     rec = evaluate_net(gens)
-    assert rec.oracle_mismatches == 1 and not rec.oracles_agree
+    assert rec.oracle_mismatches == 1 and not oracles_agree(rec)
     (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
     assert failure["u"] == [2] and failure["k"] == [3]
     assert failure["brute"] == str(Fraction(16 * failure["fast"] + 1, 16))
@@ -123,7 +129,7 @@ def test_evaluate_net_catches_one_wrong_signed_count(monkeypatch):
     rec = evaluate_net(gens)
     # one signed count per stack of rank < m; an empty nullspace counts 1 without one
     assert len(calls) == sum(not full for _, _, full in box(gens)) < rec.triples
-    assert rec.oracle_mismatches == 1 and not rec.oracles_agree
+    assert rec.oracle_mismatches == 1 and not oracles_agree(rec)
     (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
     assert failure["middle"] == failure["fast"] + 1
     assert failure["brute"] == str(Fraction(failure["fast"]))
@@ -180,7 +186,7 @@ def test_evaluate_net_tallies_bound_and_zero_region_breaches_of_a_wrong_t(monkey
     want = []
     for u, k, _ in box(gens):
         gain = gain_fast(gens, SubsetIndex(u, k))
-        if gain.is_zero:
+        if gain.log2 is None:
             continue
         clamp = min(wrong_t + len(u) - 1, m)
         if gain.log2 > clamp:
@@ -188,7 +194,7 @@ def test_evaluate_net_tallies_bound_and_zero_region_breaches_of_a_wrong_t(monkey
                          "rank": m - gain.log2, "clamp": clamp})
         if len(u) + sum(k) <= m - wrong_t:
             want.append({"kind": "zero_region", "u": list(u), "k": list(k), "log2": gain.log2})
-    assert rec.oracles_agree
+    assert oracles_agree(rec)
     assert rec.chain_violations == sum(f["kind"] == "chain" for f in want) > 0
     assert rec.zero_region_violations == sum(f["kind"] == "zero_region" for f in want) > 0
     assert rec.failures == want[: suites._MAX_FAILURES]
@@ -348,7 +354,7 @@ def test_evaluate_net_catches_one_flipped_point_bit(monkeypatch):
     monkeypatch.setattr(suites, "generate_points", broken)
     gens = random_generator_set(random.Random(2), 2, 4)
     rec = evaluate_net(gens)
-    assert rec.oracle_mismatches == 1 and not rec.oracles_agree
+    assert rec.oracle_mismatches == 1 and not oracles_agree(rec)
     (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
     assert failure["u"] == [] and "not a digital net" in failure["brute"]
     (suite,) = suites_from_records([rec], ["power-of-two"])
@@ -420,4 +426,13 @@ def test_identity_entries_start_with_maximum(shift):
     assert len(picks) == 3
     assert gain_fast(shift, picks[0]).log2 == 3
     assert all(isinstance(p, SubsetIndex) for p in picks)
-    assert all(not gain_fast(shift, p).is_zero for p in picks)
+    assert all(gain_fast(shift, p).log2 is not None for p in picks)
+
+
+def test_a_suite_passes_iff_it_has_no_failures():
+    result = suites.SuiteResult("gain-identity", 3)
+    assert result.passed and result.to_json_dict()["pass"] is True
+    result.failures.append({"net": 0})
+    assert not result.passed and result.to_json_dict()["pass"] is False
+    failed = suites.SuiteResult("power-of-two", 1, [{"net": 0}])
+    assert not failed.passed and failed.to_json_dict()["pass"] is False
