@@ -19,8 +19,8 @@ import numpy as np
 
 from . import netgen, quality, suites
 from .gains import ResourceLimitError, enumerate_gains, max_gain
-from .netgen import ParseError, load_generators
-from .scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, _ReplicateSeeds, _scrambles, estimate
+from .netgen import load_generators
+from .scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, _ReplicateSeeds, _output_bits, _scrambles, estimate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -40,12 +40,6 @@ _KINDS = {
     "nested": ScrambleKind.NESTED_UNIFORM,
     "shift": ScrambleKind.DIGITAL_SHIFT_ONLY,
 }
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def _add_global_args(p: argparse.ArgumentParser, top_level: bool) -> None:
@@ -72,9 +66,9 @@ def _load(args) -> netgen.GeneratorSet:
         with open(path, "r", encoding="utf-8") as fh:
             return load_generators(fh, fmt, dims=args.dims, m=args.m)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except (ParseError, ValueError) as exc:
-        raise CliError(f"invalid generator input: {exc}", EXIT_INVALID) from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"invalid generator input: {exc}") from exc
 
 
 @contextmanager
@@ -86,7 +80,7 @@ def _out_stream(path: str | None, binary: bool = False):
     try:
         fh = open(path, mode)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
     try:
         yield fh
     finally:
@@ -95,9 +89,9 @@ def _out_stream(path: str | None, binary: bool = False):
 
 def _check_count(flag: str, value: int, least: int, most: int | None = None, note: str = "") -> None:
     if value < least:
-        raise CliError(f"{flag} must be >= {least}{note}, got {value}", EXIT_INVALID)
+        raise ValueError(f"{flag} must be >= {least}{note}, got {value}")
     if most is not None and value > most:
-        raise CliError(f"{flag} must be <= {most}{note}, got {value}", EXIT_INVALID)
+        raise ValueError(f"{flag} must be <= {most}{note}, got {value}")
 
 
 def _seed_of(args) -> int:
@@ -214,7 +208,7 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.a_k_max is not None and not args.full:
-        raise CliError("--a-k-max applies only with --full", EXIT_INVALID)
+        raise ValueError("--a-k-max applies only with --full")
     gens = _load(args)
     gamma, witness = max_gain(gens)
     if args.full:
@@ -252,10 +246,10 @@ def cmd_gains(args) -> int:
 def cmd_scramble(args) -> int:
     _check_count("--reps", args.reps, 1)
     gens = _load(args)
+    bits = _output_bits(gens.m, args.output_bits)
     seed = _seed_of(args)
     points = netgen.generate_points(gens)
     kind = _KINDS[args.kind]
-    bits = args.output_bits if args.output_bits is not None else gens.m
     scrambles = _scrambles(points, ScrambleSpec(kind, bits), _ReplicateSeeds(seed, args.reps))
     if args.json:
         with _out_stream(args.out) as fh:
@@ -277,24 +271,24 @@ def cmd_scramble(args) -> int:
 
 def _parse_coords(text: str | None, what: str) -> tuple[int, ...]:
     if not text:
-        raise CliError(f"haar integrand needs --{what}", EXIT_INVALID)
+        raise ValueError(f"haar integrand needs --{what}")
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise CliError(f"--{what} must be comma-separated integers", EXIT_INVALID) from exc
+        raise ValueError(f"--{what} must be comma-separated integers") from exc
 
 
 def cmd_integrate(args) -> int:
     if args.integrand != "haar" and (args.u is not None or args.k is not None):
-        raise CliError("--u and --k apply only to --integrand haar", EXIT_INVALID)
+        raise ValueError("--u and --k apply only to --integrand haar")
     _check_count("--reps", args.reps, 2, REPS_LIMIT)
-    gens = _load(args)
-    seed = _seed_of(args)
-    points = netgen.generate_points(gens)
     if args.integrand == "haar":
         integrand = HaarIntegrand(_parse_coords(args.u, "u"), _parse_coords(args.k, "k"))
     else:
         integrand = lambda x: np.prod(x, axis=1)  # noqa: E731
+    gens = _load(args)
+    seed = _seed_of(args)
+    points = netgen.generate_points(gens)
     spec = ScrambleSpec(kind=_KINDS[args.kind], seed=seed)
     est = estimate(points, spec, integrand, args.reps)
     _emit(args, est.to_json_dict())
@@ -340,12 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.json and getattr(args, "format", None) not in (None, "json"):
-            raise CliError(f"--json conflicts with --format {args.format}", EXIT_INVALID)
+            raise ValueError(f"--json conflicts with --format {args.format}")
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, ValueError, ResourceLimitError) as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError:

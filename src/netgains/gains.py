@@ -31,7 +31,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 from typing import TextIO
 
 import numpy as np
@@ -47,7 +46,7 @@ from .netgen import (
     _xor_span,
     stack_at,
 )
-from .quality import _box_counts, _least_gain_total, first_rank_deficient_k, t_u
+from .quality import T_SEARCH_LIMIT, _box_counts, _least_gain_total, first_rank_deficient_k, t_u
 
 ENUMERATION_VISIT_LIMIT = 1 << 24
 _BRUTE_CHUNK = 512
@@ -57,7 +56,6 @@ _PAIR_BLOCK_LOG2 = 16  # at most 2^16 rows of points per block of gain_pair_tabl
 PAIR_TABLE_CELL_LIMIT = 1 << 22
 
 
-@total_ordering
 @dataclass(frozen=True)
 class GainValue:
     """A gain coefficient as log2; ``None`` encodes the exact value 0."""
@@ -71,12 +69,6 @@ class GainValue:
     @property
     def as_int(self) -> int:
         return 0 if self.log2 is None else 1 << self.log2
-
-    def _key(self) -> int:
-        return -1 if self.log2 is None else self.log2
-
-    def __lt__(self, other: "GainValue") -> bool:
-        return self._key() < other._key()
 
     def __str__(self) -> str:
         return "0" if self.log2 is None else f"2^{self.log2}"
@@ -395,9 +387,11 @@ def enumerate_gains(
     report then carries ``truncated=True``); it trims the report but does
     not shorten the walk.  Raises :class:`ResourceLimitError`, before any
     walk, when there are more than :data:`ENUMERATION_VISIT_LIMIT` pairs
-    ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``, and
-    when its ``t`` search, the floor-1 search of a table with no gain or a
-    ``t_u`` search passes :data:`~netgains.quality.T_SEARCH_LIMIT`.
+    ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``, or
+    more than :data:`~netgains.quality.T_SEARCH_LIMIT` stacks ``k`` in
+    ``[0, m + 1]^s`` with ``|k| <= max_depth``, which the ``t`` search tests
+    one by one; and when its ``t`` search, the floor-1 search of a table
+    with no gain or a ``t_u`` search passes that limit.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -410,6 +404,11 @@ def enumerate_gains(
         raise ResourceLimitError(
             f"max_depth={max_depth} over s={s} coordinates asks for {total} (u, k) visits "
             f"(limit {ENUMERATION_VISIT_LIMIT})"
+        )
+    if counts[s] > T_SEARCH_LIMIT:
+        raise ResourceLimitError(
+            f"max_depth={max_depth} over s={s} coordinates asks for {counts[s]} stacks, each a test of "
+            f"the t search (limit {T_SEARCH_LIMIT})"
         )
     # quota[mask]: how many of the first (u, k) in lex order are still to visit
     quota = [0] * (1 << s)

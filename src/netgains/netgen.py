@@ -194,12 +194,6 @@ def _xor_span(basis: np.ndarray) -> np.ndarray:
 
 # --- parsing ----------------------------------------------------------------
 
-def _as_lines(source: str | TextIO) -> list[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return source.read().splitlines()
-
-
 def load_generators(
     source: str | TextIO,
     fmt: str = RAW,
@@ -218,7 +212,7 @@ def load_generators(
     and ``m`` select how much of the table to instantiate.  Matrix 1 is
     always the identity.
     """
-    lines = _as_lines(source)
+    lines = (source if isinstance(source, str) else source.read()).splitlines()
     if fmt == RAW:
         if dims is not None or m is not None:
             raise ValueError(f"dims and m apply only to direction_numbers input, got dims={dims}, m={m}")
@@ -234,7 +228,7 @@ def load_generators(
 def _parse_raw(lines: list[str]) -> GeneratorSet:
     content = [(lineno, text) for lineno, line in enumerate(lines, start=1) if (text := line.strip())]
     if not content:
-        raise ParseError("unexpected end of input", len(lines))
+        raise ParseError("unexpected end of input", max(len(lines), 1))
     lineno, header = content[0]
     parts = header.split()
     if len(parts) != 2:

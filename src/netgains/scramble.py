@@ -242,16 +242,15 @@ def scramble(points: NetPoints, spec: ScrambleSpec) -> ScrambledPoints:
 class HaarIntegrand:
     """Product of one-dimensional square waves at depth ``k_j``, j in u.
 
-    The value at x is ``amplitude * prod_j sign(k_j-th-level half of x_j)``
-    with +1 on the left half of each depth-``k_j`` dyadic cell and -1 on
-    the right half.  Mean 0, variance amplitude^2, and constant on cells of
-    depth ``k_j + 1``, so it is evaluated exactly on scrambled numerators
-    with enough digits (:meth:`values_from_cells`), never on reals.
+    The value at x is ``prod_j sign(k_j-th-level half of x_j)``, with +1
+    on the left half of each depth-``k_j`` dyadic cell and -1 on the right
+    half.  Mean 0, variance 1, and constant on cells of depth ``k_j + 1``,
+    so it is evaluated exactly on scrambled numerators with enough digits
+    (:meth:`values_from_cells`), never on reals.
     """
 
     u: tuple[int, ...]
     k: tuple[int, ...]
-    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         idx = SubsetIndex(tuple(self.u), tuple(self.k))  # validates shape
@@ -267,7 +266,7 @@ class HaarIntegrand:
         the coordinates); needs ``bits >= max(k) + 1``."""
         if bits < self.needed_bits:
             raise ValueError(f"need {self.needed_bits} digits, points carry {bits}")
-        out = np.full(numerators.shape[:-1], self.amplitude)
+        out = np.ones(numerators.shape[:-1])
         for j, kj in zip(self.u, self.k):
             bit = (numerators[..., j - 1] >> np.uint64(bits - (kj + 1))) & np.uint64(1)
             out *= 1.0 - 2.0 * bit.astype(np.float64)

@@ -141,7 +141,7 @@ def haar_at_reals(f: HaarIntegrand, x: np.ndarray) -> np.ndarray:
     bits, so a wave needing more digits is refused: read it from cells."""
     if f.needed_bits > 53:
         raise ValueError(f"haar integrand at k={f.k} needs more than the 53 digits of a float")
-    out = np.full(x.shape[0], f.amplitude)
+    out = np.ones(x.shape[0])
     for j, kj in zip(f.u, f.k):
         cell = np.floor(x[:, j - 1] * float(1 << (kj + 1))).astype(np.int64)
         out *= 1.0 - 2.0 * (cell & 1).astype(np.float64)

@@ -61,6 +61,7 @@ def test_names_nothing_calls_are_deleted():
     from netgains.gains import GainValue
     from netgains.gf2 import BitMatrix, PivotTable
     from netgains.netgen import NetPoints
+    from netgains.scramble import HaarIntegrand
     from netgains.suites import NetRecord, SuiteResult
 
     # the point writers live in cli, its only caller, beside one rows-per-block constant;
@@ -79,6 +80,12 @@ def test_names_nothing_calls_are_deleted():
     assert "oracles_agree" not in vars(NetRecord)
     assert isinstance(vars(SuiteResult)["passed"], property)
     assert "passed" not in {f.name for f in dataclasses.fields(SuiteResult)}
+    # main maps ValueError and OSError to exits 2 and 1; nothing orders gains; every
+    # Haar wave has amplitude 1
+    assert "CliError" not in vars(importlib.import_module("netgains.cli"))
+    assert "_as_lines" not in vars(importlib.import_module("netgains.netgen"))
+    assert not {"__lt__", "_key"} & set(vars(GainValue))
+    assert "amplitude" not in {f.name for f in dataclasses.fields(HaarIntegrand)}
 
 
 def test_both_walks_share_one_box_and_one_check():

@@ -296,6 +296,30 @@ def test_integrate_haar_rejects_a_bad_u_or_k(u, k, message, shiftnet_file, capsy
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--u", "1,x", "--k", "1,1"], "--u must be comma-separated integers"),
+        (["--u", "2,1", "--k", "1,1"], "u must be strictly increasing, got (2, 1)"),
+        (["--u", "1", "--k", "1,2"], "k has 2 entries for 1 coordinates"),
+        (["--k", "1"], "haar integrand needs --u"),
+    ],
+)
+def test_integrate_refuses_a_bad_haar_index_before_the_input(flags, message, monkeypatch, capsys):
+    from netgains import cli, netgen
+
+    def no_work(*args):
+        raise AssertionError("work started before the haar index was checked")
+
+    for module, name in ((cli, "_load"), (cli, "_seed_of"), (netgen, "generate_points")):
+        monkeypatch.setattr(module, name, no_work)
+    # the input file need not exist: the index is refused first
+    code = main(["integrate", "--raw", "no-such-file.txt", "--integrand", "haar", *flags])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_integrate_haar(shiftnet_file, capsys):
     code = main(
         ["--json", "--seed", "5", "integrate", "--raw", shiftnet_file,
@@ -503,6 +527,21 @@ def test_scramble_rejects_reps_below_one(shiftnet_file, capsys):
     assert code == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and "--reps must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("bits", ["3", "65"])
+def test_scramble_refuses_output_bits_before_the_points(bits, monkeypatch, shiftnet_file, capsys):
+    from netgains import cli, netgen
+
+    def no_work(*args):
+        raise AssertionError("work started before --output-bits was checked")
+
+    monkeypatch.setattr(cli, "_seed_of", no_work)
+    monkeypatch.setattr(netgen, "generate_points", no_work)
+    code = main(["scramble", "--raw", shiftnet_file, "--output-bits", bits])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: output_bits must be in [4, 64], got {bits}\n"
 
 
 def test_gains_rejects_negative_max_visits(shiftnet_file, capsys):

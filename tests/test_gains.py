@@ -46,8 +46,6 @@ def test_gain_value_semantics():
     eight = GainValue(3)
     assert zero.log2 is None and zero.as_int == 0
     assert eight.as_int == 8
-    assert zero < GainValue(0) < eight
-    assert sorted([eight, zero, GainValue(1)])[0] is zero
     assert str(zero) == "0" and str(eight) == "2^3"
 
 
@@ -779,6 +777,26 @@ def test_enumerate_refuses_oversized_boxes_before_walking(monkeypatch, shift):
     monkeypatch.setattr(module, "ENUMERATION_VISIT_LIMIT", visits)
     with pytest.raises(AssertionError, match="a walk started"):
         enumerate_gains(shift, 3)
+
+
+def test_enumerate_refuses_stacks_past_the_t_search_limit_before_walking(monkeypatch):
+    # the t search tests each of the table's stacks, so a table of more stacks than
+    # T_SEARCH_LIMIT would be refused mid-walk: it is refused before the walk starts
+    gens = random_generator_set(random.Random(29), 3, 4)
+    # k in [0, 5]^r with |k| <= 12: 6 per singleton, 36 per pair, and the triple's 206,
+    # which are the walk's stacks
+    assert quality._box_counts(3, 5, 12) == [1, 6, 36, 206]
+    walks, walk = [], gains._least_gain_total
+    monkeypatch.setattr(gains, "_least_gain_total", lambda *a, **kw: walks.append(a) or walk(*a, **kw))
+    monkeypatch.setattr(gains, "ENUMERATION_VISIT_LIMIT", 400)  # the 3 * 6 + 3 * 36 + 206 = 332 pairs pass
+    for module in (gains, quality):
+        monkeypatch.setattr(module, "T_SEARCH_LIMIT", 200)
+    with pytest.raises(ResourceLimitError, match=r"max_depth=12 over s=3 .* 206 stacks, .*\(limit 200\)"):
+        enumerate_gains(gens, 12)
+    assert walks == []
+    for module in (gains, quality):
+        monkeypatch.setattr(module, "T_SEARCH_LIMIT", 206)
+    assert enumerate_gains(gens, 12).visited == 332 and walks
 
 
 def test_enumerate_rejects_negative_depth(shift):

@@ -58,7 +58,7 @@ RAW_FAULTS = {
     "1 2\n01\n011\n": (3, "expected 2 binary digits, got 3"),
     "1 2\n01\n": (2, "unexpected end of input"),  # truncated: error reported at last line
     "1 2\n01\n10\njunk\n": (4, "unexpected content 'junk'"),
-    "": (0, "unexpected end of input"),
+    "": (1, "unexpected end of input"),
     "\n\n": (2, "unexpected end of input"),
     "1 2\n": (1, "unexpected end of input"),
     "\n1 2\n01\n\n": (4, "unexpected end of input"),

@@ -139,14 +139,14 @@ def test_extra_output_bits_refine_cells(shift_points):
 # --- Haar integrand -----------------------------------------------------------------
 
 def test_haar_is_balanced_on_fine_grid():
-    f = HaarIntegrand((1, 2), (1, 0), amplitude=2.0)
+    f = HaarIntegrand((1, 2), (1, 0))
     # evaluate on all cells two levels past the deepest wave
     grid = np.arange(16, dtype=np.uint64)
     cells = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     values = f.values_from_cells(cells, 4)
-    assert set(values) == {2.0, -2.0}
+    assert set(values) == {1.0, -1.0}
     assert values.sum() == 0.0
-    assert (values**2).mean() == 4.0
+    assert (values**2).mean() == 1.0
 
 
 def test_haar_cells_agree_with_reals():

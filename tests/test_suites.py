@@ -1,6 +1,7 @@
 """Sweep machinery: determinism and failure surfacing."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from netgains import quality, suites
 from netgains.gains import NullTable, ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix, PivotTable
 from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
+from netgains.scramble import GainIdentityReport, ScrambleKind
 from netgains.suites import (
     NULLSPACE_LOG2_LIMIT,
     PAIR_TABLE_CELL_LIMIT,
@@ -436,3 +438,51 @@ def test_a_suite_passes_iff_it_has_no_failures():
     assert not result.passed and result.to_json_dict()["pass"] is False
     failed = suites.SuiteResult("power-of-two", 1, [{"net": 0}])
     assert not failed.passed and failed.to_json_dict()["pass"] is False
+
+
+def verify_manifest(capsys, *argv) -> dict:
+    """The one suite of a ``verify`` that must fail: exit 3, and its manifest entry."""
+    from netgains.cli import EXIT_SUITE, main
+
+    assert main(["--json", "--seed", "5", "verify", *argv]) == EXIT_SUITE
+    payload = json.loads(capsys.readouterr().out)
+    (suite,) = payload["suites"]
+    assert payload["pass"] is False and suite["pass"] is False
+    return suite
+
+
+def test_net_preservation_suite_lists_the_scramble_that_broke_a_net(monkeypatch, capsys):
+    # the suite counts 100 seeds of each kind on the shift net (s = 4), then on sobol_2d
+    calls = []
+
+    def fails_once(net, t):
+        calls.append(net.s)
+        return calls.count(2) != 100 + 8  # sobol_2d, the second kind, the eighth seed
+
+    monkeypatch.setattr(suites, "verify_net_by_counting", fails_once)
+    entry = {"fixture": "sobol_2d", "kind": list(ScrambleKind)[1].value, "seed": 5 + 7}
+    result = suites.net_preservation_suite(seed0=5)
+    assert not result.passed and result.checked == len(calls) == 600
+    assert result.failures == [entry]
+    calls.clear()
+    assert verify_manifest(capsys, "--suite", "net-preservation") == {
+        "suite": "net-preservation", "pass": False, "checked": 600, "failures": [entry]}
+
+
+def test_gain_identity_suite_lists_the_report_of_a_failed_entry(monkeypatch, capsys):
+    reports = []
+
+    def fails_second(gens, idx, replicates, spec):
+        reports.append(GainIdentityReport(idx, ScrambleKind(spec.kind), gain_fast(gens, idx).log2,
+                                          empirical_n_var=9.5, mc_se=0.25, passed=len(reports) != 1,
+                                          replicates=replicates))
+        return reports[-1]
+
+    monkeypatch.setattr(suites, "verify_gain_identity", fails_second)
+    result = suites.gain_identity_suite(10, seed=5)
+    assert not result.passed and result.checked == len(reports) == suites._IDENTITY_ENTRIES
+    assert result.failures == [reports[1].to_json_dict()]
+    assert result.failures[0]["pass"] is False and result.failures[0]["replicates"] == 10
+    reports.clear()
+    suite = verify_manifest(capsys, "--suite", "gain-identity", "--reps", "10")
+    assert suite == {"suite": "gain-identity", "pass": False, "checked": 3, "failures": [reports[1].to_json_dict()]}
