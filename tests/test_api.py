@@ -60,7 +60,7 @@ def test_test_only_oracles_live_in_the_tests():
 def test_names_nothing_calls_are_deleted():
     from netgains.gains import GainValue
     from netgains.gf2 import BitMatrix, PivotTable
-    from netgains.netgen import NetPoints
+    from netgains.netgen import NetPoints, SubsetIndex
     from netgains.scramble import HaarIntegrand
     from netgains.suites import NetRecord, SuiteResult
 
@@ -86,6 +86,11 @@ def test_names_nothing_calls_are_deleted():
     assert "_as_lines" not in vars(importlib.import_module("netgains.netgen"))
     assert not {"__lt__", "_key"} & set(vars(GainValue))
     assert "amplitude" not in {f.name for f in dataclasses.fields(HaarIntegrand)}
+    # gains reads quality's one T_SEARCH_LIMIT; cli opens files, not a generator of them;
+    # a Haar wave is indexed, and checked, as a gain is
+    assert "T_SEARCH_LIMIT" not in vars(importlib.import_module("netgains.gains"))
+    assert "contextmanager" not in vars(importlib.import_module("netgains.cli"))
+    assert issubclass(HaarIntegrand, SubsetIndex)
 
 
 def test_both_walks_share_one_box_and_one_check():

@@ -320,6 +320,31 @@ def test_integrate_refuses_a_bad_haar_index_before_the_input(flags, message, mon
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "flags,message,stubs",
+    [
+        (["--u", "8", "--k", "1"], "u must be nonempty coordinates in 1..7, increasing, got u=(8,) for s=7",
+         ("_seed_of",)),
+        (["--u", "1", "--k", "70"], "haar integrand at k=(70,) needs more than 64 digits", ("_seed_of", "_load")),
+    ],
+    ids=["u-past-s", "k-past-63"],
+)
+def test_integrate_refuses_a_haar_wave_past_the_net_before_any_point(flags, message, stubs, monkeypatch,
+                                                                     joekuo_file, capsys):
+    from netgains import cli, netgen
+
+    def no_work(*args):
+        raise AssertionError("work started before the haar wave was checked")
+
+    monkeypatch.setattr(netgen, "generate_points", no_work)
+    for name in stubs:
+        monkeypatch.setattr(cli, name, no_work)
+    code = main(["integrate", "--dirnum", joekuo_file, "--dims", "7", "--m", "4", "--integrand", "haar", *flags])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_integrate_haar(shiftnet_file, capsys):
     code = main(
         ["--json", "--seed", "5", "integrate", "--raw", shiftnet_file,
@@ -716,6 +741,25 @@ def test_scramble_json_holds_no_replicate_as_python_ints(joekuo_file, tmp_path):
         tracemalloc.stop()
     assert sorted(row for (row,) in json.loads(out.read_text())["numerators"][0]) == list(range(n))
     assert peak < as_ints / 2
+
+
+def test_scramble_csv_holds_no_replicate_as_reals(joekuo_file, tmp_path):
+    # 2^18 rows of one coordinate, sixteen CSV blocks.  The points and the replicate's
+    # numerators take 2 MiB each and are held whole; the replicate's reals would take
+    # 2 MiB more, and hashing their offsets all at once as much again
+    n = 1 << 18
+    out = tmp_path / "reps.csv"
+    args = ["--seed", "2", "--out", str(out), "scramble", "--dirnum", joekuo_file, "--dims", "1",
+            "--m", "18", "--kind", "shift"]
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == n
+    assert peak < 4 * n * 8
 
 
 # --- point writers ----------------------------------------------------------------

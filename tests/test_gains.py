@@ -104,6 +104,12 @@ def test_bruteforce_validates_subset(shift_points):
         gain_bruteforce(shift_points, SubsetIndex((5,), (0,)))
 
 
+def test_bruteforce_refuses_a_subset_past_s_as_the_walks_do(shift_points):
+    message = r"^u must be nonempty coordinates in 1\.\.4, increasing, got u=\(5,\) for s=4$"
+    with pytest.raises(ValueError, match=message):
+        gain_bruteforce(shift_points, SubsetIndex((5,), (1,)))
+
+
 def test_bruteforce_agrees_with_the_other_routes_past_m_plus_one():
     # identical coordinates agree past every depth, so all three routes are
     # stationary from m + 1 on, however deep k_j goes
@@ -789,13 +795,11 @@ def test_enumerate_refuses_stacks_past_the_t_search_limit_before_walking(monkeyp
     walks, walk = [], gains._least_gain_total
     monkeypatch.setattr(gains, "_least_gain_total", lambda *a, **kw: walks.append(a) or walk(*a, **kw))
     monkeypatch.setattr(gains, "ENUMERATION_VISIT_LIMIT", 400)  # the 3 * 6 + 3 * 36 + 206 = 332 pairs pass
-    for module in (gains, quality):
-        monkeypatch.setattr(module, "T_SEARCH_LIMIT", 200)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 200)  # gains reads the one binding, in quality
     with pytest.raises(ResourceLimitError, match=r"max_depth=12 over s=3 .* 206 stacks, .*\(limit 200\)"):
         enumerate_gains(gens, 12)
     assert walks == []
-    for module in (gains, quality):
-        monkeypatch.setattr(module, "T_SEARCH_LIMIT", 206)
+    monkeypatch.setattr(quality, "T_SEARCH_LIMIT", 206)
     assert enumerate_gains(gens, 12).visited == 332 and walks
 
 

@@ -253,6 +253,12 @@ def test_haar_beyond_the_dimension_refused_before_scrambling(shift, sobol2d_poin
         verify_gain_identity(shift, SubsetIndex((1,), (70,)), 2, ScrambleSpec(seed=0))
 
 
+def test_haar_past_63_digits_refused_when_built():
+    with pytest.raises(ValueError, match=r"haar integrand at k=\(64,\) needs more than 64 digits"):
+        HaarIntegrand((1,), (64,))
+    assert HaarIntegrand((1,), (63,)).needed_bits == 64
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_deep_haar_is_read_from_cells(shift_points, kind):
     # past 53 digits the reals cannot tell the halves of a depth-k cell apart
