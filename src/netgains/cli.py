@@ -13,14 +13,16 @@ import argparse
 import json
 import secrets
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import netgen, quality, suites
 from .gains import ResourceLimitError, enumerate_gains, max_gain
-from .netgen import load_generators
-from .scramble import HaarIntegrand, ScrambleKind, ScrambleSpec, _ReplicateSeeds, _output_bits, _scrambles, estimate
+from .netgen import _coordinates, load_generators
+from .scramble import (
+    HaarIntegrand, ScrambleKind, ScrambleSpec, _ReplicateSeeds, _output_bits, _reals, _scrambles, estimate,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -71,20 +73,14 @@ def _load(args) -> netgen.GeneratorSet:
         raise ValueError(f"invalid generator input: {exc}") from exc
 
 
-@contextmanager
 def _out_stream(path: str | None, binary: bool = False):
+    """A context manager over stdout, which it leaves open, or over ``path`` opened anew."""
     if path is None or path == "-":
-        yield sys.stdout.buffer if binary else sys.stdout
-        return
-    mode = "wb" if binary else "w"
+        return nullcontext(sys.stdout.buffer if binary else sys.stdout)
     try:
-        fh = open(path, mode)
+        return open(path, "wb" if binary else "w")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-    try:
-        yield fh
-    finally:
-        fh.close()
 
 
 def _check_count(flag: str, value: int, least: int, most: int | None = None, note: str = "") -> None:
@@ -260,8 +256,10 @@ def cmd_scramble(args) -> int:
             fh.write("]}\n")
     elif args.format != "bin":
         with _out_stream(args.out) as fh:
-            for sp in scrambles:
-                _write_csv_rows(fh, sp.reals, 0)
+            for sp in scrambles:  # reals a block at a time: no replicate's reals are held whole
+                seeds = np.array([sp._seed], dtype=np.uint64)
+                for i in range(0, sp.n, _BLOCK_ROWS):
+                    _write_csv_rows(fh, _reals(sp.numerators[None, i : i + _BLOCK_ROWS], bits, seeds, i)[0], 0)
     else:
         with _out_stream(args.out, binary=True) as fh:
             for sp in scrambles:
@@ -287,6 +285,8 @@ def cmd_integrate(args) -> int:
     else:
         integrand = lambda x: np.prod(x, axis=1)  # noqa: E731
     gens = _load(args)
+    if args.integrand == "haar":
+        _coordinates(gens.s, integrand.u)
     seed = _seed_of(args)
     points = netgen.generate_points(gens)
     spec = ScrambleSpec(kind=_KINDS[args.kind], seed=seed)

@@ -41,12 +41,14 @@ from .netgen import (
     ResourceLimitError,
     StackWalk,
     SubsetIndex,
+    _coordinates,
     _match_depth,
     _subsets,
     _xor_span,
     stack_at,
 )
-from .quality import T_SEARCH_LIMIT, _box_counts, _least_gain_total, first_rank_deficient_k, t_u
+from . import quality
+from .quality import _box_counts, _least_gain_total, first_rank_deficient_k, t_u
 
 ENUMERATION_VISIT_LIMIT = 1 << 24
 _BRUTE_CHUNK = 512
@@ -96,10 +98,8 @@ def gain_bruteforce(points: NetPoints, idx: SubsetIndex) -> Fraction:
     other two routes do: distinct coordinates agree to at most ``m - 1``
     bits, and identical ones past every depth.
     """
-    if idx.u[-1] > points.s:
-        raise ValueError(f"subset {idx.u} exceeds dimension s={points.s}")
     n, m = points.n, points.m
-    cols = [points.coords[:, j - 1] for j in idx.u]
+    cols = [points.coords[:, j - 1] for j in _coordinates(points.s, idx.u)]
     k = [min(kj, m + 1) for kj in idx.k]
     total = 0
     for start in range(0, n, _BRUTE_CHUNK):
@@ -405,10 +405,10 @@ def enumerate_gains(
             f"max_depth={max_depth} over s={s} coordinates asks for {total} (u, k) visits "
             f"(limit {ENUMERATION_VISIT_LIMIT})"
         )
-    if counts[s] > T_SEARCH_LIMIT:
+    if counts[s] > quality.T_SEARCH_LIMIT:
         raise ResourceLimitError(
             f"max_depth={max_depth} over s={s} coordinates asks for {counts[s]} stacks, each a test of "
-            f"the t search (limit {T_SEARCH_LIMIT})"
+            f"the t search (limit {quality.T_SEARCH_LIMIT})"
         )
     # quota[mask]: how many of the first (u, k) in lex order are still to visit
     quota = [0] * (1 << s)

@@ -399,7 +399,7 @@ class StackWalk:
     """
 
     def __init__(self, gens: GeneratorSet, u, floor, budget: int, table=None):
-        u, floor, cap = _coordinates(gens, u), tuple(floor), gens.m + 1
+        u, floor, cap = _coordinates(gens.s, u), tuple(floor), gens.m + 1
         if len(floor) != len(u):
             raise ValueError(f"floor has {len(floor)} entries for {len(u)} coordinates")
         if min(floor) < 0 or max(floor) > cap:
@@ -474,11 +474,11 @@ class StackWalk:
             level, entering = level - 1, False
 
 
-def _coordinates(gens: GeneratorSet, u) -> tuple[int, ...]:
+def _coordinates(s: int, u) -> tuple[int, ...]:
     """``u`` as a tuple, checked to be nonempty, increasing and in ``1..s``."""
-    u, s = tuple(u), gens.s
+    u = tuple(u)
     if not u or u[0] < 1 or u[-1] > s or any(b <= a for a, b in zip(u, u[1:])):
-        raise ValueError(f"u must be nonempty coordinates in 1..{s}, increasing, got {u} for s={s}")
+        raise ValueError(f"u must be nonempty coordinates in 1..{s}, increasing, got u={u} for s={s}")
     return u
 
 

@@ -152,7 +152,7 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, tabl
     ``|k| + |supp k|`` below the least, and one per XOR of free forms
     listed there (:func:`_fewest`).
     """
-    u = _coordinates(gens, u)
+    u = _coordinates(gens.s, u)
     m, n = gens.m, len(u)
     cap, full = m + 1 - floor, (1 << m) - 1
     base = PivotTable(m)

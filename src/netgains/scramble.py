@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .gains import gain_fast
-from .netgen import GeneratorSet, NetPoints, SubsetIndex, _xor_span, generate_points
+from .netgen import GeneratorSet, NetPoints, SubsetIndex, _coordinates, _xor_span, generate_points
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -130,10 +130,10 @@ class ScrambledPoints:
         return NetPoints(self._numerators, self._bits, _owned=True)
 
 
-def _reals(numerators: np.ndarray, bits: int, seeds: np.ndarray) -> np.ndarray:
-    """Points ``(r, n, s)`` of the scrambles with ``seeds``: each numerator plus an
-    offset below its last digit, hashed from the seed, point and coordinate."""
-    index = np.arange(numerators.shape[1], dtype=np.uint64)
+def _reals(numerators: np.ndarray, bits: int, seeds: np.ndarray, start: int = 0) -> np.ndarray:
+    """Points ``(r, n, s)`` of the scrambles with ``seeds``: each numerator plus an offset
+    below its last digit, hashed from the seed, point (counted from ``start``) and coordinate."""
+    index = np.arange(start, start + numerators.shape[1], dtype=np.uint64)
     out = numerators.astype(np.float64)
     for j in range(1, numerators.shape[2] + 1):
         h = _mix_np(index ^ _derive(seeds, _TAG_OFFSET, j)[:, None])
@@ -238,24 +238,20 @@ def scramble(points: NetPoints, spec: ScrambleSpec) -> ScrambledPoints:
 
 # --- integrands and estimation ------------------------------------------------
 
-@dataclass(frozen=True)
-class HaarIntegrand:
+class HaarIntegrand(SubsetIndex):
     """Product of one-dimensional square waves at depth ``k_j``, j in u.
 
     The value at x is ``prod_j sign(k_j-th-level half of x_j)``, with +1
     on the left half of each depth-``k_j`` dyadic cell and -1 on the right
     half.  Mean 0, variance 1, and constant on cells of depth ``k_j + 1``,
     so it is evaluated exactly on scrambled numerators with enough digits
-    (:meth:`values_from_cells`), never on reals.
+    (:meth:`values_from_cells`), never on reals.  Built only with ``max(k) < 64``.
     """
 
-    u: tuple[int, ...]
-    k: tuple[int, ...]
-
     def __post_init__(self) -> None:
-        idx = SubsetIndex(tuple(self.u), tuple(self.k))  # validates shape
-        object.__setattr__(self, "u", idx.u)
-        object.__setattr__(self, "k", idx.k)
+        super().__post_init__()
+        if self.needed_bits > 64:
+            raise ValueError(f"haar integrand at k={self.k} needs more than 64 digits")
 
     @property
     def needed_bits(self) -> int:
@@ -317,10 +313,7 @@ def estimate(
     d = _output_bits(points.m, spec.output_bits)
     haar = isinstance(integrand, HaarIntegrand)
     if haar:
-        if integrand.u[-1] > points.s:
-            raise ValueError(f"haar integrand on u={integrand.u} exceeds dimension s={points.s}")
-        if integrand.needed_bits > 64:
-            raise ValueError(f"haar integrand at k={integrand.k} needs more than 64 digits")
+        _coordinates(points.s, integrand.u)
         d = max(d, integrand.needed_bits)
     seeds = _ReplicateSeeds(spec.seed, replicates)
     means = np.empty(replicates)
@@ -390,8 +383,9 @@ def verify_gain_identity(
     (not proven here) for the linear scramble.
     """
     expected = gain_fast(gens, idx)  # its walk refuses an idx beyond the net before any scramble
+    integrand = HaarIntegrand(idx.u, idx.k)
     points = generate_points(gens)
-    est = estimate(points, spec, HaarIntegrand(idx.u, idx.k), replicates)
+    est = estimate(points, spec, integrand, replicates)
 
     ys = np.array(est.per_replicate_means)
     r = replicates
