@@ -42,6 +42,24 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def _coordinates(s: int | None, u) -> tuple[int, ...]:
+    """``u`` as a tuple, checked to be nonempty, strictly increasing and in ``1..s``.
+
+    The one check of a coordinate subset.  A :class:`SubsetIndex` knows no
+    net and passes ``s = None``, which bounds nothing above; its message
+    names the rule broken.  With ``s`` given, the message names the range.
+    """
+    u = tuple(u)
+    increasing = all(a < b for a, b in zip(u, u[1:]))
+    if u and increasing and u[0] >= 1 and (s is None or u[-1] <= s):
+        return u
+    if s is not None:
+        raise ValueError(f"u must be nonempty coordinates in 1..{s}, increasing, got u={u} for s={s}")
+    if not u:
+        raise ValueError("u must be nonempty")
+    raise ValueError("coordinates are 1-based" if increasing else f"u must be strictly increasing, got {u}")
+
+
 @dataclass(frozen=True)
 class SubsetIndex:
     """A nonempty sorted coordinate subset ``u`` with one depth per member."""
@@ -50,14 +68,8 @@ class SubsetIndex:
     k: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(self.u))
+        object.__setattr__(self, "u", _coordinates(None, self.u))
         object.__setattr__(self, "k", tuple(self.k))
-        if not self.u:
-            raise ValueError("u must be nonempty")
-        if any(b <= a for a, b in zip(self.u, self.u[1:])):
-            raise ValueError(f"u must be strictly increasing, got {self.u}")
-        if self.u[0] < 1:
-            raise ValueError("coordinates are 1-based")
         if len(self.k) != len(self.u):
             raise ValueError(f"k has {len(self.k)} entries for {len(self.u)} coordinates")
         if any(kj < 0 for kj in self.k):
@@ -472,14 +484,6 @@ class StackWalk:
                 k[level] = kl
             undo(marks[level])
             level, entering = level - 1, False
-
-
-def _coordinates(s: int, u) -> tuple[int, ...]:
-    """``u`` as a tuple, checked to be nonempty, increasing and in ``1..s``."""
-    u = tuple(u)
-    if not u or u[0] < 1 or u[-1] > s or any(b <= a for a, b in zip(u, u[1:])):
-        raise ValueError(f"u must be nonempty coordinates in 1..{s}, increasing, got u={u} for s={s}")
-    return u
 
 
 def _subsets(s: int):

@@ -5,7 +5,8 @@ stacked row matrix of the generators goes rank deficient, and the
 subset-restricted variants ``t_u`` / ``t_star_u`` restrict which depth
 vectors compete.  One search finds that least total for both
 (:func:`_least_gain_total`, which also builds the tables of
-:func:`~netgains.gains.enumerate_gains`): ``t_u`` takes ``k >= 0`` over
+:func:`~netgains.gains.enumerate_gains` and the rank table of the sweep,
+:func:`~netgains.suites.evaluate_net`): ``t_u`` takes ``k >= 0`` over
 ``u`` (so every subset of ``u``), where it is the least ``|v| + |k|`` of a
 nonzero gain, and ``t_star_u`` takes ``k >= 1``, the same walk started
 from the base of the first rows.  Both count their tests against
@@ -111,7 +112,7 @@ def t_u(gens: GeneratorSet, u: Sequence[int]) -> int:
 
 
 def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, table_depth: int = -1,
-                      visit=None) -> int:
+                      visit=None, slab=None) -> int:
     """The least total of a deficient stack ``C_{u,k}`` with ``floor <= k <= m + 1``, ``floor`` 0 or 1.
 
     The first ``floor`` rows of each coordinate form a base, pushed first:
@@ -145,10 +146,16 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, tabl
     The visit returns the least ``|v|`` of a nonempty ``v`` containing
     ``supp(k)`` whose forms XOR to 0, or 0 if there is none: it has tried
     every free set, so the walk lowers the least to ``|k|`` plus that and
-    tests nothing more there.
+    tests nothing more there.  Given ``slab``, a full stack (``held`` all
+    ``m`` bits) of the table is no visit: the walk calls ``slab(k, i)``, ``i``
+    the coordinate just raised, and skips the slab of the stacks that
+    contain its rows, those equal to ``k`` before ``i`` and at least as deep
+    at ``i``, which come next in lexicographic order.  Every ``v`` containing
+    ``supp(k)`` has its forms XOR to 0 there, so the walk lowers the least
+    to ``|k| + |supp k|``, what the visit would have.
 
     Raises :class:`ResourceLimitError` once its tests pass
-    :data:`T_SEARCH_LIMIT`: one per visit, one per other stack with
+    :data:`T_SEARCH_LIMIT`: one per visit or slab, one per other stack with
     ``|k| + |supp k|`` below the least, and one per XOR of free forms
     listed there (:func:`_fewest`).
     """
@@ -213,15 +220,23 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, tabl
                 else:
                     cur = cur[:]
                 kj += 1
-                nxt = row[kj] if mask != full else 0  # a full stack spans all
-                hit = nxt & mask
-                while hit:
-                    nxt ^= pivots[hit.bit_length()]
+                k[j] = kj
+                if mask != full:
+                    nxt = row[kj]
                     hit = nxt & mask
+                    while hit:
+                        nxt ^= pivots[hit.bit_length()]
+                        hit = nxt & mask
+                elif slab and depth + kj <= table_depth:  # the slab spans all: one call, no walk into it
+                    tests += 1
+                    slab(k, j)
+                    least = min(least, cost + kj + 1)
+                    break
+                else:
+                    nxt = 0  # a full stack spans all
                 cur[j] = nxt
                 # the XOR over supp(k) trades row kj of j, now in the row space, for row kj + 1
                 cur[n] ^= nxt
-                k[j] = kj
                 walk(j, cur, mask, depth + kj, cost + kj + 1)
             k[j] = 0
 

@@ -4,26 +4,32 @@ A sweep draws random generator sets, walks the whole (u, k) box with
 per-coordinate depths up to ``m + 1``, and evaluates each gain coefficient
 three ways, each into its own dense table laid out as the pairwise one: the
 pairwise sum (the one :func:`~netgains.gains.gain_pair_table` of the net,
-built from the points' own match depths), and two walks per subset, both a
-:class:`~netgains.netgen.StackWalk`: the rank test read off one on a pivot
-table, and the nullspace count read off one on a
-:class:`~netgains.gains.NullTable`.  Once a stack has rank ``m``, so has
-every deeper one, and each table sees it in its own state: ``m`` pivots,
-or an empty nullspace basis.  There the route writes gain 1 over the slab
-of those deeper stacks still to come in one assignment and cuts the slab
-from its walk.  The tables are then compared cell by cell,
-and checked for the paper's properties, as whole arrays.  The per-net
-record carries everything the individual property suites assert about:
-exact agreement of the three routes, power-of-two values, bound
-domination, the forced-zero region, the rank t against the points' own t
-(read off the pairwise table by the zero region's converse), and
-attainment of the closed-form maximum by the enumerated maximum.
+built from the points' own match depths), the rank test and the nullspace
+count.  The last two walk once each over all coordinates, so a stack is an
+all-coordinate ``k`` with a cell for every ``u`` containing ``supp(k)``:
+the rank test on the normal-form walk of
+:func:`~netgains.quality._least_gain_total`, the nullspace count on a
+:class:`~netgains.netgen.StackWalk` over a
+:class:`~netgains.gains.NullTable`.  Each doubles one value per coordinate
+over the free ones, so a cell costs one XOR, one index add and one store.
+Once a stack has rank ``m``, so has every deeper one, and each route sees
+it in its own state: ``m`` pivots, or an empty nullspace basis.  There the
+route writes gain 1 over the cells of the slab of those deeper stacks in
+one assignment and cuts the slab from its walk.  The tables are then
+compared cell by cell, and checked for the paper's properties, as whole
+arrays.  The per-net record carries everything the individual property
+suites assert about: exact agreement of the three routes, power-of-two
+values, bound domination, the forced-zero region, the rank t against the
+points' own t (read off the pairwise table by the zero region's converse),
+and attainment of the closed-form maximum by the enumerated maximum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,23 +40,23 @@ from .gains import (
     NullTable,
     ResourceLimitError,
     _refuse_pair_table,
-    _signed_count,
     enumerate_gains,
     gain_pair_table,
     max_gain,
 )
 from .gf2 import BitMatrix
 from .netgen import MAX_M, GeneratorSet, StackWalk, SubsetIndex, _subsets, generate_points
-from .quality import t_value, verify_net_by_counting
+from .quality import _least_gain_total, t_value, verify_net_by_counting
 from .samples import shift_net, sobol_net
 from .scramble import ScrambleKind, ScrambleSpec, scramble, verify_gain_identity
 
 _MAX_FAILURES = 20
 # PAIR_TABLE_CELL_LIMIT also bounds the net: the (m + 2)^s box of the largest
 # table is far beyond what the oracles can walk anyway.  The rank and nullspace
-# tables (int8 and int32) and the checks' temporaries peak at 16 bytes a cell
-# (64 MiB) on top of the pairwise table: no more than gain_pair_table's own
-# peak of about 24 bytes a cell while it builds it.
+# tables (int8 and int32 buffers) and the checks' temporaries peak at 16 bytes a
+# cell (64 MiB) on top of the pairwise table: no more than gain_pair_table's own
+# peak of about 24 bytes a cell while it builds it.  The walks' cell offsets
+# (_layout) add 3^s int64, 1.35 MiB at s = 11 against 4^11 cells.
 # Ceiling on (2^s - 1) * 2^m, the nullspace states of the k = 0 triples: it holds a net
 # to 2^24 points, so every signed count (2^m at most) fits the int32 nullspace table.
 NULLSPACE_LOG2_LIMIT = 24
@@ -117,26 +123,7 @@ def evaluate_net(gens: GeneratorSet) -> NetRecord:
 
     # the other two routes on the cells of the pair table: log2 of the rank
     # route's gain (-1 for 0) and the nullspace route's signed count
-    shape = (m + 3,) * s
-    log2 = np.full(shape, _NO_LOG2, dtype=np.int8)
-    counts = np.full(shape, _NO_COUNT, dtype=np.int32)
-    for u, view in _subset_views(s):
-        r = len(u)
-        log2_u, counts_u = log2[view], counts[view]
-        walk = StackWalk(gens, u, (0,) * r, r * cap)
-        residual, k = walk.table.residual, walk.k  # k is updated in place
-        for _, rank, nxt in walk:
-            if rank == m:  # and so has every stack of the slab: gain 1
-                log2_u[_slab(tuple(k), walk.cut())] = 0
-            else:
-                log2_u[tuple(k)] = -1 if residual(nxt) else m - rank
-        walk = StackWalk(gens, u, (0,) * r, r * cap, NullTable(m))
-        table, k = walk.table, walk.k
-        for _, rank, nxt in walk:
-            if rank == m:  # an empty nullspace, and so is every one of the slab: count 1
-                counts_u[_slab(tuple(k), walk.cut())] = 1
-            else:
-                counts_u[tuple(k)] = _signed_count(table.basis, nxt)
+    log2, counts = _rank_cells(gens), _null_cells(gens)
 
     # every cell but the empty-u origin; a cell a walk never wrote keeps its
     # mark: _NO_LOG2 is flagged by itself, and no gain equals _NO_COUNT
@@ -221,9 +208,135 @@ def _subset_views(s: int):
         yield u, tuple(slice(1, None) if j in u else 0 for j in range(1, s + 1))
 
 
-def _slab(k: tuple, i: int) -> tuple:
-    """The cells equal to ``k`` before axis ``i`` and at least ``k[i]`` at it."""
-    return k[:i] + (slice(k[i], None),)
+@functools.cache
+def _layout(s: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[array, ...]]:
+    """Where the cells of an all-coordinate stack ``k`` lie in the flat table: every ``u`` containing ``supp(k)``.
+
+    ``place[j][k_j]`` is the offset of entry ``1 + k_j`` on axis ``j``, and
+    0 at ``k_j = 0``, where the entry is 0 or 1 as ``u`` leaves ``j`` out or
+    not.  ``spread[free]``, for a mask of zero coordinates, holds the offsets
+    of its ``2^f`` subsets in doubling order: a coordinate's subsets are
+    those before it, then the same with it added, so position ``p`` adds the
+    free coordinates of ``p``'s bits.  The offsets are ``3^s`` int64 in all.
+    """
+    stride = [(m + 3) ** (s - 1 - j) for j in range(s)]
+    place = tuple(tuple((1 + kj) * step if kj else 0 for kj in range(m + 2)) for step in stride)
+    spread = []
+    for free in range(1 << s):
+        offsets = [0]
+        for j in range(s):
+            if free >> j & 1:
+                offsets += [o + stride[j] for o in offsets]
+        spread.append(array("q", offsets))
+    return place, tuple(spread)
+
+
+def _slab_cells(k: list[int], i: int) -> tuple:
+    """The cells of the slab cut at the full stack ``k``, ``i`` its deepest nonzero coordinate.
+
+    The slab's stacks equal ``k`` before ``i``, are at least as deep at
+    ``i`` and anything past it; their cells take 0 or 1 on a zero axis
+    before ``i``, and any entry past ``i``.
+    """
+    return (*(1 + kj if kj else slice(2) for kj in k[:i]), slice(1 + k[i], None))
+
+
+def _rank_cells(gens: GeneratorSet) -> np.ndarray:
+    """The rank route over the box: ``log2`` of each gain as ``int8``, -1 for 0, :data:`_NO_LOG2` if unreached.
+
+    The normal-form walk of :func:`~netgains.quality._least_gain_total` at
+    floor 0 over the whole box.  At a stack of rank ``< m`` the gain at
+    ``u`` is ``2^(m - rank)`` if the next rows' normal forms XOR to 0 over
+    ``u``, else 0: one XOR a cell, doubled over the free coordinates.  A
+    full stack writes gain 1 over its slab.
+    """
+    s, m = gens.s, gens.m
+    place, spread = _layout(s, m)
+    buf = array("b", [_NO_LOG2]) * (m + 3) ** s
+    cells = np.frombuffer(buf, dtype=np.int8).reshape((m + 3,) * s)
+
+    def visit(k, rank, forms):
+        """Write the cells of ``k``; return the least ``|u|`` of a gain there, or 0."""
+        at = free = 0
+        bit, acc = 1, [forms[s]]
+        for kj, form, where in zip(k, forms, place):
+            if kj:
+                at += where[kj]
+            else:
+                acc += [a ^ form for a in acc]
+                free |= bit
+            bit <<= 1
+        gain = m - rank
+        written = zip(spread[free], acc)
+        if not at:  # k = 0: its first cell, with u empty, is the origin
+            next(written)
+        for o, a in written:
+            buf[at + o] = -1 if a else gain
+        if 0 not in acc:
+            return 0
+        # position p adds the free coordinates of its bits to the s - |free| of supp(k)
+        hits = [p.bit_count() for p, a in enumerate(acc) if not a and (p or at)]
+        return s - free.bit_count() + min(hits) if hits else 0
+
+    def slab(k, i):
+        cells[_slab_cells(k, i)] = 0
+
+    _least_gain_total(gens, range(1, s + 1), 0, s * (m + 1), visit, slab)
+    return cells
+
+
+def _null_cells(gens: GeneratorSet) -> np.ndarray:
+    """The nullspace route over the box: each signed count as ``int32``, :data:`_NO_COUNT` if unreached.
+
+    A :class:`~netgains.netgen.StackWalk` over all coordinates on a
+    :class:`~netgains.gains.NullTable`.  At a stack of rank ``< m`` the
+    cells come off the basis through :func:`_signed_counts`; at rank ``m``
+    the basis is empty, and the route writes count 1 over the slab and cuts it.
+    """
+    s, m = gens.s, gens.m
+    place, spread = _layout(s, m)
+    buf = array("i", [_NO_COUNT]) * (m + 3) ** s
+    cells = np.frombuffer(buf, dtype=np.int32).reshape((m + 3,) * s)
+    walk = StackWalk(gens, range(1, s + 1), (0,) * s, s * (m + 1), NullTable(m))
+    table, k, rows = walk.table, walk.k, gens._rows
+    for _, rank, _ in walk:
+        if rank == m:
+            cells[_slab_cells(k, walk.cut())] = 1
+            continue
+        at = free = 0
+        bit, nxts = 1, [0]
+        for kj, row, where in zip(k, rows, place):
+            if kj:
+                at += where[kj]
+                nxts[0] ^= row[kj]
+            else:
+                nxts.append(row[0])
+                free |= bit
+            bit <<= 1
+        written = zip(spread[free], _signed_counts(table.basis, nxts))
+        if not at:  # k = 0: its first cell, with u empty, is the origin
+            next(written)
+        for o, count in written:
+            buf[at + o] = count
+    return cells
+
+
+def _signed_counts(basis: list[int], nxts: list[int]) -> list[int]:
+    """The signed count of each ``u`` of a stack, in doubling order.
+
+    ``nxts`` holds the XOR of the support's next rows, then each free
+    coordinate's first row.  Bit ``i`` of a row's syndrome (from the top) is
+    the parity of its product with basis vector ``i``, linear in the row; the
+    count at ``u`` is ``2^|basis|`` if the syndromes XOR to 0 over ``u``, else 0.
+    """
+    acc = []
+    for row in nxts:
+        x = 0
+        for vec in basis:
+            x = x << 1 | (vec & row).bit_count() & 1
+        acc += [a ^ x for a in acc] if acc else [x]
+    size = 1 << len(basis)
+    return [0 if a else size for a in acc]
 
 
 def _cell_notes(s, m, t, oracle, non_power, chain, zero, log2, counts, pairs):

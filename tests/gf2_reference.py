@@ -1,10 +1,10 @@
 """From-scratch GF(2) references: reduced row echelon form, nullspaces, stacks.
 
-The library answers every rank question through a ``PivotTable`` and
-every nullspace question through a ``NullTable``, each driven by one
-``StackWalk`` per subset that shares the work of a common prefix of rows
-(``NullTable`` restricts a nullspace basis; ``nullspace_of_rows`` below
-solves for one by back substitution).  The helpers here redo each
+The library answers rank questions through pivots indexed by leading bit
+and nullspace questions through a ``NullTable``, each driven by a walk
+that shares the work of a common prefix of rows (``NullTable`` restricts
+a nullspace basis; ``nullspace_of_rows`` below solves for one by back
+substitution).  The helpers here redo each
 question on its own matrix, with no state carried over, so the tests can
 hold the incremental routes against them.
 """

@@ -66,8 +66,9 @@ def test_names_nothing_calls_are_deleted():
 
     # the point writers live in cli, its only caller, beside one rows-per-block constant;
     # _ReplicateSeeds hashes every replicate seed, and _match_depth gives identical values m + 2
+    # the sweep walks all coordinates at once and cuts all-coordinate slabs (_slab_cells)
     gone = {"BitVector", "rank", "rank_of_rows", "bounded_vectors", "_bounds", "write_points_csv",
-            "write_points_binary", "_JSON_ROWS", "replicate_seed", "DEPTH_INF"}
+            "write_points_binary", "_JSON_ROWS", "replicate_seed", "DEPTH_INF", "_slab"}
     for mod in (netgains, *(importlib.import_module(f"netgains.{name}") for name in (*MODULES, "cli"))):
         assert not gone & set(vars(mod)), mod.__name__
         assert not gone & set(getattr(mod, "__all__", ())), mod.__name__

@@ -501,6 +501,21 @@ def test_subset_index_rejects_bad_shapes(u, k):
         SubsetIndex(u, k)
 
 
+def test_subset_index_and_the_walks_share_one_subset_check(shift, monkeypatch):
+    from netgains import netgen
+
+    for u in ((), (0, 2), (2, 1), (1, 3, 3)):  # refused by both, each with its own message
+        with pytest.raises(ValueError):
+            SubsetIndex(u, (0,) * len(u))
+        with pytest.raises(ValueError, match=r"u must be nonempty coordinates in 1\.\.4"):
+            StackWalk(shift, u, (0,) * len(u), 1)
+    real, calls = netgen._coordinates, []
+    monkeypatch.setattr(netgen, "_coordinates", lambda s, u: calls.append((s, tuple(u))) or real(s, u))
+    SubsetIndex((1, 3), (0, 2))
+    StackWalk(shift, (1, 3), (0, 0), 1)
+    assert calls == [(None, (1, 3)), (4, (1, 3))]
+
+
 def test_subset_index_out_of_dimension(shift):
     with pytest.raises(ValueError):
         assemble_cuk(shift, SubsetIndex((1, 5), (1, 1)))

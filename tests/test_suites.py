@@ -5,14 +5,17 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gf2_reference import assemble_cuk, nullspace_rank
 from oracles import minimal_counting_t
+from sweep_reference import per_subset_tables
 from netgains import quality, suites
-from netgains.gains import NullTable, ResourceLimitError, gain_fast
+from netgains.gains import ResourceLimitError, gain_fast
 from netgains.gf2 import BitMatrix, PivotTable
-from netgains.netgen import GeneratorSet, NetPoints, SubsetIndex, generate_points
+from netgains.netgen import MAX_M, GeneratorSet, NetPoints, SubsetIndex, generate_points
+from netgains.samples import sobol_net
 from netgains.scramble import GainIdentityReport, ScrambleKind
 from netgains.suites import (
     NULLSPACE_LOG2_LIMIT,
@@ -88,6 +91,77 @@ def test_evaluate_net_counts_no_boxes(monkeypatch):
         assert all(r.passed for r in suites_from_records([rec], list(suites.SWEEP_SUITES)))
 
 
+def reference_nets():
+    """300 nets for the walk tables: every sobol_net(s <= 4, m <= 7), then random nets with s in 1..4
+    and m in 1..7, fair bits in two of four, sparse bits in the third, and in the fourth the first
+    rows dependent, the first row of the last matrix the XOR of the others'; every fifth random net
+    has its last matrix a copy of its first."""
+    yield from (sobol_net(s, m) for s in range(1, 5) for m in range(1, 8))
+    rng = random.Random(73)
+    for i in range(300 - 28):
+        s, m = rng.randint(1, 4), rng.randint(1, 7)
+        density = (0.5, 0.5, 0.2, 0.5)[i % 4]
+        rows = [[sum(1 << b for b in range(m) if rng.random() < density) for _ in range(m)]
+                for _ in range(s)]
+        if i % 4 == 3:
+            rows[-1][0] = 0
+            for mat in rows[:-1]:
+                rows[-1][0] ^= mat[0]
+        if i % 5 == 0:
+            rows[-1] = rows[0]
+        yield GeneratorSet(tuple(BitMatrix(m, tuple(r)) for r in rows))
+
+
+def test_walk_tables_match_the_per_subset_walks(monkeypatch):
+    real = suites._least_gain_total
+    leasts = []
+
+    def least_of_the_walk(gens, *args):
+        leasts.append(real(gens, *args))
+        return leasts[-1]
+
+    monkeypatch.setattr(suites, "_least_gain_total", least_of_the_walk)
+    seen = set()
+    for gens in reference_nets():
+        log2, counts = per_subset_tables(gens)
+        rank_cells = suites._rank_cells(gens)
+        assert rank_cells.dtype == np.int8 and np.array_equal(rank_cells, log2), gens
+        null_cells = suites._null_cells(gens)
+        assert null_cells.dtype == np.int32 and np.array_equal(null_cells, counts), gens
+        # the visits and slabs keep the walk's own answer: the least total of a gain, m + 1 - t
+        assert leasts.pop() == gens.m + 1 - quality.t_value(gens)
+        seen.add((gens.s, bool((log2 == 0).any())))
+    assert seen == {(s, slab) for s in range(1, 5) for slab in (False, True)}  # with and without gain-1 cells
+
+
+def test_the_rank_route_walks_no_stack_walk(monkeypatch):
+    class NullOnly(suites.StackWalk):
+        def __init__(self, gens, u, floor, budget, table=None):
+            super().__init__(gens, u, floor, budget, table)
+            if isinstance(self.table, PivotTable):
+                raise AssertionError("a StackWalk on a PivotTable")
+
+    nets = list(itertools.islice(reference_nets(), 0, None, 10))
+    want = [evaluate_net(gens) for gens in nets]
+    monkeypatch.setattr(suites, "StackWalk", NullOnly)
+    assert [evaluate_net(gens) for gens in nets] == want
+
+
+def test_the_largest_admitted_box_is_within_the_t_search_limit():
+    # the rank route's walk tests each stack of [0, m + 1]^s once at most, a visit or a slab;
+    # past s = 23 the pairwise table alone is refused, as (m + 3)^s > 2^22
+    stacks_of = {}
+    for s in range(1, 24):
+        for m in range(1, MAX_M + 1):
+            try:
+                suites._refuse_net(s, m, "")
+            except ResourceLimitError:
+                continue
+            stacks_of[s, m] = quality._box_counts(s, m + 1, s * (m + 1))[s]
+    largest = max(stacks_of, key=stacks_of.get)
+    assert largest == (5, 18) and stacks_of[largest] == 20**5 < quality.T_SEARCH_LIMIT
+
+
 def test_evaluate_net_catches_one_wrong_pair_table_entry(monkeypatch):
     real = suites.gain_pair_table
 
@@ -118,21 +192,80 @@ def box(gens):
                 yield u, k, nullspace_rank(rows, m) == m
 
 
+def stacks(gens):
+    """Every all-coordinate ``k`` in ``[0, m + 1]^s``, in lexicographic order, with whether C_{1:s,k} has full rank."""
+    s, m = gens.s, gens.m
+    full = {}
+    for k in itertools.product(range(m + 2), repeat=s):
+        u = tuple(j for j, kj in enumerate(k, 1) if kj)
+        rows = assemble_cuk(gens, SubsetIndex(u, [kj for kj in k if kj])).rows if u else ()
+        full[k] = nullspace_rank(rows, m) == m
+    return full
+
+
+def reached(k, full):
+    """Whether a walk over all coordinates that cuts at every full-rank stack reaches ``k``.
+
+    It skips ``k`` iff ``k`` lies in the slab of an earlier full-rank
+    stack, so iff ``k`` less one row at its deepest nonzero coordinate has
+    full rank: that stack lies in the same slab, or is where the walk cut.
+    """
+    if not any(k):
+        return True
+    i = max(pos for pos, kj in enumerate(k) if kj)
+    return not full[k[:i] + (k[i] - 1,) + k[i + 1 :]]
+
+
+def pad(gens, u, k):
+    """The all-coordinate stack of the cell ``(u, k)``: ``k`` with a zero at each coordinate outside ``u``."""
+    depth = dict(zip(u, k))
+    return tuple(depth.get(j, 0) for j in range(1, gens.s + 1))
+
+
+def cells_of(k):
+    """The cells ``(u, k_u)`` of the all-coordinate stack ``k``, every ``u`` containing its support.
+
+    They come in the walks' doubling order: a free coordinate's subsets are
+    those before it, then the same with it added.  At ``k = 0`` the first
+    is the origin, ``u`` empty.
+    """
+    chosen = [()]
+    for j, kj in enumerate(k, 1):
+        if not kj:
+            chosen += [c + (j,) for c in chosen]
+    for extra in chosen:
+        u = tuple(sorted({j for j, kj in enumerate(k, 1) if kj} | set(extra)))
+        yield u, tuple(k[j - 1] for j in u)
+
+
+def counted_cells(gens):
+    """The cells the nullspace route counts one by one, in its order: every cell of each stack
+    of rank < m its walk reaches, the origin too."""
+    full = stacks(gens)
+    return [cell for k, f in full.items() if reached(k, full) and not f for cell in cells_of(k)]
+
+
 def test_evaluate_net_catches_one_wrong_signed_count(monkeypatch):
-    real = suites._signed_count
-    calls = []
+    real = suites._signed_counts
+    counted = []
 
-    def broken(basis, nxt):
-        calls.append(None)
-        return real(basis, nxt) + (len(calls) == 7)  # the 7th count is one off
+    def broken(basis, nxts):
+        counts = real(basis, nxts)
+        before = len(counted)
+        counted.extend(counts)
+        if before < 7 <= len(counted):  # the 7th count is one off
+            counts[6 - before] += 1
+        return counts
 
-    monkeypatch.setattr(suites, "_signed_count", broken)
+    monkeypatch.setattr(suites, "_signed_counts", broken)
     gens = random_generator_set(random.Random(2), 2, 4)
     rec = evaluate_net(gens)
-    # one signed count per stack of rank < m; an empty nullspace counts 1 without one
-    assert len(calls) == sum(not full for _, _, full in box(gens)) < rec.triples
+    # one signed count per cell of a stack of rank < m; a slab of empty nullspaces counts 1 without one
+    cells = counted_cells(gens)
+    assert len(counted) == len(cells) < rec.triples
     assert rec.oracle_mismatches == 1 and not oracles_agree(rec)
     (failure,) = [f for f in rec.failures if f["kind"] == "oracle"]
+    assert (tuple(failure["u"]), tuple(failure["k"])) == cells[6]
     assert failure["middle"] == failure["fast"] + 1
     assert failure["brute"] == str(Fraction(failure["fast"]))
     (suite,) = suites_from_records([rec], ["power-of-two"])
@@ -140,29 +273,30 @@ def test_evaluate_net_catches_one_wrong_signed_count(monkeypatch):
 
 
 class _SlabOfTwoKernelWalk(suites.StackWalk):
-    """On a NullTable, reports rank ``m - 1`` where the rank is ``m`` and :meth:`wrong` holds.
+    """Reports rank ``m - 1`` where the rank is ``m`` and :meth:`wrong` holds.
 
-    The nullspace route then neither cuts nor writes its slab there, but
-    counts each empty nullspace itself; :func:`empty_nullspaces_count_two`
-    makes that count 2, not the 1 of the slabs.
+    Only the nullspace route walks a StackWalk.  It then neither cuts nor
+    writes its slab there, but counts each cell of an empty nullspace
+    itself; :func:`empty_nullspaces_count_two` makes that count 2, not the
+    1 of the slabs.
     """
 
     def __init__(self, gens, u, floor, budget, table=None):
         super().__init__(gens, u, floor, budget, table)
-        self.u, self.m = tuple(u), gens.m
+        self.m = gens.m
 
     def wrong(self):
         return True
 
     def __iter__(self):
-        null = isinstance(self.table, NullTable)
         for depth, rank, nxt in super().__iter__():
-            yield depth, rank - (null and rank == self.m and self.wrong()), nxt
+            yield depth, rank - (rank == self.m and self.wrong()), nxt
 
 
 def empty_nullspaces_count_two(monkeypatch):
-    real = suites._signed_count
-    monkeypatch.setattr(suites, "_signed_count", lambda basis, nxt: real(basis, nxt) if basis else 2)
+    real = suites._signed_counts
+    monkeypatch.setattr(suites, "_signed_counts",
+                        lambda basis, nxts: real(basis, nxts) if basis else [2] * (1 << len(nxts) - 1))
 
 
 def test_evaluate_net_flags_every_cell_of_a_wrong_slab(monkeypatch):
@@ -203,25 +337,25 @@ def test_evaluate_net_tallies_bound_and_zero_region_breaches_of_a_wrong_t(monkey
 
 
 class _OneSlabOfTwoKernelWalk(_SlabOfTwoKernelWalk):
-    """Wrong at ``k_2 = 1`` of ``u = (2, 3)`` only: from ``k = (1, 2)`` on, the one slab there."""
+    """Wrong at ``k_1 = 0, k_2 = 1`` only: from ``k = (0, 1, 2)`` on, the one slab there."""
 
     def wrong(self):
-        return self.u == (2, 3) and self.k[0] == 1
+        return self.k[:2] == [0, 1]
 
 
 def test_evaluate_net_flags_exactly_the_cells_of_one_wrong_slab(monkeypatch):
     gens = random_generator_set(random.Random(2), 3, 3)
-    full = {(u, k): f for u, k, f in box(gens)}
-    # C_{(2,3),(1,2)} is the first full-rank stack with k_2 = 1: the kernel
-    # route's slab there is k_2 = 1, k_3 >= 2
-    assert [full[(2, 3), (1, k3)] for k3 in range(5)] == [False, False, True, True, True]
+    full = stacks(gens)
+    # C_{1:3,(0,1,2)} is the first full-rank stack with k_1 = 0 and k_2 = 1: the kernel
+    # route's slab there is k_1 = 0, k_2 = 1, k_3 >= 2, and its cells have u = (2, 3) or (1, 2, 3)
+    assert [full[0, 1, k3] for k3 in range(5)] == [False, False, True, True, True]
     monkeypatch.setattr(suites, "StackWalk", _OneSlabOfTwoKernelWalk)
     empty_nullspaces_count_two(monkeypatch)
     rec = evaluate_net(gens)
-    assert rec.oracle_mismatches == 3
+    assert rec.oracle_mismatches == 6
     assert [(f["u"], f["k"], f["fast"], f["brute"], f["middle"]) for f in rec.failures] == [
         ([2, 3], [1, k3], 1, "1", 2) for k3 in range(2, 5)
-    ]
+    ] + [([1, 2, 3], [0, 1, k3], 1, "1", 2) for k3 in range(2, 5)]
 
 
 def reference_gain(gens, u, k):
@@ -234,27 +368,15 @@ def reference_gain(gens, u, k):
     return 1 << (gens.m - rank) if nullspace_rank(rows + (nxt,), gens.m) == rank else 0
 
 
-def visited(u, k, full):
-    """Whether a walk that cuts at every full-rank stack reaches ``k``.
-
-    It skips ``k`` iff ``C_{u,k}`` contains the rows of an earlier stack of
-    full rank; the largest earlier stack it contains has one row fewer at
-    the deepest nonzero coordinate of ``k``.
-    """
-    if not any(k):
-        return True
-    i = max(pos for pos, kj in enumerate(k) if kj)
-    return not full[u, k[:i] + (k[i] - 1,) + k[i + 1 :]]
-
-
 class _BrokenWalk(suites.StackWalk):
-    """Breaks its states by :meth:`broken` on a ``table_type`` (a NullTable here), and walks right on the other."""
+    """Breaks its states by :meth:`broken`; the nullspace route's walk."""
 
-    table_type = NullTable
+    @classmethod
+    def plant(cls, monkeypatch):
+        monkeypatch.setattr(suites, "StackWalk", cls)
 
     def __iter__(self):
-        states = super().__iter__()
-        return self.broken(states) if isinstance(self.table, self.table_type) else states
+        return self.broken(super().__iter__())
 
 
 class _SkippingKernelWalk(_BrokenWalk):
@@ -264,10 +386,21 @@ class _SkippingKernelWalk(_BrokenWalk):
         return (state for i, state in enumerate(states) if i != 3)
 
 
-class _SkippingStackWalk(_SkippingKernelWalk):
-    """Drops the fourth state on a pivot table, and the rank route writes nothing at its ``k``."""
+class _SkippingStackWalk:
+    """The rank route's walk of stacks skips its fourth visit, and writes nothing at its ``k``."""
 
-    table_type = PivotTable
+    rank_route = True
+
+    @staticmethod
+    def plant(monkeypatch):
+        real = suites._least_gain_total
+
+        def skipping(gens, u, floor, table_depth, visit, slab):
+            visits = itertools.count()
+            return real(gens, u, floor, table_depth,
+                        lambda *state: 0 if next(visits) == 3 else visit(*state), slab)
+
+        monkeypatch.setattr(suites, "_least_gain_total", skipping)
 
 
 class _ShortKernelWalk(_BrokenWalk):
@@ -280,8 +413,9 @@ class _ShortKernelWalk(_BrokenWalk):
 class _LongKernelWalk(_BrokenWalk):
     """Yields one state past its end, at its last ``k``: rank 0 and next row 1.
 
-    Every push is undone by then, so the nullspace is all of GF(2)^m and the
-    route counts 0 there, in that one cell.
+    Every push is undone by then, so the nullspace is all of GF(2)^m: the
+    route counts ``2^m`` at a ``u`` whose next rows XOR to 0, and 0
+    elsewhere, at the cells of that one stack.
     """
 
     def broken(self, states):
@@ -291,22 +425,23 @@ class _LongKernelWalk(_BrokenWalk):
 
 def out_of_step_cells(gens, broken):
     """The cells a broken walk leaves wrong, in ``(|u|, u, k)`` order, with its value there."""
-    full = {(u, k): f for u, k, f in box(gens)}
-    cells = {}  # u -> its k in lex order
-    for u, k in full:
-        cells.setdefault(u, []).append(k)
-    # no walk cuts before its fifth k, so its first four k are the first four cells
-    assert not any(full[u, k] for u in cells for k in cells[u][:4])
+    full = stacks(gens)
+    order = list(full)
+    # no walk cuts before its fifth k, so it writes the cells of the first four one by one
+    assert not any(full[k] for k in order[:4])
     if broken in (_SkippingKernelWalk, _SkippingStackWalk):
-        return [(u, ks[3], None) for u, ks in cells.items()]
-    if broken is _ShortKernelWalk:
-        return [(u, k, None) for u, ks in cells.items() for k in ks[4:]]
-    # past its end the walk writes 0 at its last k
-    out = []
-    for u, ks in cells.items():
-        last = max(k for k in ks if visited(u, k, full))
-        out += [(u, last, 0)] if reference_gain(gens, u, last) else []
-    return out
+        out = [(u, k, None) for u, k in cells_of(order[3])]
+    elif broken is _ShortKernelWalk:
+        out = [(u, k, None) for stack in order[4:] for u, k in cells_of(stack)]
+    else:  # past its end the walk counts its last k again on the whole space
+        out = []
+        for u, k in cells_of(max(stack for stack in order if reached(stack, full))):
+            nxt = 0
+            for j, kj in zip(u, k):
+                nxt ^= gens.row(j, kj + 1)
+            wrong = 0 if nxt else 1 << gens.m
+            out += [(u, k, wrong)] if wrong != reference_gain(gens, u, k) else []
+    return sorted(out, key=lambda cell: (len(cell[0]), cell[0], cell[1]))
 
 
 @pytest.mark.parametrize(
@@ -315,8 +450,8 @@ def out_of_step_cells(gens, broken):
 def test_evaluate_net_records_walks_out_of_step(monkeypatch, broken):
     gens = random_generator_set(random.Random(2), 2, 4)
     flagged = out_of_step_cells(gens, broken)
-    rank_route = broken.table_type is PivotTable
-    monkeypatch.setattr(suites, "StackWalk", broken)
+    rank_route = getattr(broken, "rank_route", False)
+    broken.plant(monkeypatch)
     rec = evaluate_net(gens)  # must not raise
     assert rec.oracle_mismatches == len(flagged) > 0
     assert rec.triples == (gens.m + 3) ** gens.s - 1
@@ -332,11 +467,11 @@ def test_evaluate_net_records_walks_out_of_step(monkeypatch, broken):
 
 
 def test_evaluate_net_flags_the_cells_no_walk_writes(monkeypatch):
-    # each route writes the cell where it cuts, not the rest of the slab
-    monkeypatch.setattr(suites, "_slab", lambda k, i: k)
+    # each route writes the cells of the stack where it cuts, not the rest of the slab
+    monkeypatch.setattr(suites, "_slab_cells", lambda k, i: tuple(1 + kj if kj else slice(2) for kj in k))
     gens = random_generator_set(random.Random(2), 3, 3)
-    full = {(u, k): f for u, k, f in box(gens)}
-    want = [(list(u), list(k)) for (u, k), f in full.items() if f and not visited(u, k, full)]
+    full = stacks(gens)
+    want = [(list(u), list(k)) for u, k, f in box(gens) if f and not reached(pad(gens, u, k), full)]
     rec = evaluate_net(gens)
     assert rec.oracle_mismatches == len(want) > suites._MAX_FAILURES
     assert rec.triples == (gens.m + 3) ** gens.s - 1
