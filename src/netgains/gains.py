@@ -26,8 +26,11 @@ others; all three use exact integer arithmetic.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,7 +51,7 @@ from .netgen import (
     stack_at,
 )
 from . import quality
-from .quality import _box_counts, _least_gain_total, first_rank_deficient_k, t_u
+from .quality import _box_counts, _box_rank, _least_gain_total, first_rank_deficient_k, t_u
 
 ENUMERATION_VISIT_LIMIT = 1 << 24
 _BRUTE_CHUNK = 512
@@ -360,9 +363,9 @@ def enumerate_gains(
     the one walk over coordinates ``1..s`` that finds ``t``
     (:func:`~netgains.quality._least_gain_total`) eliminates every stack of
     the table once.  It hands each the normal forms of the ``s`` next rows;
-    they are linear, so every ``u`` containing the support of ``k`` costs
-    one XOR, the free coordinates taken in Gray-code order; the walk takes
-    the least ``|u|`` of a gain there in place of its own test of the free
+    they are linear, so the ``u`` containing the support of ``k`` with a gain
+    are an affine space, solved by one elimination of the free forms, and
+    the walk takes their least ``|u|`` in place of its own test of the free
     sets.  The entries are checked against the clamped t bound after the walk.
 
     The walk goes to every ``(u, k)`` of the table whatever ``max_visits``
@@ -384,8 +387,8 @@ def enumerate_gains(
 
     Entries come in ``(|u|, u, k)`` order, ``k`` lexicographic.
     ``max_visits`` keeps the first that many ``(u, k)`` in that order (the
-    report then carries ``truncated=True``); it trims the report but does
-    not shorten the walk.  Raises :class:`ResourceLimitError`, before any
+    report then carries ``truncated=True``), filtered after the walk, and
+    ``visited`` is what it keeps.  Raises :class:`ResourceLimitError`, before any
     walk, when there are more than :data:`ENUMERATION_VISIT_LIMIT` pairs
     ``(u, k)`` with ``k`` in ``[0, m + 1]^u`` and ``|k| <= max_depth``, or
     more than :data:`~netgains.quality.T_SEARCH_LIMIT` stacks ``k`` in
@@ -410,65 +413,70 @@ def enumerate_gains(
             f"max_depth={max_depth} over s={s} coordinates asks for {counts[s]} stacks, each a test of "
             f"the t search (limit {quality.T_SEARCH_LIMIT})"
         )
-    # quota[mask]: how many of the first (u, k) in lex order are still to visit
-    quota = [0] * (1 << s)
-    left = kept = total if max_visits is None else min(total, max_visits)
-    masks = {u: sum(1 << (j - 1) for j in u) for u in _subsets(s)}
-    for u, mask in masks.items():
-        quota[mask] = min(counts[len(u)], left)
-        left -= quota[mask]
-    least = [m + 1] * (1 << s)  # least[mask]: the least rank of a gain at u, kept or not
+    kept = total if max_visits is None else min(total, max_visits)
+    found: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # found[mask]: (*k, rank) of u's gains
+    bits = [1 << j for j in range(s)]
 
-    found: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # (*k, rank) per stack
-    # gray[i]: the free coordinate, counted from 1, that step i of a Gray code over
-    # them flips; step 0 flips placeholder 0, so the code starts at u = supp(k)
-    gray = b""
-    for j in range(1, s + 1):
-        gray += bytes([j]) + gray
-    gray = b"\0" + gray
+    def span(u: int, masks: list[int]) -> list[int]:  # u XOR each sum of the independent masks
+        sets = [u]
+        for mask in masks:
+            sets += [v ^ mask for v in sets]
+        return sets
+
+    # at rank m every form is 0, so the gains are u with each set of the coordinates outside it
+    supersets = functools.cache(lambda u: span(u, [bit for bit in bits if not bit & u]))
 
     def record(k: list[int], rank: int, forms: list[int]) -> int:
-        """Visit every ``u`` containing ``supp(k)``; return the least ``|u| > 0`` with a gain, or 0.
+        """Record every ``u`` containing ``supp(k)`` with a gain; return the least such ``|u| > 0``, or 0.
 
-        Each visit spends one of ``u``'s quota, if any is left, and a gain
-        there is an entry if it did; every gain lowers ``least[u]``.
-        ``forms[s]`` is the XOR of the forms over ``supp(k)``.
-        """
-        acc, u = forms[s], 0
-        fewest = s + 1
-        free_rows, free_bits = [0], [0]
-        for j in range(s):
-            if k[j]:
-                u |= 1 << j
-            else:
-                free_rows.append(forms[j])
-                free_bits.append(1 << j)
+        Those ``u`` are the sets whose free forms XOR to ``forms[s]``, that over ``supp(k)``.  Eliminating the
+        free forms, each pivot with the mask of the forms it sums, reduces ``forms[s]`` to a residual (no gain)
+        or to 0 along one mask; the masks of the forms that reduce to 0 span the rest."""
+        if rank == m:
+            u = sum(itertools.compress(bits, k))
+            gains, fewest = supersets(u), u.bit_count()
+        else:
+            pivots, kernel, u = {}, [], 0
+            for form, mask, kj in zip(forms, bits, k):
+                if kj:
+                    u |= mask
+                    continue
+                while form and form.bit_length() in pivots:
+                    pivot, held = pivots[form.bit_length()]
+                    form, mask = form ^ pivot, mask ^ held
+                if form:
+                    pivots[form.bit_length()] = form, mask
+                else:
+                    kernel.append(mask)
+            form = forms[s]
+            while form:
+                if form.bit_length() not in pivots:
+                    return 0
+                pivot, held = pivots[form.bit_length()]
+                form, u = form ^ pivot, u ^ held
+            gains = span(u, kernel)[0 if u else 1 :]  # at k = 0 the empty set is no u
+            fewest = min(map(int.bit_count, gains), default=0)
         stack = (*k, rank)
-        for b in gray[: 1 << (len(free_rows) - 1)]:
-            acc ^= free_rows[b]
-            u ^= free_bits[b]
-            if quota[u]:
-                quota[u] -= 1
-                if not acc:
-                    found[u].append(stack)
-            if not acc and u:
-                if rank < least[u]:
-                    least[u] = rank
-                if u.bit_count() < fewest:
-                    fewest = u.bit_count()
-        return fewest if fewest <= s else 0
+        for v in gains:
+            found[v].append(stack)
+        return fewest
 
     t = m + 1 - _least_gain_total(gens, range(1, s + 1), 0, max_depth, record)
+    least = {mask: min(map(operator.itemgetter(-1), stacks)) for mask, stacks in found.items()}  # kept or not
     values = [GainValue(m - rank) for rank in range(m + 1)]
     entries: list[tuple[SubsetIndex, GainValue]] = []
     violations: list[dict] = []
     # the largest kept gain has the least rank; its witness is the first entry at that
-    # rank by (|u|, u, |k|, k), and masks and found[mask] come in (|u|, u) and k order
+    # rank by (|u|, u, |k|, k), and the masks come in (|u|, u) order and found[mask] in k order
     low, attaining = m + 1, None
-    for u, mask in masks.items():
-        clamp = min(t + len(u) - 1, m)
-        members = [(mask >> j) & 1 for j in range(s)]
-        for stack in found.get(mask, ()):
+    for r, u, mask in sorted((v.bit_count(), tuple(j + 1 for j in range(s) if v >> j & 1), v) for v in found):
+        members, clamp, stacks = [(mask >> j) & 1 for j in range(s)], min(t + r - 1, m), found[mask]
+        if kept < total:  # keep the (u, k) placed below kept in the visit order, skip of them before u's
+            gaps = [j - i - 1 for i, j in zip((0,) + u, u)]  # lex order as u among the r-subsets, total <= s - r
+            skip = sum(math.comb(s, q) * counts[q] for q in range(1, r)) + counts[r] * _box_rank(gaps, s, s - r)
+            place = lambda stack: _box_rank(tuple(itertools.compress(stack, members)), m + 1, max_depth)
+            stacks = stacks[: bisect.bisect_left(stacks, kept - skip, key=place)]
+        for stack in stacks:
             rank = stack[-1]
             kk = tuple(itertools.compress(stack, members))
             entries.append((SubsetIndex._trusted(u, kk), values[rank]))
@@ -478,13 +486,13 @@ def enumerate_gains(
                 low, attaining = rank, entries[-1][0]
 
     gamma, bounds = GainValue.zero(), {}
-    if min(least) <= m:
-        theoretical = values[min(least)]
+    if least:
+        theoretical = values[min(least.values())]
     else:  # no gain in the table
         theoretical = GainValue(m + s - _least_gain_total(gens, range(1, s + 1), 1))
     if attaining is not None:
-        gamma, umask, order = values[low], masks[attaining.u], len(attaining.u)
-        subsets = [v for v in range(1, umask + 1) if least[v] <= m and not v & ~umask]
+        gamma, order, umask = values[low], len(attaining.u), sum(1 << (j - 1) for j in attaining.u)
+        subsets = [v for v in least if not v & ~umask]
         low_total = min(v.bit_count() + least[v] for v in subsets)
         if low_total > max_depth + 2 and low_total != m + 1 - t:  # a gain past the table may have less
             low_total = m + 1 - (t if umask == (1 << s) - 1 else t_u(gens, attaining.u))
@@ -499,7 +507,7 @@ def enumerate_gains(
         theoretical=theoretical,
         attained_theoretical=(gamma == theoretical),
         bounds=bounds,
-        visited=kept - sum(quota),  # what is left of the quotas was not visited
+        visited=kept,  # the walk reaches every (u, k), so it visits all it keeps
         truncated=kept < total,
         max_depth=max_depth,
         bound_violations=violations,

@@ -11,7 +11,7 @@ vectors compete.  One search finds that least total for both
 nonzero gain, and ``t_star_u`` takes ``k >= 1``, the same walk started
 from the base of the first rows.  Both count their tests against
 :data:`T_SEARCH_LIMIT`; at the stacks of a gain table the table's own
-visit, which tries every free set, stands in for the search's test.
+visit, which solves for every free set, stands in for the search's test.
 :func:`first_rank_deficient_k` reads the lex-first ``k`` of the floor-1
 least off a :class:`~netgains.netgen.StackWalk` of that fixed budget, the
 witness of :func:`~netgains.gains.max_gain`, and counts the stacks of
@@ -52,20 +52,26 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _box_counts(s: int, cap: int, max_depth: int) -> list[int]:
-    """At ``r``: how many ``k`` in ``[0, cap]^r`` have ``|k| <= max_depth``, for ``r = 0..s``.
+def _box_ways(s: int, cap: int, max_depth: int) -> list[list[int]]:
+    """At ``[r][d]``: how many ``k`` in ``[0, cap]^r`` have ``|k| <= d``, for ``r <= s`` and ``d <= max_depth``."""
+    ways = [[1] * (min(max_depth, s * cap) + 1)]  # past s * cap every vector fits
+    for _ in range(s):  # a DP over totals: a new coordinate sums cap + 1 neighbouring entries
+        prefix = list(itertools.accumulate(ways[-1], initial=0))
+        ways.append([prefix[d + 1] - prefix[max(0, d - cap)] for d in range(len(prefix) - 1)])
+    return ways
 
-    A DP over totals: ``ways[d]`` counts the vectors of total ``d``, and
-    adding a coordinate sums ``cap + 1`` neighbouring totals.
-    """
-    top = min(max_depth, s * cap)
-    ways = [1] + [0] * top
-    counts = [1]
-    for _ in range(s):
-        prefix = list(itertools.accumulate(ways, initial=0))
-        ways = [prefix[d + 1] - prefix[max(0, d - cap)] for d in range(top + 1)]
-        counts.append(sum(ways))
-    return counts
+
+def _box_counts(s: int, cap: int, max_depth: int) -> list[int]:
+    """At ``r``: how many ``k`` in ``[0, cap]^r`` have ``|k| <= max_depth``, for ``r = 0..s``."""
+    return [row[-1] for row in _box_ways(s, cap, max_depth)]
+
+
+def _box_rank(k: Sequence[int], cap: int, max_depth: int) -> int:
+    """How many ``k'`` of the box of ``k``, ``[0, cap]^len(k)`` with ``|k'| <= max_depth``, precede it in lex
+    order: those first below ``k`` at ``i`` fill the box of the later coordinates up to the total left."""
+    lefts = itertools.accumulate(k, lambda left, kj: left - kj, initial=max_depth)  # the total left at each i
+    ways = reversed(_box_ways(len(k), cap, max_depth)[:-1])  # the box of the coordinates after each i
+    return sum(rest[min(left - v, len(rest) - 1)] for kj, rest, left in zip(k, ways, lefts) for v in range(kj))
 
 
 def first_rank_deficient_k(gens: GeneratorSet, u: Sequence[int]) -> tuple[int, ...]:
@@ -144,8 +150,8 @@ def _least_gain_total(gens: GeneratorSet, u: Sequence[int], floor: int = 0, tabl
     qualifies lowers.  It also goes to every ``k`` with ``|k| <= table_depth``
     and calls ``visit(k, rank, forms)`` there, ``k`` a list updated in place.
     The visit returns the least ``|v|`` of a nonempty ``v`` containing
-    ``supp(k)`` whose forms XOR to 0, or 0 if there is none: it has tried
-    every free set, so the walk lowers the least to ``|k|`` plus that and
+    ``supp(k)`` whose forms XOR to 0, or 0 if there is none: it has solved
+    for every free set, so the walk lowers the least to ``|k|`` plus that and
     tests nothing more there.  Given ``slab``, a full stack (``held`` all
     ``m`` bits) of the table is no visit: the walk calls ``slab(k, i)``, ``i``
     the coordinate just raised, and skips the slab of the stacks that

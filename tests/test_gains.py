@@ -1,6 +1,7 @@
 """Gain coefficients: three routes, bounds, the closed-form maximum."""
 
 import importlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -609,7 +610,7 @@ def test_enumerate_tiebreak_is_first_by_key(shift):
 def test_enumerate_truncation_flag(shift):
     report = enumerate_gains(shift, 8, max_visits=10)
     assert report.truncated
-    assert report.visited <= 10
+    assert report.visited == 10
 
 
 def scratch_gain(gens: GeneratorSet, idx: SubsetIndex) -> GainValue:
@@ -684,6 +685,80 @@ def test_enumerate_matches_scratch_loop_for_every_budget():
             assert report.gamma_max == (
                 GainValue.zero() if want["attaining"] is None else scratch_gain(gens, want["attaining"])
             )
+
+
+def kernel_rich_net(rng: random.Random, kind: str, s: int, m: int) -> GeneratorSet:
+    """A random net whose free forms are often dependent: ``repeated`` copies the first
+    matrix to the last, ``sparse`` sets each bit with probability 0.2, ``dependent`` makes
+    the last first row the XOR of the earlier ones; ``fair`` draws fair bits."""
+    density = 0.2 if kind == "sparse" else 0.5
+    mats = [
+        BitMatrix(m, tuple(sum(1 << b for b in range(m) if rng.random() < density) for _ in range(m)))
+        for _ in range(s)
+    ]
+    if kind == "repeated":
+        mats[-1] = mats[0]
+    elif kind == "dependent":
+        first = 0
+        for mat in mats[:-1]:
+            first ^= mat.rows[0]
+        mats[-1] = BitMatrix(m, (first,) + mats[-1].rows[1:])
+    return GeneratorSet(tuple(mats))
+
+
+def test_enumerate_matches_scratch_loop_on_kernel_rich_nets():
+    # nets whose free forms are often dependent, so a stack's gains are a span of several
+    # sets: every budget cuts through subsets of three to five coordinates
+    rng = random.Random(3202)
+    nets = [
+        (kernel_rich_net(rng, "repeated", 4, 5), 2),
+        (kernel_rich_net(rng, "sparse", 5, 6), 1),
+        (kernel_rich_net(rng, "sparse", 4, 4), 2),
+        (kernel_rich_net(rng, "dependent", 4, 5), 2),
+        (kernel_rich_net(rng, "fair", 3, 3), 5),  # the table reaches stacks of rank m
+    ]
+    spans = Counter()
+    for gens, depth in nets:
+        full = enumerate_gains(gens, depth)
+        # the gains per all-coordinate stack of rank below m: two or more need a kernel
+        stacks = Counter(
+            tuple(dict(zip(ix.u, ix.k)).get(j, 0) for j in range(1, gens.s + 1))
+            for ix, gv in full.entries if gv.log2
+        )
+        spans["kernel span"] += sum(n > 1 for n in stacks.values())
+        spans["rank m"] += sum(gv.log2 == 0 for _, gv in full.entries)
+        for max_visits in [None, *range(full.visited + 2)]:
+            report = enumerate_gains(gens, depth, max_visits=max_visits)
+            want = scratch_report(gens, depth, max_visits)
+            assert {key: getattr(report, key) for key in want} == want, (gens, depth, max_visits)
+    assert spans["kernel span"] >= 10 and spans["rank m"] >= 10, spans
+
+
+def test_enumerate_visits_what_the_box_counts():
+    # visited is the (u, k) of the box, sum over r of C(s, r) times the k in [0, m + 1]^r with |k| <= depth
+    for gens, depth in ((sobol_net(3, 5), 4), (random_generator_set(random.Random(8), 5, 6), 2), (shift_net(), 3)):
+        counts = quality._box_counts(gens.s, gens.m + 1, depth)
+        total = sum(math.comb(gens.s, r) * counts[r] for r in range(1, gens.s + 1))
+        report = enumerate_gains(gens, depth)
+        assert (report.visited, report.truncated) == (total, False)
+        assert enumerate_gains(gens, depth, max_visits=total - 1).visited == total - 1
+
+
+def test_enumerate_keeps_no_bookkeeping_per_subset():
+    # s = m = 20 at depth 1: 11,534,335 pairs (u, k), of which 20 hold a gain.  A list with
+    # a slot per subset takes 8 MiB, so the walk may hold none: it solves each of its 21 stacks
+    import tracemalloc
+
+    gens = random_generator_set(random.Random(7), 20, 20)
+    tracemalloc.start()
+    try:
+        report = enumerate_gains(gens, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.visited, len(report.entries)) == (11_534_335, 20)
+    assert all(gain_fast(gens, ix) == gv for ix, gv in report.entries)
+    assert peak < 8 << 20, peak
 
 
 def searched_gamma_and_bounds(gens: GeneratorSet, attaining: SubsetIndex | None) -> tuple:
